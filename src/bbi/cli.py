@@ -120,6 +120,10 @@ def cmd_survey(args) -> int:
             raise ValueError("exhaustive survey is limited to widths <= 16")
         values = range(1 << n)
     else:
+        if args.samples < 1:
+            raise ValueError("--samples must be >= 1")
+        if n > 62:  # random.sample cannot index a range of 2^63 or more
+            raise ValueError("sampled survey is limited to widths <= 62")
         rng = random.Random(_rng_seed(args))
         count = min(args.samples, 1 << n)
         values = sorted(rng.sample(range(1 << n), count))

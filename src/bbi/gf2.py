@@ -10,6 +10,7 @@ are immutable; operations return new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,13 @@ def order(p: Gf2Poly, bound: int = 1 << 20) -> int | None:
     """Least N >= 1 with X^N = 1 mod p, or None if no N <= bound works.
 
     Requires p(0) != 0 (otherwise X is a zero divisor and no such N
-    exists) and deg p >= 1.  Plain iteration: multiply by X and reduce,
-    which is a shift and a conditional XOR per step.
+    exists) and deg p >= 1.  Baby-step giant-step (Shanks) with
+    s = ceil(sqrt(bound)): the baby steps X^0 .. X^(s-1) go into a table
+    (a shift and a conditional XOR each), then the giant steps X^s,
+    X^2s, ... are looked up in it.  X is a unit mod p, so the first hit
+    X^(i*s) = X^j gives N = i*s - j exactly.  Cost: O(sqrt(bound))
+    multiplications mod p, each at most deg p XORs, where walking
+    X^1, X^2, ... would take up to `bound` steps.
     """
     if p.constant_term == 0:
         raise ValueError("order requires a nonzero constant term")
@@ -224,15 +230,39 @@ def order(p: Gf2Poly, bound: int = 1 << 20) -> int | None:
         raise ValueError("order requires degree >= 1")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    m = p.bits
-    d = p.degree
-    s = 1  # X^0
-    for n in range(1, bound + 1):
-        s <<= 1
-        if (s >> d) & 1:
-            s ^= m
-        if s == 1:
-            return n
+    m, d = p.bits, p.degree
+    top = 1 << d
+    s = isqrt(bound - 1) + 1
+    baby = {1: 0}
+    x = 1
+    for j in range(1, s):
+        x <<= 1
+        if x & top:
+            x ^= m
+        if x == 1:
+            return j
+        baby[x] = j
+    # rows[k] = X^(s+k) mod p: g * X^s mod p is the XOR of rows[k] over
+    # the set bits k of g.
+    rows = []
+    for _ in range(d):
+        x <<= 1
+        if x & top:
+            x ^= m
+        rows.append(x)
+    giant = rows[0]
+    i = 1
+    while i * s - (s - 1) <= bound:
+        j = baby.get(giant)
+        if j is not None:
+            n = i * s - j
+            return n if n <= bound else None
+        g, giant = giant, 0
+        while g:
+            low = g & -g
+            giant ^= rows[low.bit_length() - 1]
+            g ^= low
+        i += 1
     return None
 
 

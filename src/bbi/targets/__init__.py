@@ -70,10 +70,13 @@ def _build_spn(cfg: dict) -> TargetInstance:
 
 
 def _build_stream(cfg: dict) -> TargetInstance:
+    taps = cfg["filter_taps"]
+    if not isinstance(taps, list):
+        raise ValueError(f"filter_taps must be a list of state positions, got {taps!r}")
     lfsr = FilteredLfsr(feedback=Gf2Poly(_as_int(cfg["feedback"])),
                         key_width=_as_int(cfg["key_width"]),
                         iv=_as_int(cfg["iv"]),
-                        filter_taps=[_as_int(t) for t in cfg["filter_taps"]],
+                        filter_taps=[_as_int(t) for t in taps],
                         filter_table=_as_int(cfg["filter_table"]),
                         warmup=_as_int(cfg.get("warmup", 0)))
     count = _as_int(cfg["count"])

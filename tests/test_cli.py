@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+from bbi.targets import CONFIG_DIR
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, encode_point)
 
 
@@ -79,6 +80,33 @@ def test_survey_rejects_embeddings():
     res = run_cli("survey", "--target", "stream")
     assert res.returncode == 1
     assert "embedding" in res.stderr
+
+
+def _one_line_error(res, text):
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and text in lines[0], res.stderr
+
+
+def test_survey_rejects_zero_samples():
+    res = run_cli("survey", "--target", "dlp-p11", "--samples", "0")
+    _one_line_error(res, "--samples must be >= 1")
+
+
+def test_survey_rejects_widths_too_large_to_sample(tmp_path):
+    cfg = tmp_path / "identity100.json"
+    cfg.write_text(json.dumps({"family": "identity", "width": 100}))
+    res = run_cli("survey", "--target", str(cfg), "--samples", "2")
+    _one_line_error(res, "limited to widths <= 62")
+
+
+def test_stream_config_rejects_scalar_filter_taps(tmp_path):
+    doc = json.loads((CONFIG_DIR / "stream.json").read_text())
+    doc["filter_taps"] = 5
+    cfg = tmp_path / "stream-int-taps.json"
+    cfg.write_text(json.dumps(doc))
+    res = run_cli("invert", "--target", str(cfg), "--y", "0x1")
+    _one_line_error(res, "filter_taps must be a list")
 
 
 def test_survey_summary_and_determinism(tmp_path):

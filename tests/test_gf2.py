@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from bbi.engine import BlackBoxMap, local_inversion
 from bbi.gf2 import (ONE, X, ZERO, BitVec, Gf2Poly, IntMod, gcd, lcm, mulmod,
                      order, powmod)
+from bbi.targets.arith import is_primitive_poly
 
 
 def test_bitvec_construction_bounds():
@@ -182,6 +184,72 @@ def test_order_preconditions_and_bound():
         order(Gf2Poly(0b11), bound=0)
     assert order(Gf2Poly(0b10011), bound=14) is None
     assert order(Gf2Poly(0b10011), bound=15) == 15
+
+
+def _order_walk(p: Gf2Poly, bound: int) -> int | None:
+    """Reference for `order`: walk X^1, X^2, ... mod p by shift-and-reduce."""
+    m, d, x = p.bits, p.degree, 1
+    for n in range(1, bound + 1):
+        x <<= 1
+        if (x >> d) & 1:
+            x ^= m
+        if x == 1:
+            return n
+    return None
+
+
+def test_order_matches_walk_for_every_poly_up_to_degree_10():
+    for d in range(1, 11):
+        for bits in range(1 << d | 1, 1 << (d + 1), 2):
+            p = Gf2Poly(bits)
+            full = _order_walk(p, 1 << d)  # X is a unit, so ord < 2^d
+            for bound in {1, max(full - 1, 1), full, 1 << d}:
+                assert order(p, bound) == _order_walk(p, bound), (bits, bound)
+
+
+def test_order_matches_walk_on_random_polys_of_degree_11_to_20():
+    rng = random.Random(2207)
+    for _ in range(300):
+        d = rng.randint(11, 20)
+        p = Gf2Poly(1 << d | rng.getrandbits(d - 1) << 1 | 1)
+        bound = rng.randrange(1, 1 << rng.randint(1, d))  # log-uniform
+        assert order(p, bound) == _order_walk(p, bound), (p.bits, bound)
+
+
+# X^24 + X^7 + X^2 + X + 1, X^16 + X^5 + X^3 + X^2 + 1, X^8 + X^4 + X^3 + X^2 + 1
+Q24, Q16, Q8 = Gf2Poly(0x1000087), Gf2Poly(0x1002D), Gf2Poly(0x11D)
+
+
+def test_order_capped_at_degree_24():
+    assert is_primitive_poly(Q24)  # order 2^24 - 1, beyond the default cap
+    assert order(Q24) is None
+    assert _order_walk(Q24, 1 << 20) is None
+
+
+def test_order_found_between_2_10_and_2_20_at_degree_24():
+    p = Q16 * Q8  # order lcm(2^16 - 1, 2^8 - 1) = 65535
+    assert p.degree == 24
+    n = order(p)
+    assert n == _order_walk(p, 1 << 20) == 65535
+
+
+def test_local_inversion_period_estimate_at_degree_64():
+    # F multiplies by X mod P = Q16^4 on 64-bit residues: a linear map
+    # whose orbit of y = 1 has minimal polynomial P, of order
+    # (2^16 - 1) * 4 = 262140.
+    P = Q16 * Q16 * Q16 * Q16
+    assert P.degree == 64
+
+    def times_x(v: BitVec) -> BitVec:
+        w = v.value << 1
+        return BitVec(w ^ P.bits if w >> 64 else w, 64)
+
+    y = BitVec(1, 64)
+    F = BlackBoxMap(times_x, 64)
+    report = local_inversion(F, y)
+    assert report.solved and times_x(report.x) == y
+    assert report.minpoly == P
+    assert report.period_estimate == _order_walk(P, 1 << 20) == 262140
 
 
 def _is_irreducible(p: Gf2Poly) -> bool:
