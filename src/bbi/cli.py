@@ -386,8 +386,18 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _max_evals(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_max_evals(p) -> None:
-    p.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS,
+    p.add_argument("--max-evals", type=_max_evals, default=DEFAULT_MAX_EVALS,
                    help="abort after this many map evaluations per phase")
 
 

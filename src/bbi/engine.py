@@ -59,9 +59,10 @@ class BlackBoxMap:
     def __call__(self, x: BitVec) -> BitVec:
         if x.width != self.in_width:
             raise ValueError(f"input width {x.width}, map expects {self.in_width}")
-        if self.max_evals is not None and self.evals >= self.max_evals:
-            raise EvalBudgetExceeded(f"evaluation budget {self.max_evals} exhausted")
-        self.evals += 1
+        evals, cap = self.evals, self.max_evals
+        if cap is not None and evals >= cap:
+            raise EvalBudgetExceeded(f"evaluation budget {cap} exhausted")
+        self.evals = evals + 1
         y = self.fn(x)
         if y.width != self.out_width:
             raise ValueError(f"map produced width {y.width}, declared {self.out_width}")

@@ -9,22 +9,49 @@ are immutable; operations return new objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from math import isqrt
 
 
-@dataclass(frozen=True)
 class BitVec:
-    """Element of GF(2)^width, little-endian: bit(0) is the LSB."""
+    """Element of GF(2)^width, little-endian: bit(0) is the LSB.
 
-    value: int
-    width: int
+    Immutable, with the equality, hash and repr of a frozen dataclass.
+    Every map evaluation builds one, so it is a slotted class whose
+    __init__ stores through the slot descriptors instead of going round
+    the assignment guard with object.__setattr__.
+    """
 
-    def __post_init__(self):
-        if self.width < 1:
+    __slots__ = ("value", "width")
+
+    def __init__(self, value: int, width: int):
+        if width < 1:
             raise ValueError("width must be >= 1")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value:#x} does not fit width {self.width}")
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"value {value:#x} does not fit width {width}")
+        _set_value(self, value)
+        _set_width(self, width)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value and self.width == other.width
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.width))
+
+    def __repr__(self) -> str:
+        return f"BitVec(value={self.value!r}, width={self.width!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked __setattr__
+        return BitVec, (self.value, self.width)
 
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.width != other.width:
@@ -49,20 +76,15 @@ class BitVec:
             raise ValueError("extract window out of range")
         return BitVec((self.value >> start) & ((1 << width) - 1), width)
 
-    def concat(self, other: "BitVec") -> "BitVec":
-        """self occupies the low indices, other the high ones."""
-        return BitVec(self.value | (other.value << self.width), self.width + other.width)
-
-    def rotl(self, k: int) -> "BitVec":
-        k %= self.width
-        v = ((self.value << k) | (self.value >> (self.width - k))) & ((1 << self.width) - 1)
-        return BitVec(v, self.width)
-
     def hex(self) -> str:
         return f"0x{self.value:0{(self.width + 3) // 4}x}"
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b")
+
+
+_set_value = BitVec.value.__set__
+_set_width = BitVec.width.__set__
 
 
 @dataclass(frozen=True)

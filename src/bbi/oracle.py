@@ -44,15 +44,17 @@ class OrbitProfile:
 
 def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
     """All preimages of y by exhaustive scan of the input space."""
-    if F.in_width > BRUTE_FORCE_WIDTH_LIMIT:
-        raise ValueError(f"input width {F.in_width} exceeds the exhaustive "
+    n = F.in_width
+    if n > BRUTE_FORCE_WIDTH_LIMIT:
+        raise ValueError(f"input width {n} exceeds the exhaustive "
                          f"scan limit {BRUTE_FORCE_WIDTH_LIMIT}")
     if y.width != F.out_width:
         raise ValueError("y width does not match the map output")
+    target = y.value  # F checks the output width, so values suffice
     found = []
-    for v in range(1 << F.in_width):
-        x = BitVec(v, F.in_width)
-        if F(x) == y:
+    for v in range(1 << n):
+        x = BitVec(v, n)
+        if F(x).value == target:
             found.append(x)
     return found
 
@@ -61,49 +63,52 @@ def orbit_profile(F: BlackBoxMap, y: BitVec, max_steps: int = DEFAULT_STEP_BUDGE
                   store: bool = False) -> OrbitProfile:
     """Exact (preperiod, period) of y under iteration of F.
 
-    Floyd cycle detection (tortoise and hare) followed by exact
-    extraction of the cycle entry point and cycle length.  Raises
-    BudgetExceeded once more than max_steps map evaluations were spent.
+    Brent's cycle detection (BIT 20, 1980): the tortoise waits at term
+    2^k - 1 while the hare runs up to 2^k terms ahead, so the first
+    meeting gives the period.  A second walk with the hare one period
+    ahead meets the tortoise at the cycle entry, which gives the
+    preperiod; its hare passes every term of the tail and of one cycle,
+    so `store` costs no extra evaluations.  Raises BudgetExceeded once
+    more than max_steps map evaluations were spent.
     """
     if F.in_width != F.out_width:
         raise ValueError("orbit iteration needs matching in/out widths")
-    before = F.evals
+    stop = F.evals + max_steps
 
-    def spend() -> None:
-        if F.evals - before > max_steps:
-            raise BudgetExceeded(f"orbit walk exceeded {max_steps} evaluations")
+    def over() -> BudgetExceeded:
+        return BudgetExceeded(f"orbit walk exceeded {max_steps} evaluations")
 
-    tort = F(y)
-    hare = F(F(y))
-    while tort != hare:
-        spend()
-        tort = F(tort)
-        hare = F(F(hare))
-
-    # entry point of the cycle
-    r = 0
-    tort = y
-    while tort != hare:
-        spend()
-        tort = F(tort)
+    tort, hare = y.value, F(y)
+    power = period = 1
+    while hare.value != tort:
+        if period == power:  # move the tortoise up, double the stride
+            tort, power, period = hare.value, 2 * power, 0
         hare = F(hare)
+        period += 1
+        if F.evals > stop:
+            raise over()
+
+    # with the hare one period ahead, the two meet at the cycle entry
+    tort = hare = y
+    terms = [y] if store else None
+    for _ in range(period):
+        hare = F(hare)
+        if F.evals > stop:
+            raise over()
+        if store:
+            terms.append(hare)
+    r = 0
+    while tort.value != hare.value:
+        tort, hare = F(tort), F(hare)
+        if F.evals > stop:
+            raise over()
+        if store:
+            terms.append(hare)
         r += 1
 
-    # one trip around
-    n = 1
-    probe = F(tort)
-    while probe != tort:
-        spend()
-        probe = F(probe)
-        n += 1
-
-    terms = None
     if store:
-        terms = [y]
-        for _ in range(r + n - 1):
-            terms.append(F(terms[-1]))
-        terms = tuple(terms)
-    return OrbitProfile(r, n, terms)
+        terms = tuple(terms[:r + period])
+    return OrbitProfile(r, period, terms)
 
 
 def _periodic_component_minpoly(comp: int, N: int) -> Gf2Poly:

@@ -37,6 +37,10 @@ class FilteredLfsr:
         iv_width = d - key_width
         if not 0 <= iv < (1 << iv_width):
             raise ValueError("iv does not fit the state remainder")
+        if (not isinstance(filter_taps, (list, tuple))
+                or not all(isinstance(t, int) for t in filter_taps)):
+            raise ValueError(f"filter taps must be a list or tuple of ints, "
+                             f"got {filter_taps!r}")
         taps = tuple(filter_taps)
         if not taps or any(not 0 <= t < d for t in taps) or len(set(taps)) != len(taps):
             raise ValueError("filter taps must be distinct state positions")

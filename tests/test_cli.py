@@ -93,6 +93,20 @@ def test_survey_rejects_zero_samples():
     _one_line_error(res, "--samples must be >= 1")
 
 
+def test_invert_rejects_max_evals_below_one():
+    for budget in ("-5", "0"):
+        res = run_cli("invert", "--target", "rsa-demo", "--y", "0x8",
+                      "--max-evals", budget)
+        _one_line_error(res, f"--max-evals: must be >= 1, got {int(budget)}")
+
+
+def test_survey_rejects_max_evals_below_one():
+    for budget in ("-5", "0"):
+        res = run_cli("survey", "--target", "dlp-p11", "--samples", "2",
+                      "--max-evals", budget)
+        _one_line_error(res, f"--max-evals: must be >= 1, got {int(budget)}")
+
+
 def test_survey_rejects_widths_too_large_to_sample(tmp_path):
     cfg = tmp_path / "identity100.json"
     cfg.write_text(json.dumps({"family": "identity", "width": 100}))

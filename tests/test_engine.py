@@ -12,6 +12,8 @@ from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
 from bbi.gf2 import BitVec, Gf2Poly
 from bbi.oracle import full_period_minpoly
 
+from helpers import concat, rotl
+
 
 def identity(width: int) -> BlackBoxMap:
     return BlackBoxMap(lambda x: x, width)
@@ -95,7 +97,7 @@ def test_generate_counts_and_contents():
     assert s.verify(rsa15())
     with pytest.raises(ValueError):
         generate(F, BitVec(8, 4), 1)
-    wide = BlackBoxMap(lambda x: x.concat(x), 3, 6)
+    wide = BlackBoxMap(lambda x: concat(x, x), 3, 6)
     with pytest.raises(ValueError):
         generate(wide, BitVec(1, 3), 4)
 
@@ -176,7 +178,7 @@ def test_minpoly_rank_profile_is_monotone():
 
 def test_invert_from_minpoly_formula():
     # rotate-left-1 on 3 bits: orbit 110 -> 101 -> 011 -> 110
-    rot = BlackBoxMap(lambda x: x.rotl(1), 3)
+    rot = BlackBoxMap(lambda x: rotl(x, 1), 3)
     s = generate(rot, BitVec(0b110, 3), 7)
     res = minimal_polynomial(s)
     assert res.minpoly == Gf2Poly(0b111)  # X^2 + X + 1

@@ -1,5 +1,7 @@
 """Bit vectors, GF(2) polynomials, and modular integers."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,8 @@ from bbi.engine import BlackBoxMap, local_inversion
 from bbi.gf2 import (ONE, X, ZERO, BitVec, Gf2Poly, IntMod, gcd, lcm, mulmod,
                      order, powmod)
 from bbi.targets.arith import is_primitive_poly
+
+from helpers import concat, rotl
 
 
 def test_bitvec_construction_bounds():
@@ -19,6 +23,47 @@ def test_bitvec_construction_bounds():
         BitVec(-1, 4)
     with pytest.raises(ValueError):
         BitVec(0, 0)
+
+
+def test_bitvec_construction_messages():
+    with pytest.raises(ValueError, match="^width must be >= 1$"):
+        BitVec(0, 0)
+    with pytest.raises(ValueError, match="^width must be >= 1$"):
+        BitVec(1, -3)
+    with pytest.raises(ValueError, match="^value 0x10 does not fit width 4$"):
+        BitVec(16, 4)
+    with pytest.raises(ValueError, match="^value -0x1 does not fit width 4$"):
+        BitVec(-1, 4)
+
+
+def test_bitvec_is_immutable():
+    v = BitVec(5, 4)
+    for name in ("value", "width", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert (v.value, v.width) == (5, 4)
+
+
+def test_bitvec_equality_and_hash_use_value_and_width_only():
+    v = BitVec(5, 4)
+    assert v == BitVec(5, 4) and not v != BitVec(5, 4)
+    assert hash(v) == hash(BitVec(5, 4))
+    assert v != BitVec(5, 5) and v != BitVec(4, 4)
+    assert v != (5, 4) and v != 5 and v != "0x5" and v != None  # noqa: E711
+    assert (5, 4) != v and 5 != v
+    table = {BitVec(5, 4): "a", BitVec(5, 5): "b", (5, 4): "tuple", 5: "int"}
+    assert len(table) == 4
+    assert table[BitVec(5, 4)] == "a" and table[BitVec(5, 5)] == "b"
+    assert len({BitVec(v, 3) for v in [1, 1, 2]}) == 2
+
+
+def test_bitvec_repr_copy_and_pickle():
+    v = BitVec(11, 4)
+    assert repr(v) == "BitVec(value=11, width=4)"
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert w == v and type(w) is BitVec
 
 
 def test_bitvec_xor_and_width_check():
@@ -53,16 +98,16 @@ def test_bitvec_extract():
 def test_bitvec_concat_low_first():
     lo = BitVec(0b101, 3)
     hi = BitVec(0b01, 2)
-    cat = lo.concat(hi)
+    cat = concat(lo, hi)
     assert cat == BitVec(0b01101, 5)
     assert cat.extract(0, 3) == lo and cat.extract(3, 2) == hi
 
 
 def test_bitvec_rotl():
     v = BitVec(0b110, 3)
-    assert v.rotl(1) == BitVec(0b101, 3)
-    assert v.rotl(3) == v
-    assert v.rotl(4) == v.rotl(1)
+    assert rotl(v, 1) == BitVec(0b101, 3)
+    assert rotl(v, 3) == v
+    assert rotl(v, 4) == rotl(v, 1)
 
 
 def test_bitvec_rendering():

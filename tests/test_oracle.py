@@ -4,12 +4,15 @@ minimal polynomials."""
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bbi.engine import BlackBoxMap, generate, minimal_polynomial
 from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import (BudgetExceeded, brute_force_invert,
                         full_period_minpoly, orbit_profile)
 from bbi.targets.spn import ToySpn
+
+from helpers import concat, rotl
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -81,13 +84,13 @@ def test_orbit_profile_cycle_requires_store():
 
 
 def test_orbit_profile_budget():
-    rot = BlackBoxMap(lambda x: x.rotl(1), 8)
+    rot = BlackBoxMap(lambda x: rotl(x, 1), 8)
     with pytest.raises(BudgetExceeded):
         orbit_profile(rot, BitVec(1, 8), max_steps=3)
 
 
 def test_orbit_profile_rejects_embeddings():
-    wide = BlackBoxMap(lambda x: x.concat(x), 3, 6)
+    wide = BlackBoxMap(lambda x: concat(x, x), 3, 6)
     with pytest.raises(ValueError):
         orbit_profile(wide, BitVec(1, 3))
 
@@ -121,7 +124,7 @@ def test_full_period_minpoly_two_cycle():
 
 
 def test_full_period_minpoly_three_cycle():
-    rot = BlackBoxMap(lambda x: x.rotl(1), 3)
+    rot = BlackBoxMap(lambda x: rotl(x, 1), 3)
     mp, period = full_period_minpoly(rot, BitVec(0b110, 3))
     assert period == 3
     assert mp == Gf2Poly(0b111)  # X^2 + X + 1, not the full X^3 + 1
@@ -154,3 +157,124 @@ def test_full_period_minpoly_agrees_with_engine():
     seq = generate(fresh(), y, 2 * mp.degree + 2)
     res = minimal_polynomial(seq)
     assert res.status == "unique" and res.minpoly == mp
+
+
+# ------------------------------------------------------------ property tests
+#
+# Random tables of width 1..10.  `rho_tables` also builds, on demand, an
+# orbit with a chosen tail and cycle, so that long tails are common.
+
+def _floyd_profile(F, y, store=False):
+    """Floyd cycle detection (tortoise and hare), as orbit_profile used it
+    before Brent's method: the evaluation count to beat, and a second
+    opinion on (preperiod, period, terms)."""
+    tort = F(y)
+    hare = F(F(y))
+    while tort != hare:
+        tort = F(tort)
+        hare = F(F(hare))
+    r = 0
+    tort = y
+    while tort != hare:
+        tort = F(tort)
+        hare = F(hare)
+        r += 1
+    n = 1
+    probe = F(tort)
+    while probe != tort:
+        probe = F(probe)
+        n += 1
+    terms = None
+    if store:
+        terms = [y]
+        for _ in range(r + n - 1):
+            terms.append(F(terms[-1]))
+        terms = tuple(terms)
+    return r, n, terms
+
+
+def _rho_walk(table, start):
+    """(preperiod, period, path) by remembering every point."""
+    seen, v, path = {}, start, []
+    while v not in seen:
+        seen[v] = len(path)
+        path.append(v)
+        v = table[v]
+    return seen[v], len(path) - seen[v], path
+
+
+@st.composite
+def rho_tables(draw):
+    """(width, table, start): a random table, or one whose start has a
+    drawn tail length and cycle length, the other entries random."""
+    width = draw(st.integers(1, 10))
+    size = 1 << width
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = [rng.randrange(size) for _ in range(size)]
+    if draw(st.booleans()):
+        cycle = draw(st.integers(1, size))
+        tail = draw(st.integers(0, size - cycle))
+        path = rng.sample(range(size), tail + cycle)
+        for a, b in zip(path, path[1:]):
+            table[a] = b
+        table[path[-1]] = path[tail]
+        return width, table, path[0]
+    return width, table, rng.randrange(size)
+
+
+def _table_map(table, width):
+    return BlackBoxMap(lambda x: BitVec(table[x.value], width), width)
+
+
+@given(rho_tables(), st.booleans())
+def test_orbit_profile_agrees_with_rho_walk(case, store):
+    width, table, start = case
+    r, n, path = _rho_walk(table, start)
+    prof = orbit_profile(_table_map(table, width), BitVec(start, width), store=store)
+    assert (prof.preperiod, prof.period) == (r, n)
+    if store:
+        assert prof.orbit_terms == tuple(BitVec(v, width) for v in path)
+    else:
+        assert prof.orbit_terms is None
+
+
+@given(rho_tables(), st.booleans())
+def test_orbit_profile_never_costs_more_than_floyd(case, store):
+    width, table, start = case
+    F, G = _table_map(table, width), _table_map(table, width)
+    prof = orbit_profile(F, BitVec(start, width), store=store)
+    r, n, terms = _floyd_profile(G, BitVec(start, width), store=store)
+    assert (prof.preperiod, prof.period, prof.orbit_terms) == (r, n, terms)
+    assert F.evals <= G.evals
+
+
+@given(rho_tables(), st.booleans(), st.data())
+def test_orbit_profile_budget_is_exact(case, store, data):
+    width, table, start = case
+    y = BitVec(start, width)
+    F = _table_map(table, width)
+    orbit_profile(F, y, store=store)
+    need = F.evals
+    for budget in (need - 1, need, data.draw(st.integers(0, 2 * need))):
+        G = _table_map(table, width)
+        if budget < need:
+            with pytest.raises(BudgetExceeded):
+                orbit_profile(G, y, max_steps=budget, store=store)
+            # it raises once the walk spent more than the budget, at most one
+            # step (two evaluations) more
+            assert budget < G.evals <= budget + 2
+        else:
+            prof = orbit_profile(G, y, max_steps=budget, store=store)
+            assert G.evals == need
+            assert prof.period == _rho_walk(table, start)[1]
+
+
+@given(rho_tables(), st.data())
+def test_brute_force_invert_is_exact_scan(case, data):
+    width, table, _ = case
+    size = 1 << width
+    y = data.draw(st.one_of(st.sampled_from(table), st.integers(0, size - 1)))
+    F = _table_map(table, width)
+    found = brute_force_invert(F, BitVec(y, width))
+    assert found == [BitVec(x, width) for x in range(size) if table[x] == y]
+    assert F.evals == size

@@ -178,6 +178,15 @@ def test_stream_state_cycle_is_full():
     assert seen == 31
 
 
+def test_stream_rejects_filter_taps_that_are_not_int_sequences():
+    good = dict(feedback=Gf2Poly(0b100101), key_width=3, iv=0,
+                filter_taps=[0], filter_table=0b10, warmup=0)
+    FilteredLfsr(**{**good, "filter_taps": (0,)})  # a tuple is fine
+    for taps in (5, "0", None, [0.0], {0}):
+        with pytest.raises(ValueError, match="list or tuple of ints"):
+            FilteredLfsr(**{**good, "filter_taps": taps})
+
+
 def test_stream_validation():
     good = dict(feedback=Gf2Poly(0b100101), key_width=3, iv=0,
                 filter_taps=[0], filter_table=0b10, warmup=0)
