@@ -16,12 +16,6 @@ from .engine import (INSUFFICIENT_DATA, BlackBoxMap, InversionReport,
 from .gf2 import BitVec
 
 
-def window_count(F: BlackBoxMap) -> int:
-    if F.out_width <= F.in_width:
-        raise ValueError("map output is not wider than its input")
-    return F.out_width - F.in_width + 1
-
-
 def project(y: BitVec, n: int, i: int) -> BitVec:
     """Window i of y: bits i-1 .. i+n-2 (windows are 1-based)."""
     if not 1 <= i <= y.width - n + 1:

@@ -12,11 +12,13 @@ and the window was long enough.  A candidate is only ever reported after
 that equation has been re-checked against a fresh evaluation of F.
 
 For the linear algebra the whole window is packed into one int, n bits
-per term, so the nk-bit column of the stacked Hankel system that starts
-at term j is a single shift+mask.  One XOR basis over full-height
-columns serves every candidate degree k at once: a pivot below row n*k
-counts toward rank H(k), and reducing column k against pivots below n*k
-solves H(k) a = h(k+1).
+per term, and bit-reversed once, so the column of the stacked Hankel
+system that starts at term j is a single shift+mask with row r at bit
+height-1-r.  One XOR basis over full-height columns serves every
+candidate degree k at once: a pivot in the top n*k rows counts toward
+rank H(k), and reducing column k against the basis solves
+H(k) a = h(k+1).  A vector's pivot, its first nonzero row, is read off
+its bit_length(), and the int shrinks as its leading rows clear.
 """
 
 from __future__ import annotations
@@ -98,11 +100,6 @@ class RecurrenceSequence:
             v |= term.value << (t * n)
         return v
 
-    def verify(self, F: BlackBoxMap) -> bool:
-        """Re-check terms[t+1] == F(terms[t]) with fresh evaluations."""
-        return all(F(self.terms[t]) == self.terms[t + 1]
-                   for t in range(len(self.terms) - 1))
-
 
 @dataclass(frozen=True)
 class MinPolyResult:
@@ -142,12 +139,20 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     """Least-degree monic annihilator of the window, with rank evidence.
 
     Scans k = 1 .. floor(M/2).  Degree k wins when the k stacked window
-    columns are independent on their top n*k rows (rank H(k) = k), the
-    system H(k) a = h(k+1) is consistent there, and the resulting
-    polynomial X^k + sum a_i X^i annihilates every window of the data.
-    Status is `unique` on a win, `saturated` when the rank is still full
-    at k = floor(M/2) (the degree may exceed the data), `rank-deficient`
-    otherwise.
+    columns are independent on their top n*k rows (rank H(k) = k),
+    column k reduces to zero against them, which solves H(k) a = h(k+1),
+    and the resulting polynomial X^k + sum a_i X^i annihilates every
+    window of the data.  Status is `unique` on a win, `saturated` when
+    the rank is still full at k = floor(M/2) (the degree may exceed the
+    data), `rank-deficient` otherwise.
+
+    Columns are reduced over their full height: row r is the window at
+    offset r // n, which the annihilation check covers, so a combination
+    that solves the top n*k rows but leaves a lower row nonzero could not
+    win anyway.  A vector is one int: row r at bit low+height-1-r, and
+    below the rows a low = floor(M/2)+1 bit mask of the columns XORed
+    into it, so one XOR updates both.  Its pivot, the first nonzero row,
+    is top - bit_length() with top = low + height.
     """
     M = len(seq.terms)
     if M < 2:
@@ -163,56 +168,49 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
 
     m_max = M // 2
     height = n * m_max
-    colmask = (1 << height) - 1
-    basis: dict[int, tuple[int, int]] = {}  # pivot row -> (vector, column combo)
+    low = m_max + 1
+    top = low + height
+    floor = 1 << low  # vectors below this have all their rows clear
+    colmask = ((1 << height) - 1) << low
+    # The window reversed (bit i of packed at bit M*n-1-i) and lifted
+    # above the mask, so column k is one shift and one mask.
+    rev = int(format(packed, f"0{M * n}b")[::-1], 2) << low
+    basis: dict[int, int] = {}  # pivot row -> stored vector
     pivots: list[int] = []
     profile: list[tuple[int, int]] = []
 
-    def insert(vec: int, mask: int) -> None:
-        while vec:
-            p = (vec & -vec).bit_length() - 1
-            hit = basis.get(p)
-            if hit is None:
-                basis[p] = (vec, mask)
-                insort(pivots, p)
-                return
-            vec ^= hit[0]
-            mask ^= hit[1]
-
-    insert(packed & colmask, 1)
-
-    for k in range(1, m_max + 1):
+    for k in range(m_max + 1):
         cut = n * k
         rank_k = bisect_left(pivots, cut)
-        profile.append((k, rank_k))
+        if k:
+            profile.append((k, rank_k))
 
-        vec = (packed >> (k * n)) & colmask
-        mask = 1 << k
-        consistent = True
-        while vec:
-            p = (vec & -vec).bit_length() - 1
-            if p >= cut:
-                break
+        vec = ((rev >> (M * n - cut - height)) & colmask) | (1 << k)
+        while vec >= floor:
+            p = top - vec.bit_length()
             hit = basis.get(p)
             if hit is None:
-                consistent = False
                 break
-            vec ^= hit[0]
-            mask ^= hit[1]
+            vec ^= hit
 
-        if consistent and rank_k == k:
-            cand = mask
+        if vec >= floor:
+            if k < m_max:
+                basis[p] = vec
+                insort(pivots, p)
+        elif k and rank_k == k:
+            # Column k reduced to zero: the mask, bit k plus the columns
+            # 0 .. k-1 XORed in, is a degree-k polynomial annihilating
+            # the first m_max windows.  Check the rest of the data too.
+            # (A win implies rank_k == k, so testing the rank first only
+            # skips checks that would fail.)
             acc = 0
-            b = cand
+            b = vec
             while b:
                 i = (b & -b).bit_length() - 1
                 acc ^= packed >> (i * n)
                 b &= b - 1
             if (acc & ((1 << ((M - k) * n)) - 1)) == 0:
-                return MinPolyResult(Gf2Poly(cand), UNIQUE, tuple(profile))
-
-        if k < m_max:
-            insert(vec, mask)
+                return MinPolyResult(Gf2Poly(vec), UNIQUE, tuple(profile))
 
     status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT
     return MinPolyResult(None, status, tuple(profile))

@@ -1,4 +1,4 @@
-"""Bit vectors, polynomials over GF(2), and modular integers.
+"""Bit vectors and polynomials over GF(2).
 
 Everything is packed into Python ints.  A BitVec of width n stores its
 coordinates in the low n bits of an int, index 0 being the least
@@ -96,22 +96,6 @@ class Gf2Poly:
     def __post_init__(self):
         if self.bits < 0:
             raise ValueError("negative coefficient mask")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "Gf2Poly":
-        """Coefficients lowest degree first."""
-        v = 0
-        for i, c in enumerate(coeffs):
-            if c & 1:
-                v |= 1 << i
-        return cls(v)
-
-    @classmethod
-    def from_terms(cls, degrees) -> "Gf2Poly":
-        v = 0
-        for d in degrees:
-            v ^= 1 << d
-        return cls(v)
 
     @property
     def is_zero(self) -> bool:
@@ -228,12 +212,6 @@ def powmod(a: Gf2Poly, e: int, mod: Gf2Poly) -> Gf2Poly:
     return acc
 
 
-def mulmod(a: Gf2Poly, b: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
-    if mod.is_zero:
-        raise ZeroDivisionError("zero modulus")
-    return (a * b) % mod
-
-
 def order(p: Gf2Poly, bound: int = 1 << 20) -> int | None:
     """Least N >= 1 with X^N = 1 mod p, or None if no N <= bound works.
 
@@ -286,41 +264,3 @@ def order(p: Gf2Poly, bound: int = 1 << 20) -> int | None:
             g ^= low
         i += 1
     return None
-
-
-@dataclass(frozen=True)
-class IntMod:
-    """Integer fully reduced modulo a fixed modulus >= 2."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: "IntMod"):
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-
-    def __add__(self, other: "IntMod") -> "IntMod":
-        self._check(other)
-        return IntMod(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "IntMod") -> "IntMod":
-        self._check(other)
-        return IntMod(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "IntMod") -> "IntMod":
-        self._check(other)
-        return IntMod(self.value * other.value, self.modulus)
-
-    def pow(self, e: int) -> "IntMod":
-        return IntMod(pow(self.value, e, self.modulus), self.modulus)
-
-    def inverse(self) -> "IntMod":
-        return IntMod(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value

@@ -1,9 +1,8 @@
-"""Elementary maps, mostly useful as sanity anchors."""
+"""The identity map, a sanity anchor for the engine and the CLI."""
 
 from __future__ import annotations
 
 from ..engine import BlackBoxMap
-from ..gf2 import BitVec
 
 
 def identity_map(width: int) -> BlackBoxMap:
@@ -11,11 +10,3 @@ def identity_map(width: int) -> BlackBoxMap:
         raise ValueError("width must be positive")
     return BlackBoxMap(lambda v: v, width, label=f"identity{width}")
 
-
-def not_map(width: int) -> BlackBoxMap:
-    """Bitwise complement; an involution, so every orbit has period 2 or 1."""
-    if width < 1:
-        raise ValueError("width must be positive")
-    mask = (1 << width) - 1
-    return BlackBoxMap(lambda v: BitVec(v.value ^ mask, width), width,
-                       label=f"not{width}")

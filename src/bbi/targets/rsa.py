@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from ..engine import BlackBoxMap
-from ..gf2 import BitVec, IntMod
+from ..gf2 import BitVec
 from .arith import is_prime
 
 MODULUS_LIMIT = 1 << 24
@@ -65,7 +65,7 @@ def enc_map(params: RsaParams) -> BlackBoxMap:
                        label=f"rsa-enc(n={n},e={e})")
 
 
-def cca_map(params: RsaParams, c: IntMod | int) -> BlackBoxMap:
+def cca_map(params: RsaParams, c: int) -> BlackBoxMap:
     """x -> c^x mod n on width bitlen(n); c must be a unit mod n."""
     n, w = params.n, params.width
     cv = int(c) % n

@@ -2,13 +2,13 @@
 
 import pytest
 
-from bbi.embedding import composed_map, invert_embedding, project, window_count
+from bbi.embedding import composed_map, invert_embedding, project
 from bbi.engine import BlackBoxMap, local_inversion
 from bbi.gf2 import BitVec
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, ecdlp_map,
                             encode_point, reduce_multiplier)
 
-from helpers import concat, rotl
+from helpers import concat, rotl, window_count
 
 
 def dup_map() -> BlackBoxMap:

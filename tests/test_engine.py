@@ -1,18 +1,20 @@
 """Recurrence windows, minimal polynomials, and verified local inversion."""
 
 import random
+from bisect import bisect_left, insort
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
                         SOLUTION, UNIQUE, BlackBoxMap, EvalBudgetExceeded,
-                        RecurrenceSequence, bm_crosscheck, generate,
-                        invert_from_minpoly, local_inversion,
+                        MinPolyResult, RecurrenceSequence, bm_crosscheck,
+                        generate, invert_from_minpoly, local_inversion,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly
 from bbi.oracle import full_period_minpoly
 
-from helpers import concat, rotl
+from helpers import concat, rotl, verify_sequence
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -94,7 +96,7 @@ def test_generate_counts_and_contents():
     s = generate(F, BitVec(8, 4), 4)
     assert [t.value for t in s.terms] == [8, 2, 8, 2]
     assert F.evals == 3  # exactly M - 1
-    assert s.verify(rsa15())
+    assert verify_sequence(s, rsa15())
     with pytest.raises(ValueError):
         generate(F, BitVec(8, 4), 1)
     wide = BlackBoxMap(lambda x: concat(x, x), 3, 6)
@@ -104,7 +106,7 @@ def test_generate_counts_and_contents():
 
 def test_verify_catches_tampering():
     s = seq_of([8, 2, 8, 3], 4)
-    assert not s.verify(rsa15())
+    assert not verify_sequence(s, rsa15())
 
 
 def test_minpoly_constant_orbit():
@@ -281,3 +283,145 @@ def test_bm_crosscheck_on_random_permutation_full_period():
     assert res.status == UNIQUE
     assert res.minpoly == mp_oracle
     assert bm_crosscheck(s) == mp_oracle
+
+
+def _minimal_polynomial_lowbit(seq: RecurrenceSequence) -> MinPolyResult:
+    """Reference for `minimal_polynomial`: the same scan with row r of a
+    column at bit r, each pivot found as the lowest set bit."""
+    M = len(seq.terms)
+    n = seq.width
+    packed = seq.packed()
+    if packed == 0:
+        return MinPolyResult(Gf2Poly(0b11), UNIQUE, ((1, 0),))
+
+    m_max = M // 2
+    height = n * m_max
+    colmask = (1 << height) - 1
+    basis: dict[int, tuple[int, int]] = {}  # pivot row -> (vector, column combo)
+    pivots: list[int] = []
+    profile: list[tuple[int, int]] = []
+
+    def insert(vec: int, mask: int) -> None:
+        while vec:
+            p = (vec & -vec).bit_length() - 1
+            hit = basis.get(p)
+            if hit is None:
+                basis[p] = (vec, mask)
+                insort(pivots, p)
+                return
+            vec ^= hit[0]
+            mask ^= hit[1]
+
+    insert(packed & colmask, 1)
+
+    for k in range(1, m_max + 1):
+        cut = n * k
+        rank_k = bisect_left(pivots, cut)
+        profile.append((k, rank_k))
+
+        vec = (packed >> (k * n)) & colmask
+        mask = 1 << k
+        consistent = True
+        while vec:
+            p = (vec & -vec).bit_length() - 1
+            if p >= cut:
+                break
+            hit = basis.get(p)
+            if hit is None:
+                consistent = False
+                break
+            vec ^= hit[0]
+            mask ^= hit[1]
+
+        if consistent and rank_k == k:
+            acc = 0
+            b = mask
+            while b:
+                i = (b & -b).bit_length() - 1
+                acc ^= packed >> (i * n)
+                b &= b - 1
+            if (acc & ((1 << ((M - k) * n)) - 1)) == 0:
+                return MinPolyResult(Gf2Poly(mask), UNIQUE, tuple(profile))
+
+        if k < m_max:
+            insert(vec, mask)
+
+    status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT
+    return MinPolyResult(None, status, tuple(profile))
+
+
+def table_map(table, width) -> BlackBoxMap:
+    return BlackBoxMap(lambda x: BitVec(table[x.value], width), width)
+
+
+@st.composite
+def table_maps(draw):
+    """(width, table, start): a random table of width 1..8, or one whose
+    start runs through a drawn tail into a hidden cycle of length 1..20,
+    the other entries random."""
+    width = draw(st.integers(1, 8))
+    size = 1 << width
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = [rng.randrange(size) for _ in range(size)]
+    if draw(st.booleans()):
+        cycle = draw(st.integers(1, min(size, 20)))
+        tail = draw(st.integers(0, min(size - cycle, 3)))
+        path = rng.sample(range(size), tail + cycle)
+        for a, b in zip(path, path[1:]):
+            table[a] = b
+        table[path[-1]] = path[tail]
+        return width, table, path[0]
+    return width, table, rng.randrange(size)
+
+
+@st.composite
+def windows(draw):
+    """A window of M = 2..40 terms: arbitrary values, or the orbit of a
+    table map from `table_maps`."""
+    M = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 8))
+        values = draw(st.lists(st.integers(0, (1 << width) - 1),
+                               min_size=M, max_size=M))
+        return seq_of(values, width)
+    width, table, start = draw(table_maps())
+    return generate(table_map(table, width), BitVec(start, width), M)
+
+
+@settings(max_examples=500)
+@given(windows())
+def test_minpoly_matches_lowbit_scan(seq):
+    assert minimal_polynomial(seq) == _minimal_polynomial_lowbit(seq)
+
+
+def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():
+    # n = 16, a hidden cycle of N = 256 distinct values, M = 2N + 2
+    rng = random.Random(256)
+    cycle = rng.sample(range(1 << 16), 256)
+    succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    F = BlackBoxMap(lambda x: BitVec(succ.get(x.value, x.value), 16), 16)
+    s = generate(F, BitVec(cycle[0], 16), 514)
+    res = minimal_polynomial(s)
+    assert res.status == UNIQUE
+    assert res == _minimal_polynomial_lowbit(s)
+    assert res.minpoly == bm_crosscheck(s)
+    assert invert_from_minpoly(s, res.minpoly) == BitVec(cycle[-1], 16)
+
+
+@given(table_maps(), st.data())
+def test_local_inversion_is_sound(case, data):
+    width, table, y = case
+    M = data.draw(st.integers(2, 4 * width + 8))
+    budget = data.draw(st.none() | st.integers(1, M + 1))
+    F = table_map(table, width)
+    F.max_evals = budget
+    try:
+        report = local_inversion(F, BitVec(y, width), M)
+    except EvalBudgetExceeded:
+        assert budget is not None and F.evals == budget
+        return
+    assert report.map_evals <= M
+    if report.solved:
+        assert table[report.x.value] == y
+    else:
+        assert report.x is None

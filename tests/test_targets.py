@@ -6,12 +6,12 @@ import random
 import pytest
 
 from bbi.embedding import invert_embedding
-from bbi.gf2 import BitVec, Gf2Poly, IntMod
+from bbi.gf2 import BitVec, Gf2Poly
 from bbi.oracle import brute_force_invert
 from bbi.targets import build_target, list_targets, load_target
 from bbi.targets.arith import (is_prime, is_primitive_poly, is_primitive_root,
                                prime_factors)
-from bbi.targets.basic import identity_map, not_map
+from bbi.targets.basic import identity_map
 from bbi.targets.dlp import DlpParams, dlp_map, reduce_exponent
 from bbi.targets.ec import (INFINITY, CurveParams, ECPoint, count_points,
                             ec_add, ec_neg, ec_scalar_mul, ecdlp_map,
@@ -19,6 +19,8 @@ from bbi.targets.ec import (INFINITY, CurveParams, ECPoint, count_points,
 from bbi.targets.rsa import RsaParams, cca_map, enc_map
 from bbi.targets.spn import ToySpn
 from bbi.targets.stream import FilteredLfsr
+
+from helpers import IntMod, not_map
 
 
 # ---------------------------------------------------------------- arithmetic
