@@ -11,6 +11,8 @@ candidate wins.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .engine import (INSUFFICIENT_DATA, BlackBoxMap, InversionReport,
                      local_inversion)
 from .gf2 import BitVec
@@ -51,10 +53,6 @@ def invert_embedding(F: BlackBoxMap, y: BitVec,
         Fi = composed_map(F, i)
         report = local_inversion(Fi, project(y, n, i), M)
         if report.solved and F(report.x) == y:
-            total = F.evals - before
-            return (InversionReport(report.outcome, report.x, report.minpoly,
-                                    report.linear_complexity, report.terms_consumed,
-                                    total, report.period_estimate), i)
-    total = F.evals - before
+            return replace(report, map_evals=F.evals - before), i
     return (InversionReport(INSUFFICIENT_DATA, None, None, None,
-                            M if M is not None else 4 * n, total, None), None)
+                            M if M is not None else 4 * n, F.evals - before), None)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .gf2 import BitVec, Gf2Poly, ONE, lcm, order
@@ -116,11 +117,24 @@ class InversionReport:
     linear_complexity: int | None
     terms_consumed: int
     map_evals: int
-    period_estimate: int | None
 
     @property
     def solved(self) -> bool:
         return self.outcome == SOLUTION
+
+    @cached_property
+    def period_estimate(self) -> int | None:
+        """Order of the minimal polynomial, capped at min(2^20, 2^degree).
+
+        A diagnostic, not part of the inversion: computed on first read,
+        then cached in the instance dict (which a frozen dataclass still
+        has).  It derives from outcome and minpoly, so equality and hash
+        are the same before and after.  None for an unsolved report and
+        when the order exceeds the cap.
+        """
+        if not self.solved:
+            return None
+        return order(self.minpoly, min(1 << 20, 1 << self.minpoly.degree))
 
 
 def generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
@@ -249,13 +263,11 @@ def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> Inversio
     if res.status == UNIQUE and res.minpoly.constant_term == 1:
         x = invert_from_minpoly(seq, res.minpoly)
         if F(x) == y:
-            deg = res.minpoly.degree
-            period = order(res.minpoly, min(1 << 20, 1 << deg))
-            return InversionReport(SOLUTION, x, res.minpoly, deg, M,
-                                   F.evals - before, period)
+            return InversionReport(SOLUTION, x, res.minpoly, res.minpoly.degree,
+                                   M, F.evals - before)
     lc = res.minpoly.degree if res.minpoly is not None else None
     return InversionReport(INSUFFICIENT_DATA, None, res.minpoly, lc, M,
-                           F.evals - before, None)
+                           F.evals - before)
 
 
 def _bm_scalar(bits: int, M: int) -> tuple[int, int]:

@@ -120,7 +120,7 @@ FAMILIES: dict[str, Callable[[dict], TargetInstance]] = {
 
 def build_target(config: dict) -> TargetInstance:
     family = config.get("family")
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
                          f"known families: {', '.join(sorted(FAMILIES))}")
     try:

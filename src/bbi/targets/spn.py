@@ -79,6 +79,7 @@ class ToySpn:
 
     def kpa_map(self, plaintext: int) -> BlackBoxMap:
         """key -> encrypt(key, plaintext), a 16 -> 16 bit black box."""
-        p0 = plaintext & 0xFFFF
-        return BlackBoxMap(lambda k: BitVec(self.encrypt(k.value, p0), WIDTH),
-                           WIDTH, label=f"spn-kpa(p0={p0:#06x})")
+        if not 0 <= plaintext <= 0xFFFF:
+            raise ValueError("plaintext must fit 16 bits")
+        return BlackBoxMap(lambda k: BitVec(self.encrypt(k.value, plaintext), WIDTH),
+                           WIDTH, label=f"spn-kpa(p0={plaintext:#06x})")

@@ -100,3 +100,14 @@ def not_map(width: int) -> BlackBoxMap:
     mask = (1 << width) - 1
     return BlackBoxMap(lambda v: BitVec(v.value ^ mask, width), width,
                        label=f"not{width}")
+
+
+def times_x_mod(P: Gf2Poly) -> BlackBoxMap:
+    """Multiplication by X on residues mod P: a linear map whose orbit of
+    y = 1 has minimal polynomial P."""
+    d = P.degree
+
+    def step(v: BitVec) -> BitVec:
+        w = v.value << 1
+        return BitVec(w ^ P.bits if w >> d else w, d)
+    return BlackBoxMap(step, d)

@@ -2,19 +2,22 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
-from bbi.targets import CONFIG_DIR
+from bbi.gf2 import BitVec
+from bbi.targets import CONFIG_DIR, list_targets, load_target
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, encode_point)
 
 
-def run_cli(*args, seed_env=None):
+def run_cli(*args, seed_env=None, module="bbi.cli"):
     env = os.environ.copy()
     env.pop("BBI_SEED", None)
     if seed_env is not None:
         env["BBI_SEED"] = seed_env
-    return subprocess.run([sys.executable, "-m", "bbi.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -28,6 +31,34 @@ def test_invert_rsa_demo():
     assert doc["linear_complexity"] == 2
     assert doc["period_estimate"] == 2
     assert "window" not in doc  # square map: no projection involved
+
+
+INVERT_GOLDEN = Path(__file__).parent / "golden" / "invert.jsonl"
+
+
+def invert_golden_lines() -> list[str]:
+    """`bbi invert` on every shipped target at three seeded points each.
+
+    Each point is y = F(x) for x drawn by random.Random(target name), so
+    most cases solve and carry a period_estimate.  One JSON line per case
+    holds the target, y, the exit code and stdout verbatim.  Regenerate
+    with `PYTHONPATH=src python tests/test_cli.py`.
+    """
+    lines = []
+    for name in list_targets():
+        F = load_target(name).fresh_map()
+        rng = random.Random(name)
+        for _ in range(3):
+            y = F(BitVec(rng.randrange(1 << F.in_width), F.in_width)).hex()
+            res = run_cli("invert", "--target", name, "--y", y)
+            lines.append(json.dumps({"target": name, "y": y,
+                                     "exit": res.returncode,
+                                     "stdout": res.stdout}) + "\n")
+    return lines
+
+
+def test_invert_matches_golden_jsonl():
+    assert "".join(invert_golden_lines()) == INVERT_GOLDEN.read_text()
 
 
 def test_invert_identity():
@@ -123,6 +154,33 @@ def test_stream_config_rejects_scalar_filter_taps(tmp_path):
     _one_line_error(res, "filter_taps must be a list")
 
 
+def test_config_rejects_non_string_family(tmp_path):
+    for shape in (["x"], {}):
+        cfg = tmp_path / "family.json"
+        cfg.write_text(json.dumps({"family": shape}))
+        res = run_cli("invert", "--target", str(cfg), "--y", "0x1")
+        _one_line_error(res, f"unknown family {shape!r}; known families: ")
+
+
+def test_spn_config_rejects_plaintext_outside_16_bits(tmp_path):
+    doc = json.loads((CONFIG_DIR / "spn-kpa.json").read_text())
+    for plaintext in ("0x1ffff", -1):
+        doc["plaintext"] = plaintext
+        cfg = tmp_path / "spn-wide-plaintext.json"
+        cfg.write_text(json.dumps(doc))
+        res = run_cli("invert", "--target", str(cfg), "--y", "0x1")
+        _one_line_error(res, "plaintext must fit 16 bits")
+
+
+def test_python_dash_m_bbi_runs_the_cli():
+    res = run_cli("invert", "--target", "rsa-demo", "--y", "0x8", module="bbi")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["x"] == "0x2"
+    res = run_cli("invert", "--target", "rsa-demo", "--y", "0x8", "--M", "2",
+                  module="bbi")
+    assert res.returncode == 2
+
+
 def test_survey_summary_and_determinism(tmp_path):
     out = tmp_path / "rows.csv"
     args = ("survey", "--target", "identity16", "--samples", "8",
@@ -191,3 +249,7 @@ def test_all_demos_succeed():
     for name in ("spn-kpa", "stream", "rsa-decrypt", "rsa-cca", "dlp", "ecdlp"):
         res = run_cli("demo", name)
         assert res.returncode == 0, f"{name}: {res.stdout}\n{res.stderr}"
+
+
+if __name__ == "__main__":
+    INVERT_GOLDEN.write_text("".join(invert_golden_lines()))

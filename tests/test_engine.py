@@ -1,20 +1,24 @@
 """Recurrence windows, minimal polynomials, and verified local inversion."""
 
+import copy
+import pickle
 import random
 from bisect import bisect_left, insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbi import engine
+from bbi.embedding import invert_embedding
 from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
                         SOLUTION, UNIQUE, BlackBoxMap, EvalBudgetExceeded,
                         MinPolyResult, RecurrenceSequence, bm_crosscheck,
                         generate, invert_from_minpoly, local_inversion,
                         minimal_polynomial)
-from bbi.gf2 import BitVec, Gf2Poly
+from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import full_period_minpoly
 
-from helpers import concat, rotl, verify_sequence
+from helpers import concat, rotl, times_x_mod, verify_sequence
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -255,6 +259,71 @@ def test_local_inversion_random_maps_is_sound():
             assert table[report.x.value] == y.value
         else:
             assert report.x is None
+
+
+@pytest.fixture
+def order_calls(monkeypatch):
+    """Route the engine's gf2.order through a call counter."""
+    calls = []
+
+    def counting(p, bound=1 << 20):
+        calls.append((p, bound))
+        return order(p, bound)
+
+    monkeypatch.setattr(engine, "order", counting)
+    return calls
+
+
+Q16 = Gf2Poly(0x1002D)  # X^16 + X^5 + X^3 + X^2 + 1, primitive
+
+
+@pytest.mark.parametrize("F, y, M, period", [
+    (identity(4), BitVec(5, 4), 4, 1),
+    (rsa15(), BitVec(8, 4), 6, 2),
+    (lfsr5(), BitVec(1, 5), None, 31),
+    (times_x_mod(Q16 * Q16 * Q16 * Q16), BitVec(1, 64), None, 262140),
+], ids=["fixed-point", "two-cycle", "lfsr5", "degree-64"])
+def test_period_estimate_is_computed_once_on_first_read(order_calls, F, y, M,
+                                                        period):
+    report = local_inversion(F, y, M)
+    assert report.solved and order_calls == []
+    assert report.period_estimate == period
+    bound = min(1 << 20, 1 << report.minpoly.degree)
+    assert order_calls == [(report.minpoly, bound)]
+    assert period == order(report.minpoly, bound)
+    assert report.period_estimate == period
+    assert len(order_calls) == 1
+
+
+def test_invert_embedding_does_not_compute_the_period(order_calls):
+    F = BlackBoxMap(lambda x: concat(x, x), 3, 6)
+    report, window = invert_embedding(F, concat(BitVec(5, 3), BitVec(5, 3)))
+    assert report.solved and window == 1 and order_calls == []
+    assert report.period_estimate == 1 and len(order_calls) == 1
+
+
+def test_unsolved_report_has_no_period_and_no_order_call(order_calls):
+    report = local_inversion(rsa15(), BitVec(8, 4), 2)
+    assert not report.solved and report.period_estimate is None
+    # annihilated only by X^2 + X, which order() would reject
+    F = BlackBoxMap(lambda x: BitVec(x.value | 1, 2), 2)
+    report = local_inversion(F, BitVec(0b10, 2), 6)
+    assert report.minpoly == Gf2Poly(0b110) and report.period_estimate is None
+    report, _ = invert_embedding(BlackBoxMap(lambda x: BitVec(0, 6), 3, 6),
+                                 BitVec(1, 6))
+    assert not report.solved and report.period_estimate is None
+    assert order_calls == []
+
+
+def test_report_equality_copy_and_pickle_ignore_the_cached_period():
+    read, unread = (local_inversion(lfsr5(), BitVec(1, 5)) for _ in range(2))
+    assert read.period_estimate == 31
+    assert read == unread and hash(read) == hash(unread)
+    for report in (read, unread):
+        for clone in (copy.copy(report), copy.deepcopy(report),
+                      pickle.loads(pickle.dumps(report))):
+            assert clone == read and hash(clone) == hash(read)
+            assert clone.period_estimate == 31
 
 
 def test_bm_crosscheck_matches_engine():

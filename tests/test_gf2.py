@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from bbi.engine import BlackBoxMap, local_inversion
+from bbi.engine import local_inversion
 from bbi.gf2 import ONE, X, ZERO, BitVec, Gf2Poly, gcd, lcm, order, powmod
 from bbi.targets.arith import is_primitive_poly
 
 from helpers import (IntMod, concat, mulmod, poly_from_coeffs,
-                     poly_from_terms, rotl)
+                     poly_from_terms, rotl, times_x_mod)
 
 
 def test_bitvec_construction_bounds():
@@ -284,15 +284,10 @@ def test_local_inversion_period_estimate_at_degree_64():
     # (2^16 - 1) * 4 = 262140.
     P = Q16 * Q16 * Q16 * Q16
     assert P.degree == 64
-
-    def times_x(v: BitVec) -> BitVec:
-        w = v.value << 1
-        return BitVec(w ^ P.bits if w >> 64 else w, 64)
-
     y = BitVec(1, 64)
-    F = BlackBoxMap(times_x, 64)
+    F = times_x_mod(P)
     report = local_inversion(F, y)
-    assert report.solved and times_x(report.x) == y
+    assert report.solved and F.fn(report.x) == y
     assert report.minpoly == P
     assert report.period_estimate == _order_walk(P, 1 << 20) == 262140
 
