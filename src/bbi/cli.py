@@ -11,18 +11,21 @@ happens, so golden outputs stay reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import os
 import random
 import sys
+from collections import Counter
 
 from .embedding import composed_map, invert_embedding, project
 from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
                      local_inversion)
 from .gf2 import BitVec
 from .oracle import BudgetExceeded, brute_force_invert, orbit_profile
-from .targets import TargetInstance, load_target
+from .targets import TargetInstance, _as_int, load_target
 from .targets.dlp import reduce_exponent
 from .targets.ec import ec_scalar_mul, encode_point, reduce_multiplier
 
@@ -50,10 +53,6 @@ def _parse_bits(text: str, width: int) -> BitVec:
     if not 0 <= value < (1 << width):
         raise ValueError(f"value {text} does not fit {width} bits")
     return BitVec(value, width)
-
-
-def _cfg_int(v) -> int:
-    return v if isinstance(v, int) else int(v, 0)
 
 
 def _budget_map(target: TargetInstance, max_evals: int) -> BlackBoxMap:
@@ -84,26 +83,23 @@ def _report_doc(report: InversionReport) -> dict:
     }
 
 
-def _print_window(target: TargetInstance, y: BitVec, count: int = 6) -> None:
-    """First few terms of the iterated sequence, for narration only."""
-    F = target.fresh_map()
-    terms = [y]
-    for _ in range(count - 1):
-        terms.append(F(terms[-1]))
-    print(f"  window starts: {', '.join(t.hex() for t in terms)}, ...")
+def _solve(F: BlackBoxMap, y: BitVec,
+           M: int | None) -> tuple[InversionReport, int | None]:
+    """Invert F at y from a window of M terms.  A map wider on output than
+    on input goes through its projection windows, and window is the one
+    that won (None if none did); for a regular map window is None."""
+    if F.out_width > F.in_width:
+        return invert_embedding(F, y, M)
+    return local_inversion(F, y, M), None
 
 
 def cmd_invert(args) -> int:
     target = load_target(args.target)
     F = _budget_map(target, args.max_evals)
     y = _parse_bits(args.y, F.out_width)
-    if F.out_width > F.in_width:
-        report, window = invert_embedding(F, y, args.M)
-    else:
-        report, window = local_inversion(F, y, args.M), None
-    doc = {"target": F.label}
-    doc.update(_report_doc(report))
-    if F.out_width > F.in_width:
+    report, window = _solve(F, y, args.M)
+    doc = {"target": F.label, **_report_doc(report)}
+    if F.out_width > F.in_width:  # an embedding names its window, null if none won
         doc["window"] = window
     print(json.dumps(doc, indent=2))
     return 0 if report.solved else 2
@@ -145,26 +141,20 @@ def cmd_survey(args) -> int:
             "evals": report.map_evals,
         })
 
-    out = open(args.csv_out, "w", newline="") if args.csv_out else sys.stdout
-    try:
+    with (open(args.csv_out, "w", newline="") if args.csv_out
+          else contextlib.nullcontext(sys.stdout)) as out:
         writer = csv.DictWriter(out, fieldnames=SURVEY_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.csv_out:
-            out.close()
 
     threshold = args.lc_threshold if args.lc_threshold is not None else n
     int_lcs = [r["LC"] for r in rows if isinstance(r["LC"], int)]
-    histogram = {}
-    for r in rows:
-        histogram[str(r["LC"])] = histogram.get(str(r["LC"]), 0) + 1
     summary = {
         "target": probe.label,
         "samples": len(rows),
         "M": args.M if args.M is not None else 4 * n,
         "lc_threshold": threshold,
-        "lc_histogram": histogram,
+        "lc_histogram": Counter(str(r["LC"]) for r in rows),
         "mean_lc": round(sum(int_lcs) / len(int_lcs), 4) if int_lcs else None,
         "fraction_lc_le_threshold": round(
             sum(1 for lc in int_lcs if lc <= threshold) / len(rows), 4),
@@ -175,197 +165,176 @@ def cmd_survey(args) -> int:
     return 0
 
 
-def _demo_spn(args) -> int:
-    target = load_target("spn-kpa")
+def _key_note(x: int, key: int) -> str:
+    return "the secret key itself" if x == key else "a key-equivalent preimage"
+
+
+def _orbit_windows(target: TargetInstance, y: BitVec, args, name: str = "y",
+                   shown: int = 4):
+    """Walk the orbit of y, print its shape and first `shown` terms, and
+    yield the window length M = 2N+2 when y is purely periodic."""
+    prof = orbit_profile(_budget_map(target, args.max_evals), y,
+                         max_steps=args.max_evals)
+    print(f"  orbit of {name}: preperiod {prof.preperiod}, period {prof.period}")
+    if prof.preperiod != 0:
+        print(f"  {name} is not purely periodic; no inverse on its orbit")
+        return
+    if shown:
+        F, terms = target.fresh_map(), [y]
+        for _ in range(shown - 1):
+            terms.append(F(terms[-1]))
+        print(f"  window starts: {', '.join(t.hex() for t in terms)}, ...")
+    yield 2 * prof.period + 2
+
+
+# Each demo prints its header and returns (y, the window lengths M to try,
+# verify).  verify(report, window, M) runs the demo's own domain check on
+# a solved report, prints the result lines and returns the verdict.
+
+def _demo_spn(target: TargetInstance, args):
     cipher, cfg = target.params, target.config
-    key = _cfg_int(cfg["demo_key"])
-    p0 = _cfg_int(cfg["plaintext"])
+    key, p0 = _as_int(cfg["demo_key"]), _as_int(cfg["plaintext"])
     y = BitVec(cipher.encrypt(key, p0), 16)
     print(f"SPN known-plaintext demo: P0 = {p0:#06x}, rounds = {cipher.rounds}")
     print(f"  secret key {key:#06x} produced the observed y = E(K, P0) = {y.hex()}")
-    prof = orbit_profile(_budget_map(target, args.max_evals), y,
-                         max_steps=args.max_evals)
-    print(f"  orbit of y: preperiod {prof.preperiod}, period {prof.period}")
-    if prof.preperiod != 0:
-        print("  y is not purely periodic; no inverse on its orbit")
-        return 2
-    M = 2 * prof.period + 2
-    _print_window(target, y)
-    report = local_inversion(_budget_map(target, args.max_evals), y, M)
-    if not report.solved:
-        print(f"  inversion at M = {M}: insufficient data")
-        return 2
-    x = report.x
-    ok = cipher.encrypt(x.value, p0) == y.value
-    note = "the secret key itself" if x.value == key else "a key-equivalent preimage"
-    print(f"  M = {M}, LC = {report.linear_complexity}, "
-          f"minpoly degree {report.minpoly.degree}, evals = {report.map_evals}")
-    print(f"  recovered x = {x.hex()} ({note}); E(x, P0) == y: {ok}")
-    return 0 if ok else 2
+
+    def verify(report, window, M):
+        x = report.x
+        ok = cipher.encrypt(x.value, p0) == y.value
+        print(f"  M = {M}, LC = {report.linear_complexity}, "
+              f"minpoly degree {report.minpoly.degree}, evals = {report.map_evals}")
+        print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
+              f"E(x, P0) == y: {ok}")
+        return ok
+    return y, _orbit_windows(target, y, args, shown=6), verify
 
 
-def _demo_stream(args) -> int:
-    target = load_target("stream")
+def _demo_stream(target: TargetInstance, args):
     lfsr, cfg = target.params, target.config
-    key = _cfg_int(cfg["demo_key"])
-    count = _cfg_int(cfg["count"])
+    key, count = _as_int(cfg["demo_key"]), _as_int(cfg["count"])
     y = BitVec(lfsr.keystream(key, count), count)
     print(f"filtered-LFSR demo: degree {lfsr.degree} register, "
           f"{lfsr.key_width}-bit key, iv = {lfsr.iv:#x}, {count} keystream bits")
     print(f"  secret key {key:#06x} produced keystream y = {y.hex()}")
-    windows = count - lfsr.key_width + 1
-    for i in range(1, windows + 1):
-        yi = project(y, lfsr.key_width, i)
-        prof = orbit_profile(composed_map(target.fresh_map(), i), yi,
-                             max_steps=args.max_evals)
-        if prof.preperiod != 0:
-            print(f"  window {i}: projected seed not purely periodic")
-            continue
-        M = 2 * prof.period + 2
-        print(f"  window {i}: periodic with period {prof.period}, trying M = {M}")
-        report, win = invert_embedding(_budget_map(target, args.max_evals), y, M)
-        if report.solved:
-            x = report.x
-            ok = lfsr.keystream(x.value, count) == y.value
-            note = ("the secret key itself" if x.value == key
-                    else "a key-equivalent preimage")
-            print(f"  window {win} won: LC = {report.linear_complexity}, "
-                  f"evals = {report.map_evals}")
-            print(f"  recovered x = {x.hex()} ({note}); "
-                  f"keystream re-synthesis matches: {ok}")
-            return 0 if ok else 2
-    print("  no window yielded a verified key: insufficient data")
-    return 2
+
+    def windows():  # M = 2N+2 from each window whose projected seed is periodic
+        for i in range(1, count - lfsr.key_width + 2):
+            prof = orbit_profile(composed_map(target.fresh_map(), i),
+                                 project(y, lfsr.key_width, i),
+                                 max_steps=args.max_evals)
+            if prof.preperiod != 0:
+                print(f"  window {i}: projected seed not purely periodic")
+                continue
+            M = 2 * prof.period + 2
+            print(f"  window {i}: periodic with period {prof.period}, trying M = {M}")
+            yield M
+
+    def verify(report, window, M):
+        x = report.x
+        ok = lfsr.keystream(x.value, count) == y.value
+        print(f"  window {window} won: LC = {report.linear_complexity}, "
+              f"evals = {report.map_evals}")
+        print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
+              f"keystream re-synthesis matches: {ok}")
+        return ok
+    return y, windows(), verify
 
 
-def _demo_rsa_decrypt(args) -> int:
-    target = load_target("rsa-demo")
-    params, cfg = target.params, target.config
-    n, e = params.n, params.e
-    y = _parse_bits(cfg["demo_y"], params.width)
+def _demo_rsa_decrypt(target: TargetInstance, args):
+    n, e = target.params.n, target.params.e
+    y = _parse_bits(target.config["demo_y"], target.params.width)
     print(f"RSA decryption demo: n = {n}, e = {e}, ciphertext y = {y.hex()}")
-    prof = orbit_profile(_budget_map(target, args.max_evals), y,
-                         max_steps=args.max_evals)
-    print(f"  orbit of y: preperiod {prof.preperiod}, period {prof.period}")
-    if prof.preperiod != 0:
-        print("  y is not purely periodic; no inverse on its orbit")
-        return 2
-    M = 2 * prof.period + 2
-    _print_window(target, y, count=4)
-    report = local_inversion(_budget_map(target, args.max_evals), y, M)
-    if not report.solved:
-        print(f"  inversion at M = {M}: insufficient data")
-        return 2
-    m = report.x.value
-    ok = pow(m, e, n) == y.value
-    print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
-    print(f"  recovered plaintext m = {m}; m^e mod n == y: {ok}")
-    return 0 if ok else 2
+
+    def verify(report, window, M):
+        m = report.x.value
+        ok = pow(m, e, n) == y.value
+        print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
+        print(f"  recovered plaintext m = {m}; m^e mod n == y: {ok}")
+        return ok
+    return y, _orbit_windows(target, y, args), verify
 
 
-def _demo_rsa_cca(args) -> int:
-    target = load_target("rsa-cca")
-    params, cfg = target.params, target.config
-    n, e = params.n, params.e
-    c = _cfg_int(cfg["c"])
-    d = params.private_exponent()
-    m = pow(c, d, n)
+def _demo_rsa_cca(target: TargetInstance, args):
+    n, e = target.params.n, target.params.e
+    c = _as_int(target.config["c"])
+    m = pow(c, target.params.private_exponent(), n)
     print(f"RSA chosen-ciphertext demo: n = {n}, e = {e}, c = {c}")
     print(f"  decryption oracle (not the attack) supplied m = c^d mod n = {m}")
     print(f"  attack: invert x -> c^x mod n at y = (m), giving a private-key"
           f" equivalent exponent")
-    y = BitVec(m, params.width)
-    prof = orbit_profile(_budget_map(target, args.max_evals), y,
-                         max_steps=args.max_evals)
-    print(f"  orbit of y: preperiod {prof.preperiod}, period {prof.period}")
-    if prof.preperiod != 0:
-        print("  y is not purely periodic; no inverse on its orbit")
-        return 2
-    M = 2 * prof.period + 2
-    report = local_inversion(_budget_map(target, args.max_evals), y, M)
-    if not report.solved:
-        print(f"  inversion at M = {M}: insufficient data")
-        return 2
-    x = report.x.value
-    print(f"  M = {M}, LC = {report.linear_complexity}, recovered exponent x = {x}")
-    rng = random.Random(_rng_seed(args))
-    passed = total = 0
-    while total < 20:
-        t = rng.randrange(2, n)
-        if _coprime(t, n):
-            total += 1
-            passed += pow(pow(t, x, n), e, n) == t
-    print(f"  key-equivalence check (t^x)^e == t mod n: {passed}/20 random t")
-    return 0 if passed == 20 else 2
+    y = BitVec(m, target.params.width)
+
+    def verify(report, window, M):
+        x = report.x.value
+        print(f"  M = {M}, LC = {report.linear_complexity}, recovered exponent x = {x}")
+        rng = random.Random(_rng_seed(args))
+        passed = total = 0
+        while total < 20:
+            t = rng.randrange(2, n)
+            if math.gcd(t, n) == 1:
+                total += 1
+                passed += pow(pow(t, x, n), e, n) == t
+        print(f"  key-equivalence check (t^x)^e == t mod n: {passed}/20 random t")
+        return passed == 20
+    return y, _orbit_windows(target, y, args, shown=0), verify
 
 
-def _demo_dlp(args) -> int:
-    target = load_target("dlp-p11")
-    params, cfg = target.params, target.config
-    p, a = params.p, params.base
-    y = _parse_bits(cfg["demo_b"], params.width)
+def _demo_dlp(target: TargetInstance, args):
+    p, a = target.params.p, target.params.base
+    y = _parse_bits(target.config["demo_b"], target.params.width)
     print(f"DLP demo: p = {p}, base a = {a}, target b = {y.value}")
-    prof = orbit_profile(_budget_map(target, args.max_evals), y,
-                         max_steps=args.max_evals)
-    print(f"  orbit of b: preperiod {prof.preperiod}, period {prof.period}")
-    if prof.preperiod != 0:
-        print("  b is not purely periodic; no inverse on its orbit")
-        return 2
-    M = 2 * prof.period + 2
-    _print_window(target, y, count=4)
-    report = local_inversion(_budget_map(target, args.max_evals), y, M)
-    if not report.solved:
-        print(f"  inversion at M = {M}: insufficient data")
-        return 2
-    x = report.x.value
-    ok = pow(a, reduce_exponent(x, p), p) == y.value
-    print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
-    print(f"  recovered x = {x}; a^x mod p == b: {ok}")
-    return 0 if ok else 2
+
+    def verify(report, window, M):
+        x = report.x.value
+        ok = pow(a, reduce_exponent(x, p), p) == y.value
+        print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
+        print(f"  recovered x = {x}; a^x mod p == b: {ok}")
+        return ok
+    return y, _orbit_windows(target, y, args, name="b"), verify
 
 
-def _demo_ecdlp(args) -> int:
-    target = load_target("ecdlp-f17")
-    curve, cfg = target.params, target.config
+def _demo_ecdlp(target: TargetInstance, args):
+    curve = target.params
     n_p = curve.subgroup_order
-    k = _cfg_int(cfg["demo_k"])
+    k = _as_int(target.config["demo_k"])
     Q = ec_scalar_mul(curve, k, curve.base)
     y = encode_point(curve, Q)
     print(f"ECDLP demo: curve y^2 = x^3 + {curve.a}x + {curve.b} over F_{curve.q}, "
           f"base P = {curve.base}, order n_P = {n_p}")
     print(f"  secret multiplier {k} produced Q = [k]P = {Q}, encoded y = {y.hex()}")
-    M = 2 * n_p + 2
-    report, win = invert_embedding(_budget_map(target, args.max_evals), y, M)
-    if not report.solved:
-        print(f"  no projection window produced a verified multiplier at M = {M}")
-        return 2
-    mult = reduce_multiplier(report.x.value, n_p)
-    ok = ec_scalar_mul(curve, mult, curve.base) == Q
-    print(f"  winning window {win}: M = {M}, LC = {report.linear_complexity}, "
-          f"minpoly = {report.minpoly}")
-    print(f"  recovered multiplier {mult} (raw x = {report.x.hex()}); "
-          f"[{mult}]P == Q: {ok}")
-    return 0 if ok else 2
+
+    def verify(report, window, M):
+        mult = reduce_multiplier(report.x.value, n_p)
+        ok = ec_scalar_mul(curve, mult, curve.base) == Q
+        print(f"  winning window {window}: M = {M}, LC = {report.linear_complexity}, "
+              f"minpoly = {report.minpoly}")
+        print(f"  recovered multiplier {mult} (raw x = {report.x.hex()}); "
+              f"[{mult}]P == Q: {ok}")
+        return ok
+    return y, [2 * n_p + 2], verify
 
 
-def _coprime(a: int, b: int) -> bool:
-    while b:
-        a, b = b, a % b
-    return a == 1
-
-
-DEMOS = {
-    "spn-kpa": _demo_spn,
-    "stream": _demo_stream,
-    "rsa-decrypt": _demo_rsa_decrypt,
-    "rsa-cca": _demo_rsa_cca,
-    "dlp": _demo_dlp,
-    "ecdlp": _demo_ecdlp,
+DEMOS = {  # demo name -> (shipped target, demo)
+    "spn-kpa": ("spn-kpa", _demo_spn),
+    "stream": ("stream", _demo_stream),
+    "rsa-decrypt": ("rsa-demo", _demo_rsa_decrypt),
+    "rsa-cca": ("rsa-cca", _demo_rsa_cca),
+    "dlp": ("dlp-p11", _demo_dlp),
+    "ecdlp": ("ecdlp-f17", _demo_ecdlp),
 }
 
 
 def cmd_demo(args) -> int:
-    return DEMOS[args.name](args)
+    """The first verified inversion ends the run; the demo's check judges it."""
+    name, demo = DEMOS[args.name]
+    target = load_target(name)
+    y, windows, verify = demo(target, args)
+    for M in windows:
+        report, window = _solve(_budget_map(target, args.max_evals), y, M)
+        if report.solved:
+            return 0 if verify(report, window, M) else 2
+    print("  no window length yielded a verified x: insufficient data")
+    return 2
 
 
 def cmd_oracle(args) -> int:
@@ -457,7 +426,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(str(err), file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (EvalBudgetExceeded, BudgetExceeded) as err:

@@ -144,17 +144,6 @@ class Gf2Poly:
     def __floordiv__(self, other: "Gf2Poly") -> "Gf2Poly":
         return divmod(self, other)[0]
 
-    def reciprocal(self) -> "Gf2Poly":
-        """X^deg * p(1/X): the coefficient sequence reversed."""
-        if self.bits == 0:
-            return self
-        d = self.degree
-        v = 0
-        for i in range(d + 1):
-            if (self.bits >> i) & 1:
-                v |= 1 << (d - i)
-        return Gf2Poly(v)
-
     def __str__(self) -> str:
         if self.bits == 0:
             return "0"

@@ -1,10 +1,8 @@
 """Ground-truth utilities for checking the inversion engine.
 
 Everything here is deliberately independent of the engine's linear
-algebra: preimages come from exhaustive scans, orbit shapes from cycle
-detection, and full-period minimal polynomials from the closed form for
-periodic sequences (reciprocal of (X^N + 1) / gcd(X^N + 1, period
-polynomial), per bit component, lcm over components).
+algebra: preimages come from exhaustive scans and orbit shapes from
+cycle detection.
 """
 
 from __future__ import annotations
@@ -12,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import BlackBoxMap
-from .gf2 import BitVec, Gf2Poly, ONE, gcd, lcm
+from .gf2 import BitVec
 
 BRUTE_FORCE_WIDTH_LIMIT = 24
-FULL_PERIOD_LIMIT = 1 << 16
 DEFAULT_STEP_BUDGET = 10_000_000
 
 
@@ -109,41 +106,3 @@ def orbit_profile(F: BlackBoxMap, y: BitVec, max_steps: int = DEFAULT_STEP_BUDGE
     if store:
         terms = tuple(terms[:r + period])
     return OrbitProfile(r, period, terms)
-
-
-def _periodic_component_minpoly(comp: int, N: int) -> Gf2Poly:
-    """Minimal polynomial of the N-periodic scalar sequence with period
-    block bits comp (bit t = s_t): reciprocal of (X^N+1)/gcd(s(X), X^N+1)."""
-    xn1 = Gf2Poly((1 << N) | 1)
-    g = gcd(Gf2Poly(comp), xn1)
-    return (xn1 // g).reciprocal()
-
-
-def full_period_minpoly(F: BlackBoxMap, y: BitVec,
-                        max_steps: int = DEFAULT_STEP_BUDGET) -> tuple[Gf2Poly, int]:
-    """Exact minimal polynomial of a purely periodic orbit, plus its period.
-
-    Requires preperiod 0 and period at most 2^16.  Works from one full
-    period: per bit component the closed form above, then the lcm.  The
-    result divides X^N + 1 by construction.  The all-zero orbit gets
-    X+1, the engine's convention.
-    """
-    prof = orbit_profile(F, y, max_steps=max_steps, store=True)
-    if prof.preperiod != 0:
-        raise ValueError(f"seed has preperiod {prof.preperiod}, not purely periodic")
-    N = prof.period
-    if N > FULL_PERIOD_LIMIT:
-        raise ValueError(f"period {N} exceeds limit {FULL_PERIOD_LIMIT}")
-    cycle = prof.cycle
-    n = y.width
-    result = ONE
-    for b in range(n):
-        comp = 0
-        for t in range(N):
-            comp |= ((cycle[t].value >> b) & 1) << t
-        if comp == 0:
-            continue
-        result = lcm(result, _periodic_component_minpoly(comp, N))
-    if result.degree < 1:
-        return Gf2Poly(0b11), N
-    return result, N

@@ -107,14 +107,6 @@ def ec_add(curve: CurveParams, p1: ECPoint, p2: ECPoint) -> ECPoint:
     return ECPoint(x3, y3)
 
 
-def ec_neg(curve: CurveParams, point: ECPoint) -> ECPoint:
-    if not curve.contains(point):
-        raise ValueError(f"point {point} is not on the curve")
-    if point.is_infinity:
-        return INFINITY
-    return ECPoint(point.x, (-point.y) % curve.q)
-
-
 def ec_scalar_mul(curve: CurveParams, k: int, point: ECPoint) -> ECPoint:
     """[k]point by double-and-add, k >= 0."""
     if k < 0:
@@ -128,18 +120,6 @@ def ec_scalar_mul(curve: CurveParams, k: int, point: ECPoint) -> ECPoint:
         addend = ec_add(curve, addend, addend)
         k >>= 1
     return acc
-
-
-def count_points(curve: CurveParams) -> int:
-    """Exhaustive point count, identity included."""
-    q = curve.q
-    roots = [0] * q
-    for y in range(q):
-        roots[y * y % q] += 1
-    total = 1
-    for x in range(q):
-        total += roots[(x * x % q * x + curve.a * x + curve.b) % q]
-    return total
 
 
 def encode_point(curve: CurveParams, point: ECPoint) -> BitVec:

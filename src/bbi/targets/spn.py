@@ -42,8 +42,6 @@ class ToySpn:
         self.rounds = rounds
         self.sbox = tuple(sbox)
         self.pbox = tuple(pbox)
-        self.inv_sbox = tuple(self.sbox.index(i) for i in range(16))
-        self.inv_pbox = tuple(self.pbox.index(i) for i in range(16))
         # One round = substitute + permute.  Precomputed per byte: the
         # permutation is bit-linear, so the two halves just OR together.
         self._lo = [self._sub_perm_byte(b, 0) for b in range(256)]
@@ -63,19 +61,6 @@ class ToySpn:
             state ^= _rotl16(key, r)
             state = self._lo[state & 0xFF] | self._hi[state >> 8]
         return state ^ _rotl16(key, self.rounds)
-
-    def decrypt(self, key: int, ciphertext: int) -> int:
-        state = (ciphertext ^ _rotl16(key, self.rounds)) & 0xFFFF
-        for r in range(self.rounds - 1, -1, -1):
-            perm = 0
-            for i in range(WIDTH):
-                if (state >> i) & 1:
-                    perm |= 1 << self.inv_pbox[i]
-            state = 0
-            for nib in range(4):
-                state |= self.inv_sbox[(perm >> (4 * nib)) & 0xF] << (4 * nib)
-            state ^= _rotl16(key, r)
-        return state
 
     def kpa_map(self, plaintext: int) -> BlackBoxMap:
         """key -> encrypt(key, plaintext), a 16 -> 16 bit black box."""

@@ -1,12 +1,18 @@
 """Code that only the tests need: BitVec and polynomial builders, a
-modular-integer type, and small maps and checks over the engine's types."""
+modular-integer type, small maps and checks over the engine's types, the
+closed-form full-period oracle, and inverse operations of the targets."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from bbi.engine import BlackBoxMap, RecurrenceSequence
-from bbi.gf2 import BitVec, Gf2Poly
+from bbi.gf2 import ONE, BitVec, Gf2Poly, gcd, lcm
+from bbi.oracle import DEFAULT_STEP_BUDGET, orbit_profile
+from bbi.targets.ec import INFINITY, CurveParams, ECPoint
+from bbi.targets.spn import ToySpn
+
+FULL_PERIOD_LIMIT = 1 << 16
 
 
 def concat(lo: BitVec, hi: BitVec) -> BitVec:
@@ -34,6 +40,18 @@ def poly_from_terms(degrees) -> Gf2Poly:
     v = 0
     for d in degrees:
         v ^= 1 << d
+    return Gf2Poly(v)
+
+
+def reciprocal(p: Gf2Poly) -> Gf2Poly:
+    """X^deg * p(1/X): the coefficient sequence reversed."""
+    if p.bits == 0:
+        return p
+    d = p.degree
+    v = 0
+    for i in range(d + 1):
+        if (p.bits >> i) & 1:
+            v |= 1 << (d - i)
     return Gf2Poly(v)
 
 
@@ -111,3 +129,78 @@ def times_x_mod(P: Gf2Poly) -> BlackBoxMap:
         w = v.value << 1
         return BitVec(w ^ P.bits if w >> d else w, d)
     return BlackBoxMap(step, d)
+
+
+def _periodic_component_minpoly(comp: int, N: int) -> Gf2Poly:
+    """Minimal polynomial of the N-periodic scalar sequence with period
+    block bits comp (bit t = s_t): reciprocal of (X^N+1)/gcd(s(X), X^N+1)."""
+    xn1 = Gf2Poly((1 << N) | 1)
+    g = gcd(Gf2Poly(comp), xn1)
+    return reciprocal(xn1 // g)
+
+
+def full_period_minpoly(F: BlackBoxMap, y: BitVec,
+                        max_steps: int = DEFAULT_STEP_BUDGET) -> tuple[Gf2Poly, int]:
+    """Exact minimal polynomial of a purely periodic orbit, plus its period.
+
+    Independent of the engine's linear algebra.  Requires preperiod 0 and
+    period at most 2^16.  Works from one full period: per bit component
+    the closed form above, then the lcm.  The result divides X^N + 1 by
+    construction.  The all-zero orbit gets X+1, the engine's convention.
+    """
+    prof = orbit_profile(F, y, max_steps=max_steps, store=True)
+    if prof.preperiod != 0:
+        raise ValueError(f"seed has preperiod {prof.preperiod}, not purely periodic")
+    N = prof.period
+    if N > FULL_PERIOD_LIMIT:
+        raise ValueError(f"period {N} exceeds limit {FULL_PERIOD_LIMIT}")
+    cycle = prof.cycle
+    n = y.width
+    result = ONE
+    for b in range(n):
+        comp = 0
+        for t in range(N):
+            comp |= ((cycle[t].value >> b) & 1) << t
+        if comp == 0:
+            continue
+        result = lcm(result, _periodic_component_minpoly(comp, N))
+    if result.degree < 1:
+        return Gf2Poly(0b11), N
+    return result, N
+
+
+def spn_decrypt(cipher: ToySpn, key: int, ciphertext: int) -> int:
+    """Inverse of cipher.encrypt under the same key."""
+    inv_sbox = [cipher.sbox.index(i) for i in range(16)]
+    inv_pbox = [cipher.pbox.index(i) for i in range(16)]
+    state = ciphertext ^ rotl(BitVec(key, 16), cipher.rounds).value
+    for r in range(cipher.rounds - 1, -1, -1):
+        perm = 0
+        for i in range(16):
+            if (state >> i) & 1:
+                perm |= 1 << inv_pbox[i]
+        state = 0
+        for nib in range(4):
+            state |= inv_sbox[(perm >> (4 * nib)) & 0xF] << (4 * nib)
+        state ^= rotl(BitVec(key, 16), r).value
+    return state
+
+
+def ec_neg(curve: CurveParams, point: ECPoint) -> ECPoint:
+    if not curve.contains(point):
+        raise ValueError(f"point {point} is not on the curve")
+    if point.is_infinity:
+        return INFINITY
+    return ECPoint(point.x, (-point.y) % curve.q)
+
+
+def count_points(curve: CurveParams) -> int:
+    """Exhaustive point count, identity included."""
+    q = curve.q
+    roots = [0] * q
+    for y in range(q):
+        roots[y * y % q] += 1
+    total = 1
+    for x in range(q):
+        total += roots[(x * x % q * x + curve.a * x + curve.b) % q]
+    return total

@@ -21,14 +21,14 @@ from bbi.engine import (UNIQUE, BlackBoxMap, RecurrenceSequence,
                         bm_crosscheck, generate, invert_from_minpoly,
                         local_inversion, minimal_polynomial)
 from bbi.gf2 import BitVec, order
-from bbi.oracle import (BudgetExceeded, brute_force_invert,
-                        full_period_minpoly, orbit_profile)
+from bbi.oracle import BudgetExceeded, brute_force_invert, orbit_profile
 from bbi.targets.arith import is_prime, is_primitive_root, prime_factors
 from bbi.targets.dlp import DlpParams, dlp_map, reduce_exponent
-from bbi.targets.ec import (CurveParams, ECPoint, count_points,
-                            ec_scalar_mul, ecdlp_map, encode_point,
-                            reduce_multiplier)
+from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, ecdlp_map,
+                            encode_point, reduce_multiplier)
 from bbi.targets.rsa import RsaParams, cca_map, enc_map
+
+from helpers import count_points, full_period_minpoly
 
 GOLDEN = Path(__file__).parent / "golden"
 

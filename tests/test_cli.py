@@ -1,14 +1,23 @@
-"""Command-line interface, exercised through subprocesses."""
+"""Command-line interface, exercised through subprocesses, or in-process
+where a test counts map evaluations or patches the solver."""
 
+import contextlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from bbi import cli
+from bbi.engine import INSUFFICIENT_DATA, InversionReport
 from bbi.gf2 import BitVec
-from bbi.targets import CONFIG_DIR, list_targets, load_target
+from bbi.targets import CONFIG_DIR, TargetInstance, list_targets, load_target
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, encode_point)
 
 
@@ -59,6 +68,109 @@ def invert_golden_lines() -> list[str]:
 
 def test_invert_matches_golden_jsonl():
     assert "".join(invert_golden_lines()) == INVERT_GOLDEN.read_text()
+
+
+DEMO_GOLDEN = Path(__file__).parent / "golden" / "demos.jsonl"
+DEMO_SEEDS = (0, 7)
+DEMO_BUDGETS = (None, 50, 700)  # None: the default --max-evals
+
+
+@contextlib.contextmanager
+def counted_maps():
+    """Collect every map TargetInstance.fresh_map hands out, so their
+    evaluation counters can be summed afterwards."""
+    made = []
+    fresh_map = TargetInstance.fresh_map
+
+    def logged(inst):
+        F = fresh_map(inst)
+        made.append(F)
+        return F
+
+    TargetInstance.fresh_map = logged
+    try:
+        yield made
+    finally:
+        TargetInstance.fresh_map = fresh_map
+
+
+def run_demo(name: str, *args: str) -> tuple[int, str, str, int]:
+    """`bbi demo name args` in-process, with BBI_SEED unset.
+
+    Returns the exit code, stdout, stderr and the evaluations summed over
+    every map the targets handed out during the run.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    seed_env = os.environ.pop("BBI_SEED", None)
+    try:
+        with counted_maps() as made, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            rc = cli.main(["demo", name, *args])
+    finally:
+        if seed_env is not None:
+            os.environ["BBI_SEED"] = seed_env
+    return rc, out.getvalue(), err.getvalue(), sum(F.evals for F in made)
+
+
+def demo_golden_lines() -> list[str]:
+    """Every demo at --seed 0 and 7, each with the default budget and
+    with --max-evals 50 and 700: one JSON line per run with the exit
+    code, stdout, stderr and evaluation count.  Regenerate with
+    `PYTHONPATH=src python tests/test_cli.py`.
+    """
+    lines = []
+    for name in sorted(cli.DEMOS):
+        for seed in DEMO_SEEDS:
+            for budget in DEMO_BUDGETS:
+                args = ["--seed", str(seed)]
+                if budget is not None:
+                    args += ["--max-evals", str(budget)]
+                rc, out, err, evals = run_demo(name, *args)
+                lines.append(json.dumps({"demo": name, "seed": seed,
+                                         "max_evals": budget, "exit": rc,
+                                         "evals": evals, "stdout": out,
+                                         "stderr": err}) + "\n")
+    return lines
+
+
+def test_demos_match_golden_jsonl():
+    assert "".join(demo_golden_lines()) == DEMO_GOLDEN.read_text()
+
+
+# The pattern by which bench/workloads.py finds a demo's claimed x.
+RECOVERED = re.compile(r"(?:raw x|recovered x|recovered plaintext m|"
+                       r"recovered exponent x) = (0x[0-9a-f]+|\d+)")
+
+
+@pytest.mark.parametrize("name", sorted(cli.DEMOS))
+def test_demo_failure_paths(name, monkeypatch):
+    """Neither path is reachable with the shipped configs: an unsolved
+    inversion, and a "solved" x that the demo's own check must reject."""
+    solve = cli._solve
+
+    def unsolved(F, y, M):
+        return InversionReport(INSUFFICIENT_DATA, None, None, None, M, 0), None
+
+    monkeypatch.setattr(cli, "_solve", unsolved)
+    rc, out, err, _ = run_demo(name)
+    assert rc == 2 and err == ""
+    assert len([l for l in out.splitlines() if "insufficient data" in l]) == 1
+    assert not RECOVERED.search(out)
+
+    def wrong_x(F, y, M):
+        report, window = solve(F, y, M)
+        assert report.solved
+        x = BitVec(report.x.value ^ 1, report.x.width)
+        return replace(report, x=x), window
+
+    monkeypatch.setattr(cli, "_solve", wrong_x)
+    rc, out, err, _ = run_demo(name)
+    verdict = out.splitlines()[-1]
+    assert rc == 2 and err == ""
+    if name == "rsa-cca":
+        assert "/20 random t" in verdict and "20/20" not in verdict
+    else:
+        assert verdict.endswith(": False")
 
 
 def test_invert_identity():
@@ -181,6 +293,14 @@ def test_python_dash_m_bbi_runs_the_cli():
     assert res.returncode == 2
 
 
+def test_survey_csv_out_to_unwritable_path(tmp_path):
+    for path in (tmp_path / "missing-dir" / "x.csv", tmp_path):
+        res = run_cli("survey", "--target", "dlp-p11", "--samples", "2",
+                      "--csv-out", str(path))
+        _one_line_error(res, str(path))
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
 def test_survey_summary_and_determinism(tmp_path):
     out = tmp_path / "rows.csv"
     args = ("survey", "--target", "identity16", "--samples", "8",
@@ -253,3 +373,4 @@ def test_all_demos_succeed():
 
 if __name__ == "__main__":
     INVERT_GOLDEN.write_text("".join(invert_golden_lines()))
+    DEMO_GOLDEN.write_text("".join(demo_golden_lines()))

@@ -16,9 +16,9 @@ from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
                         generate, invert_from_minpoly, local_inversion,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
-from bbi.oracle import full_period_minpoly
 
-from helpers import concat, rotl, times_x_mod, verify_sequence
+from helpers import (concat, full_period_minpoly, rotl, times_x_mod,
+                     verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:

@@ -8,11 +8,10 @@ from hypothesis import given, strategies as st
 
 from bbi.engine import BlackBoxMap, generate, minimal_polynomial
 from bbi.gf2 import BitVec, Gf2Poly, order
-from bbi.oracle import (BudgetExceeded, brute_force_invert,
-                        full_period_minpoly, orbit_profile)
+from bbi.oracle import BudgetExceeded, brute_force_invert, orbit_profile
 from bbi.targets.spn import ToySpn
 
-from helpers import concat, rotl
+from helpers import concat, full_period_minpoly, rotl
 
 
 def identity(width: int) -> BlackBoxMap:
