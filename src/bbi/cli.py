@@ -24,7 +24,7 @@ from .embedding import composed_map, invert_embedding, project
 from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
                      local_inversion)
 from .gf2 import BitVec
-from .oracle import BudgetExceeded, brute_force_invert, orbit_profile
+from .oracle import brute_force_invert, orbit_profile
 from .targets import TargetInstance, _as_int, load_target
 from .targets.dlp import reduce_exponent
 from .targets.ec import ec_scalar_mul, encode_point, reduce_multiplier
@@ -107,7 +107,7 @@ def cmd_invert(args) -> int:
 
 def cmd_survey(args) -> int:
     target = load_target(args.target)
-    probe = target.fresh_map()
+    probe = _budget_map(target, args.max_evals)
     if probe.in_width != probe.out_width:
         raise ValueError("survey needs a regular map; this target is an embedding")
     n = probe.in_width
@@ -125,34 +125,32 @@ def cmd_survey(args) -> int:
         values = sorted(rng.sample(range(1 << n), count))
 
     rows = []
-    for v in values:
-        y = BitVec(v, n)
-        prof = orbit_profile(_budget_map(target, args.max_evals), y,
-                             max_steps=args.max_evals)
-        periodic = prof.preperiod == 0
-        report = local_inversion(_budget_map(target, args.max_evals), y, args.M)
-        lc = report.linear_complexity
-        rows.append({
-            "seed": y.hex(),
-            "periodic": str(periodic).lower(),
-            "LC": lc if lc is not None else "saturated",
-            "period": prof.period if periodic else "unknown",
-            "inverted": str(report.solved).lower(),
-            "evals": report.map_evals,
-        })
-
     with (open(args.csv_out, "w", newline="") if args.csv_out
           else contextlib.nullcontext(sys.stdout)) as out:
         writer = csv.DictWriter(out, fieldnames=SURVEY_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        for v in values:
+            y = BitVec(v, n)
+            prof = orbit_profile(_budget_map(target, args.max_evals), y)
+            periodic = prof.preperiod == 0
+            report = local_inversion(_budget_map(target, args.max_evals), y, args.M)
+            lc = report.linear_complexity
+            rows.append({
+                "seed": y.hex(),
+                "periodic": str(periodic).lower(),
+                "LC": lc if lc is not None else "saturated",
+                "period": prof.period if periodic else "unknown",
+                "inverted": str(report.solved).lower(),
+                "evals": report.map_evals,
+            })
+            writer.writerow(rows[-1])
 
     threshold = args.lc_threshold if args.lc_threshold is not None else n
     int_lcs = [r["LC"] for r in rows if isinstance(r["LC"], int)]
     summary = {
         "target": probe.label,
         "samples": len(rows),
-        "M": args.M if args.M is not None else 4 * n,
+        "M": report.terms_consumed,
         "lc_threshold": threshold,
         "lc_histogram": Counter(str(r["LC"]) for r in rows),
         "mean_lc": round(sum(int_lcs) / len(int_lcs), 4) if int_lcs else None,
@@ -173,14 +171,13 @@ def _orbit_windows(target: TargetInstance, y: BitVec, args, name: str = "y",
                    shown: int = 4):
     """Walk the orbit of y, print its shape and first `shown` terms, and
     yield the window length M = 2N+2 when y is purely periodic."""
-    prof = orbit_profile(_budget_map(target, args.max_evals), y,
-                         max_steps=args.max_evals)
+    prof = orbit_profile(_budget_map(target, args.max_evals), y)
     print(f"  orbit of {name}: preperiod {prof.preperiod}, period {prof.period}")
     if prof.preperiod != 0:
         print(f"  {name} is not purely periodic; no inverse on its orbit")
         return
     if shown:
-        F, terms = target.fresh_map(), [y]
+        F, terms = _budget_map(target, args.max_evals), [y]
         for _ in range(shown - 1):
             terms.append(F(terms[-1]))
         print(f"  window starts: {', '.join(t.hex() for t in terms)}, ...")
@@ -219,9 +216,8 @@ def _demo_stream(target: TargetInstance, args):
 
     def windows():  # M = 2N+2 from each window whose projected seed is periodic
         for i in range(1, count - lfsr.key_width + 2):
-            prof = orbit_profile(composed_map(target.fresh_map(), i),
-                                 project(y, lfsr.key_width, i),
-                                 max_steps=args.max_evals)
+            F = composed_map(_budget_map(target, args.max_evals), i)
+            prof = orbit_profile(F, project(y, lfsr.key_width, i))
             if prof.preperiod != 0:
                 print(f"  window {i}: projected seed not purely periodic")
                 continue
@@ -348,7 +344,7 @@ def cmd_oracle(args) -> int:
         return 0
     if F.in_width != F.out_width:
         raise ValueError("orbit profiling needs a regular map")
-    prof = orbit_profile(F, y, max_steps=args.max_evals)
+    prof = orbit_profile(F, y)
     print(json.dumps({"target": F.label, "y": y.hex(),
                       "preperiod": prof.preperiod, "period": prof.period},
                      indent=2))
@@ -429,7 +425,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (EvalBudgetExceeded, BudgetExceeded) as err:
+    except EvalBudgetExceeded as err:
         print(f"insufficient data: {err}", file=sys.stderr)
         return 2
 

@@ -50,9 +50,8 @@ def invert_embedding(F: BlackBoxMap, y: BitVec,
     n = F.in_width
     before = F.evals
     for i in range(1, F.out_width - n + 2):
-        Fi = composed_map(F, i)
-        report = local_inversion(Fi, project(y, n, i), M)
+        report = local_inversion(composed_map(F, i), project(y, n, i), M)
         if report.solved and F(report.x) == y:
             return replace(report, map_evals=F.evals - before), i
     return (InversionReport(INSUFFICIENT_DATA, None, None, None,
-                            M if M is not None else 4 * n, F.evals - before), None)
+                            report.terms_consumed, F.evals - before), None)

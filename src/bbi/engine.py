@@ -78,7 +78,6 @@ class RecurrenceSequence:
 
     terms: tuple[BitVec, ...]
     seed: BitVec
-    map_label: str = ""
 
     def __post_init__(self):
         if len(self.terms) < 1:
@@ -146,7 +145,7 @@ def generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
     terms = [y]
     for _ in range(M - 1):
         terms.append(F(terms[-1]))
-    return RecurrenceSequence(tuple(terms), y, F.label)
+    return RecurrenceSequence(tuple(terms), y)
 
 
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:

@@ -13,11 +13,6 @@ from .engine import BlackBoxMap
 from .gf2 import BitVec
 
 BRUTE_FORCE_WIDTH_LIMIT = 24
-DEFAULT_STEP_BUDGET = 10_000_000
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -56,8 +51,7 @@ def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
     return found
 
 
-def orbit_profile(F: BlackBoxMap, y: BitVec, max_steps: int = DEFAULT_STEP_BUDGET,
-                  store: bool = False) -> OrbitProfile:
+def orbit_profile(F: BlackBoxMap, y: BitVec, store: bool = False) -> OrbitProfile:
     """Exact (preperiod, period) of y under iteration of F.
 
     Brent's cycle detection (BIT 20, 1980): the tortoise waits at term
@@ -65,15 +59,11 @@ def orbit_profile(F: BlackBoxMap, y: BitVec, max_steps: int = DEFAULT_STEP_BUDGE
     meeting gives the period.  A second walk with the hare one period
     ahead meets the tortoise at the cycle entry, which gives the
     preperiod; its hare passes every term of the tail and of one cycle,
-    so `store` costs no extra evaluations.  Raises BudgetExceeded once
-    more than max_steps map evaluations were spent.
+    so `store` costs no extra evaluations.  Like every walk, it is
+    bounded by F.max_evals alone.
     """
     if F.in_width != F.out_width:
         raise ValueError("orbit iteration needs matching in/out widths")
-    stop = F.evals + max_steps
-
-    def over() -> BudgetExceeded:
-        return BudgetExceeded(f"orbit walk exceeded {max_steps} evaluations")
 
     tort, hare = y.value, F(y)
     power = period = 1
@@ -82,23 +72,17 @@ def orbit_profile(F: BlackBoxMap, y: BitVec, max_steps: int = DEFAULT_STEP_BUDGE
             tort, power, period = hare.value, 2 * power, 0
         hare = F(hare)
         period += 1
-        if F.evals > stop:
-            raise over()
 
     # with the hare one period ahead, the two meet at the cycle entry
     tort = hare = y
     terms = [y] if store else None
     for _ in range(period):
         hare = F(hare)
-        if F.evals > stop:
-            raise over()
         if store:
             terms.append(hare)
     r = 0
     while tort.value != hare.value:
         tort, hare = F(tort), F(hare)
-        if F.evals > stop:
-            raise over()
         if store:
             terms.append(hare)
         r += 1

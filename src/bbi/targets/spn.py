@@ -31,35 +31,34 @@ def _rotl16(v: int, k: int) -> int:
     return ((v << k) | (v >> (WIDTH - k))) & 0xFFFF
 
 
-class ToySpn:
-    """SPN instance with fixed S-box/P-box and a round count."""
+def _sub_perm_byte(byte: int, offset: int) -> int:
+    nibs = (SBOX[byte & 0xF], SBOX[byte >> 4])
+    out = 0
+    for j in range(8):
+        if (nibs[j // 4] >> (j % 4)) & 1:
+            out |= 1 << PBOX[offset + j]
+    return out
 
-    def __init__(self, rounds: int = 4, sbox=SBOX, pbox=PBOX):
+
+# One round = substitute + permute.  Precomputed per byte: the
+# permutation is bit-linear, so the two halves just OR together.
+_LO = tuple(_sub_perm_byte(b, 0) for b in range(256))
+_HI = tuple(_sub_perm_byte(b, 8) for b in range(256))
+
+
+class ToySpn:
+    """SPN instance: the fixed SBOX/PBOX and a round count."""
+
+    def __init__(self, rounds: int = 4):
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if sorted(sbox) != list(range(16)) or sorted(pbox) != list(range(16)):
-            raise ValueError("sbox and pbox must be permutations of 0..15")
         self.rounds = rounds
-        self.sbox = tuple(sbox)
-        self.pbox = tuple(pbox)
-        # One round = substitute + permute.  Precomputed per byte: the
-        # permutation is bit-linear, so the two halves just OR together.
-        self._lo = [self._sub_perm_byte(b, 0) for b in range(256)]
-        self._hi = [self._sub_perm_byte(b, 8) for b in range(256)]
-
-    def _sub_perm_byte(self, byte: int, offset: int) -> int:
-        nibs = (self.sbox[byte & 0xF], self.sbox[byte >> 4])
-        out = 0
-        for j in range(8):
-            if (nibs[j // 4] >> (j % 4)) & 1:
-                out |= 1 << self.pbox[offset + j]
-        return out
 
     def encrypt(self, key: int, plaintext: int) -> int:
         state = plaintext & 0xFFFF
         for r in range(self.rounds):
             state ^= _rotl16(key, r)
-            state = self._lo[state & 0xFF] | self._hi[state >> 8]
+            state = _LO[state & 0xFF] | _HI[state >> 8]
         return state ^ _rotl16(key, self.rounds)
 
     def kpa_map(self, plaintext: int) -> BlackBoxMap:

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 from bbi.engine import BlackBoxMap, RecurrenceSequence
 from bbi.gf2 import ONE, BitVec, Gf2Poly, gcd, lcm
-from bbi.oracle import DEFAULT_STEP_BUDGET, orbit_profile
+from bbi.oracle import orbit_profile
 from bbi.targets.ec import INFINITY, CurveParams, ECPoint
-from bbi.targets.spn import ToySpn
+from bbi.targets.spn import PBOX, SBOX, ToySpn
 
 FULL_PERIOD_LIMIT = 1 << 16
 
@@ -139,8 +139,7 @@ def _periodic_component_minpoly(comp: int, N: int) -> Gf2Poly:
     return reciprocal(xn1 // g)
 
 
-def full_period_minpoly(F: BlackBoxMap, y: BitVec,
-                        max_steps: int = DEFAULT_STEP_BUDGET) -> tuple[Gf2Poly, int]:
+def full_period_minpoly(F: BlackBoxMap, y: BitVec) -> tuple[Gf2Poly, int]:
     """Exact minimal polynomial of a purely periodic orbit, plus its period.
 
     Independent of the engine's linear algebra.  Requires preperiod 0 and
@@ -148,7 +147,7 @@ def full_period_minpoly(F: BlackBoxMap, y: BitVec,
     the closed form above, then the lcm.  The result divides X^N + 1 by
     construction.  The all-zero orbit gets X+1, the engine's convention.
     """
-    prof = orbit_profile(F, y, max_steps=max_steps, store=True)
+    prof = orbit_profile(F, y, store=True)
     if prof.preperiod != 0:
         raise ValueError(f"seed has preperiod {prof.preperiod}, not purely periodic")
     N = prof.period
@@ -171,8 +170,8 @@ def full_period_minpoly(F: BlackBoxMap, y: BitVec,
 
 def spn_decrypt(cipher: ToySpn, key: int, ciphertext: int) -> int:
     """Inverse of cipher.encrypt under the same key."""
-    inv_sbox = [cipher.sbox.index(i) for i in range(16)]
-    inv_pbox = [cipher.pbox.index(i) for i in range(16)]
+    inv_sbox = [SBOX.index(i) for i in range(16)]
+    inv_pbox = [PBOX.index(i) for i in range(16)]
     state = ciphertext ^ rotl(BitVec(key, 16), cipher.rounds).value
     for r in range(cipher.rounds - 1, -1, -1):
         perm = 0

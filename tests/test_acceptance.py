@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 from bbi.embedding import composed_map, invert_embedding, project
-from bbi.engine import (UNIQUE, BlackBoxMap, RecurrenceSequence,
-                        bm_crosscheck, generate, invert_from_minpoly,
-                        local_inversion, minimal_polynomial)
+from bbi.engine import (UNIQUE, BlackBoxMap, EvalBudgetExceeded,
+                        RecurrenceSequence, bm_crosscheck, generate,
+                        invert_from_minpoly, local_inversion,
+                        minimal_polynomial)
 from bbi.gf2 import BitVec, order
-from bbi.oracle import BudgetExceeded, brute_force_invert, orbit_profile
+from bbi.oracle import brute_force_invert, orbit_profile
 from bbi.targets.arith import is_prime, is_primitive_root, prime_factors
 from bbi.targets.dlp import DlpParams, dlp_map, reduce_exponent
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, ecdlp_map,
@@ -204,11 +205,11 @@ def test_c5_rsa_cca_break_equivalence():
             if any(pow(c, lam // r, n) == 1 for r in lam_primes):
                 continue
             m = pow(c, d, n)
+            F = cca_map(params, c)
+            F.max_evals = 100_000
             try:
-                prof = orbit_profile(cca_map(params, c),
-                                     BitVec(m, params.width),
-                                     max_steps=100_000)
-            except BudgetExceeded:
+                prof = orbit_profile(F, BitVec(m, params.width))
+            except EvalBudgetExceeded:
                 continue
             if prof.preperiod != 0 or prof.period > 300:
                 continue

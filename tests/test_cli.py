@@ -94,22 +94,29 @@ def counted_maps():
         TargetInstance.fresh_map = fresh_map
 
 
-def run_demo(name: str, *args: str) -> tuple[int, str, str, int]:
-    """`bbi demo name args` in-process, with BBI_SEED unset.
+def run_main(*argv: str) -> tuple[int, str, str, list]:
+    """`bbi argv` in-process, with BBI_SEED unset.
 
-    Returns the exit code, stdout, stderr and the evaluations summed over
-    every map the targets handed out during the run.
+    Returns the exit code, stdout, stderr and every map the targets
+    handed out during the run.
     """
     out, err = io.StringIO(), io.StringIO()
     seed_env = os.environ.pop("BBI_SEED", None)
     try:
         with counted_maps() as made, contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
-            rc = cli.main(["demo", name, *args])
+            rc = cli.main(list(argv))
     finally:
         if seed_env is not None:
             os.environ["BBI_SEED"] = seed_env
-    return rc, out.getvalue(), err.getvalue(), sum(F.evals for F in made)
+    return rc, out.getvalue(), err.getvalue(), made
+
+
+def run_demo(name: str, *args: str) -> tuple[int, str, str, int]:
+    """`bbi demo name args` in-process: the exit code, stdout, stderr and
+    the evaluations summed over every map handed out during the run."""
+    rc, out, err, made = run_main("demo", name, *args)
+    return rc, out, err, sum(F.evals for F in made)
 
 
 def demo_golden_lines() -> list[str]:
@@ -135,6 +142,25 @@ def demo_golden_lines() -> list[str]:
 
 def test_demos_match_golden_jsonl():
     assert "".join(demo_golden_lines()) == DEMO_GOLDEN.read_text()
+
+
+BUDGET_RUNS = (
+    [pytest.param(("demo", name), budget, id=f"demo-{name}-{budget}")
+     for name in sorted(cli.DEMOS) for budget in (50, 700)]
+    + [pytest.param(argv, 50, id=f"{argv[0]}-50") for argv in (
+        ("invert", "--target", "spn-kpa", "--y", "0x3c84"),
+        ("survey", "--target", "dlp-p11", "--samples", "4"),
+        ("oracle", "orbit", "--target", "spn-kpa", "--y", "0x3c84"))])
+
+
+@pytest.mark.parametrize("argv,budget", BUDGET_RUNS)
+def test_max_evals_bounds_every_map(argv, budget):
+    """--max-evals is the one budget: every map a run evaluates carries
+    it, and none spends more."""
+    _, _, _, made = run_main(*argv, "--max-evals", str(budget))
+    assert made
+    assert [F.max_evals for F in made] == [budget] * len(made)
+    assert all(F.evals <= budget for F in made), [F.evals for F in made]
 
 
 # The pattern by which bench/workloads.py finds a demo's claimed x.
@@ -294,11 +320,16 @@ def test_python_dash_m_bbi_runs_the_cli():
 
 
 def test_survey_csv_out_to_unwritable_path(tmp_path):
+    """In-process, so the maps can be counted: the bad path is refused
+    before the first evaluation."""
     for path in (tmp_path / "missing-dir" / "x.csv", tmp_path):
-        res = run_cli("survey", "--target", "dlp-p11", "--samples", "2",
-                      "--csv-out", str(path))
-        _one_line_error(res, str(path))
-        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        rc, out, err, made = run_main("survey", "--target", "dlp-p11",
+                                      "--samples", "2", "--csv-out", str(path))
+        assert rc == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert str(path) in lines[0]
+        assert sum(F.evals for F in made) == 0
 
 
 def test_survey_summary_and_determinism(tmp_path):

@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bbi.engine import BlackBoxMap, generate, minimal_polynomial
+from bbi.engine import (BlackBoxMap, EvalBudgetExceeded, generate,
+                        minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
-from bbi.oracle import BudgetExceeded, brute_force_invert, orbit_profile
+from bbi.oracle import brute_force_invert, orbit_profile
 from bbi.targets.spn import ToySpn
 
 from helpers import concat, full_period_minpoly, rotl
@@ -84,8 +85,10 @@ def test_orbit_profile_cycle_requires_store():
 
 def test_orbit_profile_budget():
     rot = BlackBoxMap(lambda x: rotl(x, 1), 8)
-    with pytest.raises(BudgetExceeded):
-        orbit_profile(rot, BitVec(1, 8), max_steps=3)
+    rot.max_evals = 3
+    with pytest.raises(EvalBudgetExceeded):
+        orbit_profile(rot, BitVec(1, 8))
+    assert rot.evals == 3
 
 
 def test_orbit_profile_rejects_embeddings():
@@ -256,14 +259,14 @@ def test_orbit_profile_budget_is_exact(case, store, data):
     need = F.evals
     for budget in (need - 1, need, data.draw(st.integers(0, 2 * need))):
         G = _table_map(table, width)
+        G.max_evals = budget
         if budget < need:
-            with pytest.raises(BudgetExceeded):
-                orbit_profile(G, y, max_steps=budget, store=store)
-            # it raises once the walk spent more than the budget, at most one
-            # step (two evaluations) more
-            assert budget < G.evals <= budget + 2
+            with pytest.raises(EvalBudgetExceeded):
+                orbit_profile(G, y, store=store)
+            # the map refuses the first call past its budget
+            assert G.evals == budget
         else:
-            prof = orbit_profile(G, y, max_steps=budget, store=store)
+            prof = orbit_profile(G, y, store=store)
             assert G.evals == need
             assert prof.period == _rho_walk(table, start)[1]
 
