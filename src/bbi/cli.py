@@ -19,6 +19,8 @@ import os
 import random
 import sys
 from collections import Counter
+from functools import partial
+from itertools import cycle, islice
 
 from .embedding import composed_map, invert_embedding, project
 from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
@@ -123,6 +125,8 @@ def cmd_survey(args) -> int:
         rng = random.Random(_rng_seed(args))
         count = min(args.samples, 1 << n)
         values = sorted(rng.sample(range(1 << n), count))
+    if args.M is not None and args.M < 2:
+        raise ValueError("window length M must be >= 2")
 
     rows = []
     with (open(args.csv_out, "w", newline="") if args.csv_out
@@ -167,28 +171,26 @@ def _key_note(x: int, key: int) -> str:
     return "the secret key itself" if x == key else "a key-equivalent preimage"
 
 
-def _orbit_windows(target: TargetInstance, y: BitVec, args, name: str = "y",
-                   shown: int = 4):
-    """Walk the orbit of y, print its shape and first `shown` terms, and
-    yield the window length M = 2N+2 when y is purely periodic."""
-    prof = orbit_profile(_budget_map(target, args.max_evals), y)
+def _orbit_windows(new_map, y: BitVec, name: str = "y", shown: int = 4):
+    """Walk the orbit of y once, print its shape and first `shown` terms,
+    and yield the inversion (map, y, M = 2N+2) when y is purely periodic."""
+    prof = orbit_profile(new_map(), y, store=True)
     print(f"  orbit of {name}: preperiod {prof.preperiod}, period {prof.period}")
     if prof.preperiod != 0:
         print(f"  {name} is not purely periodic; no inverse on its orbit")
         return
     if shown:
-        F, terms = _budget_map(target, args.max_evals), [y]
-        for _ in range(shown - 1):
-            terms.append(F(terms[-1]))
+        terms = islice(cycle(prof.cycle), shown)
         print(f"  window starts: {', '.join(t.hex() for t in terms)}, ...")
-    yield 2 * prof.period + 2
+    yield new_map(), y, 2 * prof.period + 2
 
 
-# Each demo prints its header and returns (y, the window lengths M to try,
-# verify).  verify(report, window, M) runs the demo's own domain check on
-# a solved report, prints the result lines and returns the verdict.
+# Each demo prints its header and returns (the inversions (map, y, M) to
+# try, verify).  new_map hands out a fresh map of the demo's target under
+# --max-evals.  verify(report, window, M) runs the demo's own domain check
+# on a solved report, prints the result lines and returns the verdict.
 
-def _demo_spn(target: TargetInstance, args):
+def _demo_spn(target: TargetInstance, new_map, args):
     cipher, cfg = target.params, target.config
     key, p0 = _as_int(cfg["demo_key"]), _as_int(cfg["plaintext"])
     y = BitVec(cipher.encrypt(key, p0), 16)
@@ -203,40 +205,35 @@ def _demo_spn(target: TargetInstance, args):
         print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
               f"E(x, P0) == y: {ok}")
         return ok
-    return y, _orbit_windows(target, y, args, shown=6), verify
+    return _orbit_windows(new_map, y, shown=6), verify
 
 
-def _demo_stream(target: TargetInstance, args):
+def _demo_stream(target: TargetInstance, new_map, args):
     lfsr, cfg = target.params, target.config
     key, count = _as_int(cfg["demo_key"]), _as_int(cfg["count"])
     y = BitVec(lfsr.keystream(key, count), count)
+    n = lfsr.key_width
     print(f"filtered-LFSR demo: degree {lfsr.degree} register, "
-          f"{lfsr.key_width}-bit key, iv = {lfsr.iv:#x}, {count} keystream bits")
+          f"{n}-bit key, iv = {lfsr.iv:#x}, {count} keystream bits")
     print(f"  secret key {key:#06x} produced keystream y = {y.hex()}")
 
-    def windows():  # M = 2N+2 from each window whose projected seed is periodic
-        for i in range(1, count - lfsr.key_width + 2):
-            F = composed_map(_budget_map(target, args.max_evals), i)
-            prof = orbit_profile(F, project(y, lfsr.key_width, i))
-            if prof.preperiod != 0:
-                print(f"  window {i}: projected seed not purely periodic")
-                continue
-            M = 2 * prof.period + 2
-            print(f"  window {i}: periodic with period {prof.period}, trying M = {M}")
-            yield M
+    def windows():  # each window's square map, at its projected seed
+        for i in range(1, count - n + 2):
+            yield from _orbit_windows(lambda i=i: composed_map(new_map(), i),
+                                      project(y, n, i), f"y[window {i}]", shown=0)
 
     def verify(report, window, M):
         x = report.x
         ok = lfsr.keystream(x.value, count) == y.value
-        print(f"  window {window} won: LC = {report.linear_complexity}, "
+        print(f"  M = {M}, LC = {report.linear_complexity}, "
               f"evals = {report.map_evals}")
         print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
               f"keystream re-synthesis matches: {ok}")
         return ok
-    return y, windows(), verify
+    return windows(), verify
 
 
-def _demo_rsa_decrypt(target: TargetInstance, args):
+def _demo_rsa_decrypt(target: TargetInstance, new_map, args):
     n, e = target.params.n, target.params.e
     y = _parse_bits(target.config["demo_y"], target.params.width)
     print(f"RSA decryption demo: n = {n}, e = {e}, ciphertext y = {y.hex()}")
@@ -247,10 +244,11 @@ def _demo_rsa_decrypt(target: TargetInstance, args):
         print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
         print(f"  recovered plaintext m = {m}; m^e mod n == y: {ok}")
         return ok
-    return y, _orbit_windows(target, y, args), verify
+    return _orbit_windows(new_map, y), verify
 
 
-def _demo_rsa_cca(target: TargetInstance, args):
+def _demo_rsa_cca(target: TargetInstance, new_map, args):
+    rng = random.Random(_rng_seed(args))
     n, e = target.params.n, target.params.e
     c = _as_int(target.config["c"])
     m = pow(c, target.params.private_exponent(), n)
@@ -263,7 +261,6 @@ def _demo_rsa_cca(target: TargetInstance, args):
     def verify(report, window, M):
         x = report.x.value
         print(f"  M = {M}, LC = {report.linear_complexity}, recovered exponent x = {x}")
-        rng = random.Random(_rng_seed(args))
         passed = total = 0
         while total < 20:
             t = rng.randrange(2, n)
@@ -272,10 +269,10 @@ def _demo_rsa_cca(target: TargetInstance, args):
                 passed += pow(pow(t, x, n), e, n) == t
         print(f"  key-equivalence check (t^x)^e == t mod n: {passed}/20 random t")
         return passed == 20
-    return y, _orbit_windows(target, y, args, shown=0), verify
+    return _orbit_windows(new_map, y, shown=0), verify
 
 
-def _demo_dlp(target: TargetInstance, args):
+def _demo_dlp(target: TargetInstance, new_map, args):
     p, a = target.params.p, target.params.base
     y = _parse_bits(target.config["demo_b"], target.params.width)
     print(f"DLP demo: p = {p}, base a = {a}, target b = {y.value}")
@@ -286,10 +283,10 @@ def _demo_dlp(target: TargetInstance, args):
         print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
         print(f"  recovered x = {x}; a^x mod p == b: {ok}")
         return ok
-    return y, _orbit_windows(target, y, args, name="b"), verify
+    return _orbit_windows(new_map, y, name="b"), verify
 
 
-def _demo_ecdlp(target: TargetInstance, args):
+def _demo_ecdlp(target: TargetInstance, new_map, args):
     curve = target.params
     n_p = curve.subgroup_order
     k = _as_int(target.config["demo_k"])
@@ -307,7 +304,7 @@ def _demo_ecdlp(target: TargetInstance, args):
         print(f"  recovered multiplier {mult} (raw x = {report.x.hex()}); "
               f"[{mult}]P == Q: {ok}")
         return ok
-    return y, [2 * n_p + 2], verify
+    return [(new_map(), y, 2 * n_p + 2)], verify
 
 
 DEMOS = {  # demo name -> (shipped target, demo)
@@ -324,9 +321,10 @@ def cmd_demo(args) -> int:
     """The first verified inversion ends the run; the demo's check judges it."""
     name, demo = DEMOS[args.name]
     target = load_target(name)
-    y, windows, verify = demo(target, args)
-    for M in windows:
-        report, window = _solve(_budget_map(target, args.max_evals), y, M)
+    attempts, verify = demo(target, partial(_budget_map, target, args.max_evals),
+                            args)
+    for F, y, M in attempts:
+        report, window = _solve(F, y, M)
         if report.solved:
             return 0 if verify(report, window, M) else 2
     print("  no window length yielded a verified x: insufficient data")

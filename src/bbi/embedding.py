@@ -53,5 +53,5 @@ def invert_embedding(F: BlackBoxMap, y: BitVec,
         report = local_inversion(composed_map(F, i), project(y, n, i), M)
         if report.solved and F(report.x) == y:
             return replace(report, map_evals=F.evals - before), i
-    return (InversionReport(INSUFFICIENT_DATA, None, None, None,
+    return (InversionReport(INSUFFICIENT_DATA, None, None,
                             report.terms_consumed, F.evals - before), None)

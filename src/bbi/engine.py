@@ -113,13 +113,17 @@ class InversionReport:
     outcome: str
     x: BitVec | None
     minpoly: Gf2Poly | None
-    linear_complexity: int | None
     terms_consumed: int
     map_evals: int
 
     @property
     def solved(self) -> bool:
         return self.outcome == SOLUTION
+
+    @property
+    def linear_complexity(self) -> int | None:
+        """Degree of the minimal polynomial; None when the window gave none."""
+        return self.minpoly.degree if self.minpoly is not None else None
 
     @cached_property
     def period_estimate(self) -> int | None:
@@ -262,10 +266,8 @@ def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> Inversio
     if res.status == UNIQUE and res.minpoly.constant_term == 1:
         x = invert_from_minpoly(seq, res.minpoly)
         if F(x) == y:
-            return InversionReport(SOLUTION, x, res.minpoly, res.minpoly.degree,
-                                   M, F.evals - before)
-    lc = res.minpoly.degree if res.minpoly is not None else None
-    return InversionReport(INSUFFICIENT_DATA, None, res.minpoly, lc, M,
+            return InversionReport(SOLUTION, x, res.minpoly, M, F.evals - before)
+    return InversionReport(INSUFFICIENT_DATA, None, res.minpoly, M,
                            F.evals - before)
 
 

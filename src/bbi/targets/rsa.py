@@ -11,7 +11,7 @@ chosen-ciphertext map the input is the exponent itself: F(x) = c^x mod n
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from ..engine import BlackBoxMap
 from ..gf2 import BitVec
@@ -43,10 +43,6 @@ class RsaParams:
     @property
     def phi(self) -> int:
         return (self.p - 1) * (self.q - 1)
-
-    @property
-    def carmichael(self) -> int:
-        return lcm(self.p - 1, self.q - 1)
 
     @property
     def width(self) -> int:

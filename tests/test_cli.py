@@ -175,7 +175,7 @@ def test_demo_failure_paths(name, monkeypatch):
     solve = cli._solve
 
     def unsolved(F, y, M):
-        return InversionReport(INSUFFICIENT_DATA, None, None, None, M, 0), None
+        return InversionReport(INSUFFICIENT_DATA, None, None, M, 0), None
 
     monkeypatch.setattr(cli, "_solve", unsolved)
     rc, out, err, _ = run_demo(name)
@@ -197,6 +197,51 @@ def test_demo_failure_paths(name, monkeypatch):
         assert "/20 random t" in verdict and "20/20" not in verdict
     else:
         assert verdict.endswith(": False")
+
+
+@pytest.mark.parametrize("name", ["dlp", "rsa-cca", "rsa-decrypt", "spn-kpa"])
+def test_demo_walks_the_orbit_once(name, monkeypatch):
+    """One map walks the orbit, and its window starts cost nothing more;
+    one map inverts, spending M-1 window terms and one check."""
+    seeds = []
+    profile = cli.orbit_profile
+
+    def spy(F, y, store=False):
+        seeds.append(y)
+        return profile(F, y, store)
+
+    monkeypatch.setattr(cli, "orbit_profile", spy)
+    rc, _, _, made = run_main("demo", name)
+    assert rc == 0 and len(seeds) == 1
+    walk, inversion = made
+    G = load_target(cli.DEMOS[name][0]).fresh_map()
+    prof = profile(G, seeds[0])
+    assert walk.evals == G.evals
+    assert inversion.evals == 2 * prof.period + 2
+
+
+def test_stream_demo_inverts_only_the_periodic_window(monkeypatch):
+    """Window 1 is walked and rejected, never inverted; window 2 is
+    inverted once, from its own walk's M = 598."""
+    windows = []
+    compose = cli.composed_map
+
+    def spy(F, i):
+        windows.append((i, F))
+        return compose(F, i)
+
+    monkeypatch.setattr(cli, "composed_map", spy)
+    rc, _, _, made = run_main("demo", "stream")
+    assert rc == 0
+    assert [i for i, _ in windows] == [1, 2, 2]
+    assert [id(F) for _, F in windows] == [id(F) for F in made]
+    assert windows[2][1].evals == 598
+
+
+def test_demo_rsa_cca_rejects_bad_seed_before_the_attack():
+    res = run_cli("demo", "rsa-cca", seed_env="abc")
+    _one_line_error(res, "BBI_SEED must be an integer, got 'abc'")
+    assert res.stdout == ""
 
 
 def test_invert_identity():
@@ -317,6 +362,14 @@ def test_python_dash_m_bbi_runs_the_cli():
     res = run_cli("invert", "--target", "rsa-demo", "--y", "0x8", "--M", "2",
                   module="bbi")
     assert res.returncode == 2
+
+
+def test_survey_rejects_window_below_two_before_any_evaluation():
+    rc, out, err, made = run_main("survey", "--target", "spn-kpa",
+                                  "--samples", "3", "--M", "1")
+    assert rc == 1 and out == ""
+    assert err.splitlines() == ["error: window length M must be >= 2"]
+    assert sum(F.evals for F in made) == 0
 
 
 def test_survey_csv_out_to_unwritable_path(tmp_path):

@@ -219,7 +219,7 @@ def test_stream_validation():
 
 def test_rsa_params():
     params = RsaParams(3, 5, 3)
-    assert params.n == 15 and params.phi == 8 and params.carmichael == 4
+    assert params.n == 15 and params.phi == 8
     assert params.width == 4
     d = params.private_exponent()
     assert (3 * d) % params.phi == 1
