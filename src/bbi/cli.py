@@ -28,8 +28,8 @@ from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
 from .gf2 import BitVec
 from .oracle import brute_force_invert, orbit_profile
 from .targets import TargetInstance, _as_int, load_target
-from .targets.dlp import reduce_exponent
-from .targets.ec import ec_scalar_mul, encode_point, reduce_multiplier
+from .targets.arith import reduce_exponent
+from .targets.ec import ec_scalar_mul, encode_point
 
 DEFAULT_MAX_EVALS = 10_000_000
 SURVEY_COLUMNS = ["seed", "periodic", "LC", "period", "inverted", "evals"]
@@ -297,7 +297,7 @@ def _demo_ecdlp(target: TargetInstance, new_map, args):
     print(f"  secret multiplier {k} produced Q = [k]P = {Q}, encoded y = {y.hex()}")
 
     def verify(report, window, M):
-        mult = reduce_multiplier(report.x.value, n_p)
+        mult = reduce_exponent(report.x.value, n_p)
         ok = ec_scalar_mul(curve, mult, curve.base) == Q
         print(f"  winning window {window}: M = {M}, LC = {report.linear_complexity}, "
               f"minpoly = {report.minpoly}")

@@ -271,20 +271,17 @@ def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> Inversio
                            F.evals - before)
 
 
-def _bm_scalar(bits: int, M: int) -> tuple[int, int]:
-    """Berlekamp-Massey over GF(2) on bit t = s_t, t = 0 .. M-1.
+def _bm_scalar(s: int, M: int) -> Gf2Poly:
+    """Berlekamp-Massey over GF(2) on s_t at bit M-1-t, t = 0 .. M-1.
 
-    Returns (L, C): the linear complexity and the connection polynomial
-    bits (bit i = c_i, c_0 = 1) with s_t = sum c_i s_{t-i} for t >= L.
+    Returns the minimal polynomial X^L C(1/X) of the sequence, L being
+    its linear complexity and C the connection polynomial (bit i = c_i,
+    c_0 = 1) with s_t = sum c_i s_{t-i} for t >= L.
     """
-    rev = 0
-    for t in range(M):
-        if (bits >> t) & 1:
-            rev |= 1 << (M - 1 - t)
     C, B = 1, 1
     L, gap = 0, 1
     for t in range(M):
-        window = rev >> (M - 1 - t)  # bit i = s_{t-i}
+        window = s >> (M - 1 - t)  # bit i = s_{t-i}
         d = (C & window).bit_count() & 1
         if d == 0:
             gap += 1
@@ -295,7 +292,7 @@ def _bm_scalar(bits: int, M: int) -> tuple[int, int]:
         else:
             C ^= B << gap
             gap += 1
-    return L, C
+    return Gf2Poly(int(format(C & ((1 << (L + 1)) - 1), f"0{L + 1}b")[::-1], 2))
 
 
 def bm_crosscheck(seq: RecurrenceSequence) -> Gf2Poly:
@@ -307,19 +304,14 @@ def bm_crosscheck(seq: RecurrenceSequence) -> Gf2Poly:
     """
     n = seq.width
     M = len(seq.terms)
+    # Character t*n + b is bit b of term t, so component b is bits[b::n]
+    # and its int has s_t at bit M-1-t, the order _bm_scalar reads.
+    bits = "".join(format(t.value, f"0{n}b")[::-1] for t in seq.terms)
     result = ONE
     for b in range(n):
-        comp = 0
-        for t, term in enumerate(seq.terms):
-            comp |= ((term.value >> b) & 1) << t
-        if comp == 0:
-            continue
-        L, C = _bm_scalar(comp, M)
-        mb = 0
-        for i in range(L + 1):
-            if (C >> i) & 1:
-                mb |= 1 << (L - i)
-        result = lcm(result, Gf2Poly(mb))
+        comp = int(bits[b::n], 2)
+        if comp:
+            result = lcm(result, _bm_scalar(comp, M))
     if result.degree < 1:
         return Gf2Poly(0b11)
     return result

@@ -159,21 +159,13 @@ ONE = Gf2Poly(1)
 X = Gf2Poly(2)
 
 
-def _mod_int(a: int, b: int) -> int:
-    bn = b.bit_length()
-    while a.bit_length() >= bn:
-        a ^= b << (a.bit_length() - bn)
-    return a
-
-
 def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
     """Monic gcd; gcd(0, 0) is rejected."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    x, y = a.bits, b.bits
-    while y:
-        x, y = y, _mod_int(x, y)
-    return Gf2Poly(x)
+    while b.bits:
+        a, b = b, a % b
+    return a
 
 
 def lcm(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:

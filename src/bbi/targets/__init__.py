@@ -64,7 +64,7 @@ def _build_identity(cfg: dict) -> TargetInstance:
 
 
 def _build_spn(cfg: dict) -> TargetInstance:
-    cipher = ToySpn(rounds=_as_int(cfg.get("rounds", 4)))
+    cipher = ToySpn(rounds=_as_int(cfg["rounds"]))
     plaintext = _as_int(cfg["plaintext"])
     return TargetInstance("spn", cfg, cipher, lambda: cipher.kpa_map(plaintext))
 
@@ -78,7 +78,7 @@ def _build_stream(cfg: dict) -> TargetInstance:
                         iv=_as_int(cfg["iv"]),
                         filter_taps=[_as_int(t) for t in taps],
                         filter_table=_as_int(cfg["filter_table"]),
-                        warmup=_as_int(cfg.get("warmup", 0)))
+                        warmup=_as_int(cfg["warmup"]))
     count = _as_int(cfg["count"])
     return TargetInstance("stream", cfg, lfsr, lambda: lfsr.kpa_map(count))
 

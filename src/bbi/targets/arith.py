@@ -8,6 +8,13 @@ from __future__ import annotations
 
 from ..gf2 import Gf2Poly, X, powmod
 
+MODULUS_LIMIT = 1 << 24
+
+
+def reduce_exponent(x: int, m: int) -> int:
+    """Fold x into [1, m - 1]: ((x - 1) mod (m - 1)) + 1."""
+    return (x - 1) % (m - 1) + 1
+
 
 def is_prime(n: int) -> bool:
     if n < 2:

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from ..engine import BlackBoxMap
 from ..gf2 import BitVec
-from .arith import is_prime, is_primitive_root
-
-MODULUS_LIMIT = 1 << 24
+from .arith import MODULUS_LIMIT, is_prime, is_primitive_root, reduce_exponent
 
 
 @dataclass(frozen=True)
@@ -25,20 +23,16 @@ class DlpParams:
     base: int
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError("p must be an odd prime")
         if self.p >= MODULUS_LIMIT:
             raise ValueError(f"p must stay below {MODULUS_LIMIT}")
+        if not is_prime(self.p) or self.p < 3:
+            raise ValueError("p must be an odd prime")
         if not is_primitive_root(self.base, self.p):
             raise ValueError("base must generate the multiplicative group")
 
     @property
     def width(self) -> int:
         return self.p.bit_length()
-
-
-def reduce_exponent(x: int, p: int) -> int:
-    return (x - 1) % (p - 1) + 1
 
 
 def dlp_map(params: DlpParams) -> BlackBoxMap:

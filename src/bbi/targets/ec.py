@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..engine import BlackBoxMap
 from ..gf2 import BitVec
-from .arith import is_prime
+from .arith import is_prime, reduce_exponent
 
 FIELD_LIMIT = 1 << 16
 
@@ -49,10 +49,10 @@ class CurveParams:
     base: ECPoint
 
     def __post_init__(self):
-        if not is_prime(self.q) or self.q < 5:
-            raise ValueError("q must be a prime greater than 4")
         if self.q >= FIELD_LIMIT:
             raise ValueError(f"q must stay below {FIELD_LIMIT}")
+        if not is_prime(self.q) or self.q < 5:
+            raise ValueError("q must be a prime greater than 4")
         if not (0 <= self.a < self.q and 0 <= self.b < self.q):
             raise ValueError("curve coefficients must be reduced mod q")
         if (4 * self.a ** 3 + 27 * self.b ** 2) % self.q == 0:
@@ -130,10 +130,6 @@ def encode_point(curve: CurveParams, point: ECPoint) -> BitVec:
     return BitVec(point.x | (point.y << c), 2 * c)
 
 
-def reduce_multiplier(x: int, n_p: int) -> int:
-    return (x - 1) % (n_p - 1) + 1
-
-
 def ecdlp_map(curve: CurveParams) -> BlackBoxMap:
     n_p = curve.subgroup_order
     if n_p < 3:
@@ -142,7 +138,7 @@ def ecdlp_map(curve: CurveParams) -> BlackBoxMap:
     l = 2 * curve.coord_width
 
     def fn(v: BitVec) -> BitVec:
-        k = reduce_multiplier(v.value, n_p)
+        k = reduce_exponent(v.value, n_p)
         return encode_point(curve, ec_scalar_mul(curve, k, curve.base))
 
     return BlackBoxMap(fn, r, out_width=l, label=f"ecdlp(q={curve.q})")

@@ -15,9 +15,7 @@ from math import gcd
 
 from ..engine import BlackBoxMap
 from ..gf2 import BitVec
-from .arith import is_prime
-
-MODULUS_LIMIT = 1 << 24
+from .arith import MODULUS_LIMIT, is_prime
 
 
 @dataclass(frozen=True)
@@ -27,12 +25,12 @@ class RsaParams:
     e: int
 
     def __post_init__(self):
+        if max(self.p, self.q, self.p * self.q) >= MODULUS_LIMIT:
+            raise ValueError(f"modulus must stay below {MODULUS_LIMIT}")
         if not (is_prime(self.p) and is_prime(self.q)):
             raise ValueError("p and q must be prime")
         if self.p == self.q:
             raise ValueError("p and q must differ")
-        if self.p * self.q >= MODULUS_LIMIT:
-            raise ValueError(f"modulus must stay below {MODULUS_LIMIT}")
         if self.e < 2 or gcd(self.e, self.phi) != 1:
             raise ValueError("e must be >= 2 and coprime to phi(n)")
 

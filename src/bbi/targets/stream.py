@@ -23,6 +23,8 @@ from ..engine import BlackBoxMap
 from ..gf2 import BitVec, Gf2Poly
 from .arith import is_primitive_poly
 
+DEGREE_LIMIT = 32  # 2^d - 1 is factored by trial division
+
 
 class FilteredLfsr:
     def __init__(self, feedback: Gf2Poly, key_width: int, iv: int,
@@ -30,6 +32,8 @@ class FilteredLfsr:
         d = feedback.degree
         if d < 2:
             raise ValueError("feedback degree must be >= 2")
+        if d > DEGREE_LIMIT:
+            raise ValueError(f"feedback degree must stay at most {DEGREE_LIMIT}")
         if not is_primitive_poly(feedback):
             raise ValueError("feedback polynomial is not primitive")
         if not 1 <= key_width < d:
@@ -44,7 +48,7 @@ class FilteredLfsr:
         taps = tuple(filter_taps)
         if not taps or any(not 0 <= t < d for t in taps) or len(set(taps)) != len(taps):
             raise ValueError("filter taps must be distinct state positions")
-        if not 0 <= filter_table < (1 << (1 << len(taps))):
+        if filter_table < 0 or filter_table.bit_length() > 1 << len(taps):
             raise ValueError("filter table does not match the tap count")
         if warmup < 0:
             raise ValueError("warmup must be >= 0")

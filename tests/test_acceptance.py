@@ -23,10 +23,11 @@ from bbi.engine import (UNIQUE, BlackBoxMap, EvalBudgetExceeded,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, order
 from bbi.oracle import brute_force_invert, orbit_profile
-from bbi.targets.arith import is_prime, is_primitive_root, prime_factors
-from bbi.targets.dlp import DlpParams, dlp_map, reduce_exponent
+from bbi.targets.arith import (is_prime, is_primitive_root, prime_factors,
+                               reduce_exponent)
+from bbi.targets.dlp import DlpParams, dlp_map
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, ecdlp_map,
-                            encode_point, reduce_multiplier)
+                            encode_point)
 from bbi.targets.rsa import RsaParams, cca_map, enc_map
 
 from helpers import count_points, full_period_minpoly
@@ -341,7 +342,7 @@ def test_c7_ecdlp_toy_curves():
             cases += 1
             if report.solved:
                 solved += 1
-                mult = reduce_multiplier(report.x.value, n_p)
+                mult = reduce_exponent(report.x.value, n_p)
                 assert mult == k
                 assert ec_scalar_mul(curve, mult, curve.base) == Q
                 continue

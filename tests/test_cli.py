@@ -17,7 +17,8 @@ import pytest
 from bbi import cli
 from bbi.engine import INSUFFICIENT_DATA, InversionReport
 from bbi.gf2 import BitVec
-from bbi.targets import CONFIG_DIR, TargetInstance, list_targets, load_target
+from bbi.targets import (CONFIG_DIR, TargetInstance, build_target,
+                          list_targets, load_target)
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, encode_point)
 
 
@@ -353,6 +354,44 @@ def test_spn_config_rejects_plaintext_outside_16_bits(tmp_path):
         cfg.write_text(json.dumps(doc))
         res = run_cli("invert", "--target", str(cfg), "--y", "0x1")
         _one_line_error(res, "plaintext must fit 16 bits")
+
+
+@pytest.mark.parametrize("name, key", [("spn-kpa", "rounds"), ("stream", "warmup")])
+def test_config_requires_rounds_and_warmup(name, key, tmp_path):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    del doc[key]
+    cfg = tmp_path / "missing-key.json"
+    cfg.write_text(json.dumps(doc))
+    rc, out, err, _ = run_main("invert", "--target", str(cfg), "--y", "0x1")
+    assert (rc, out, err) == (
+        1, "", f"error: family {doc['family']!r} config lacks key {key!r}\n")
+
+
+FUZZ_POOL = [-1, 0, 1, 1 << 24, (1 << 61) - 1, "0x10", "zz", "", True, None,
+             1.5, [], {}]
+FUZZ_EXTRA = {"feedback": ["0x80000000000000000000000000000003"],  # X^127+X+1
+              "filter_taps": [[1.5], [99], [1, 1]]}
+
+
+@pytest.mark.parametrize("name", list_targets())
+def test_config_fuzz_one_key_at_a_time(name, tmp_path):
+    """Every shipped config with one key replaced by each pool value either
+    builds a map or raises ValueError, and `bbi invert` turns a rejection
+    into exit 1 with one stderr line.  Accepted configs stay out of the
+    CLI: a valid but huge width or round count would start a long
+    inversion."""
+    base = load_target(name).config
+    cfg = tmp_path / "fuzz.json"
+    for key in base:
+        for value in FUZZ_POOL + FUZZ_EXTRA.get(key, []):
+            doc = {**base, key: value}
+            try:
+                build_target(doc).fresh_map()
+            except ValueError:
+                cfg.write_text(json.dumps(doc))
+                rc, out, err, _ = run_main("invert", "--target", str(cfg),
+                                           "--y", "0x1")
+                assert (rc, out, len(err.splitlines())) == (1, "", 1), (key, value)
 
 
 def test_python_dash_m_bbi_runs_the_cli():

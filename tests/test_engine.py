@@ -463,6 +463,18 @@ def test_minpoly_matches_lowbit_scan(seq):
     assert minimal_polynomial(seq) == _minimal_polynomial_lowbit(seq)
 
 
+@settings(max_examples=500)
+@given(windows())
+def test_bm_crosscheck_on_any_window(seq):
+    # solved by the scan or not, the per-bit lcm annihilates the window,
+    # and it is the scan's polynomial whenever the scan solves
+    mp = bm_crosscheck(seq)
+    assert annihilates(mp, seq)
+    res = minimal_polynomial(seq)
+    if res.status == UNIQUE:
+        assert mp == res.minpoly
+
+
 def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():
     # n = 16, a hidden cycle of N = 256 distinct values, M = 2N + 2
     rng = random.Random(256)

@@ -10,12 +10,11 @@ from bbi.gf2 import BitVec, Gf2Poly
 from bbi.oracle import brute_force_invert
 from bbi.targets import build_target, list_targets, load_target
 from bbi.targets.arith import (is_prime, is_primitive_poly, is_primitive_root,
-                               prime_factors)
+                               prime_factors, reduce_exponent)
 from bbi.targets.basic import identity_map
-from bbi.targets.dlp import DlpParams, dlp_map, reduce_exponent
+from bbi.targets.dlp import DlpParams, dlp_map
 from bbi.targets.ec import (INFINITY, CurveParams, ECPoint, ec_add,
-                            ec_scalar_mul, ecdlp_map, encode_point,
-                            reduce_multiplier)
+                            ec_scalar_mul, ecdlp_map, encode_point)
 from bbi.targets.rsa import RsaParams, cca_map, enc_map
 from bbi.targets.spn import ToySpn
 from bbi.targets.stream import FilteredLfsr
@@ -215,6 +214,23 @@ def test_stream_validation():
         plain_lfsr().kpa_map(2)        # fewer bits than the key has
 
 
+def test_stream_degree_limit_and_wide_filter():
+    # degree 32 is the largest accepted; 32 taps take a table without the
+    # 2^32-bit bound ever being built
+    lfsr = FilteredLfsr(feedback=Gf2Poly(0x100400007), key_width=16, iv=0,
+                        filter_taps=list(range(32)), filter_table=0x956A6A6A,
+                        warmup=0)
+    assert lfsr.degree == 32
+    with pytest.raises(ValueError, match="at most 32"):
+        FilteredLfsr(feedback=Gf2Poly((1 << 33) | (1 << 13) | 1), key_width=3,
+                     iv=0, filter_taps=[0], filter_table=0b10, warmup=0)
+    good = dict(feedback=Gf2Poly(0b100101), key_width=3, iv=0,
+                filter_taps=[0], filter_table=0b11, warmup=0)
+    FilteredLfsr(**good)  # 1 tap: tables 0 .. 3
+    with pytest.raises(ValueError, match="filter table"):
+        FilteredLfsr(**{**good, "filter_table": -1})
+
+
 # ----------------------------------------------------------------------- RSA
 
 def test_rsa_params():
@@ -404,11 +420,11 @@ def test_encode_point(f17):
 
 
 def test_reduce_multiplier():
-    assert reduce_multiplier(0, 19) == 18
-    assert reduce_multiplier(1, 19) == 1
-    assert reduce_multiplier(18, 19) == 18
-    assert reduce_multiplier(19, 19) == 1
-    assert reduce_multiplier(20, 19) == 2
+    assert reduce_exponent(0, 19) == 18
+    assert reduce_exponent(1, 19) == 1
+    assert reduce_exponent(18, 19) == 18
+    assert reduce_exponent(19, 19) == 1
+    assert reduce_exponent(20, 19) == 2
 
 
 def test_ecdlp_map(f17):
@@ -418,7 +434,7 @@ def test_ecdlp_map(f17):
         out = F(BitVec(v, 5))
         point = ECPoint(out.value & 31, out.value >> 5)
         assert f17.contains(point) and not point.is_infinity
-        k = reduce_multiplier(v, 19)
+        k = reduce_exponent(v, 19)
         assert point == ec_scalar_mul(f17, k, f17.base)
 
 
@@ -485,6 +501,20 @@ def test_build_target_errors():
         build_target({"family": "rsa", "p": 3, "q": 5})
     with pytest.raises(ValueError):
         build_target({"family": "identity", "width": True})
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("rsa-demo", "p", (1 << 61) - 1),
+    ("rsa-demo", "q", (1 << 61) - 1),
+    ("rsa-cca", "p", (1 << 61) - 1),
+    ("dlp-p11", "p", (1 << 61) - 1),
+    ("ecdlp-f17", "q", (1 << 61) - 1),
+    ("stream", "feedback", "0x80000000000000000000000000000003"),  # X^127+X+1
+])
+def test_oversized_configs_fail_before_trial_division(name, key, value):
+    # each value is prime or primitive, so only a size check rejects it fast
+    with pytest.raises(ValueError, match="must stay"):
+        build_target({**load_target(name).config, key: value})
 
 
 def test_config_numbers_parse_hex_strings():
