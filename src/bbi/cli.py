@@ -19,7 +19,7 @@ import os
 import random
 import sys
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import cycle, islice
 
 from .embedding import composed_map, invert_embedding, project
@@ -364,6 +364,7 @@ def _add_max_evals(p) -> None:
                    help="abort after this many map evaluations per phase")
 
 
+@cache  # parsing leaves the parser as it was, so every main() shares one
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bbi",
                      description="black-box local inversion toolkit")

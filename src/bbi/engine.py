@@ -11,10 +11,18 @@ the element before y on the orbit is
 and the window was long enough.  A candidate is only ever reported after
 that equation has been re-checked against a fresh evaluation of F.
 
-For the linear algebra the whole window is packed into one int, n bits
-per term, and bit-reversed once, so the column of the stacked Hankel
-system that starts at term j is a single shift+mask with row r at bit
-height-1-r.  One XOR basis over full-height columns serves every
+The minimal polynomial comes from projected Berlekamp-Massey, with the
+Hankel scan on fallback.  The window is projected onto a fixed schedule
+of vectors u (Wiedemann, IEEE Trans. IT 32(1), 1986); Berlekamp-Massey
+(Massey, IEEE Trans. IT 15(1), 1969) gives the minimal polynomial of
+each scalar sequence <u, y(t)>, and their lcm is returned once it has
+degree <= M/2 and annihilates the whole window.  Anything else goes to
+the scan, which also supplies the rank evidence.
+
+For the scan's linear algebra the whole window is packed into one int,
+n bits per term, and bit-reversed once, so the column of the stacked
+Hankel system that starts at term j is a single shift+mask with row r
+at bit height-1-r.  One XOR basis over full-height columns serves every
 candidate degree k at once: a pivot in the top n*k rows counts toward
 rank H(k), and reducing column k against the basis solves
 H(k) a = h(k+1).  A vector's pivot, its first nonzero row, is read off
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from .gf2 import BitVec, Gf2Poly, ONE, lcm, order
@@ -94,18 +102,55 @@ class RecurrenceSequence:
 
     def packed(self) -> int:
         """All terms in one int, n bits per term, term 0 lowest."""
-        n = self.width
-        v = 0
-        for t, term in enumerate(self.terms):
-            v |= term.value << (t * n)
-        return v
+        # Merged in pairs, log2(M) rounds of ints twice as wide each time:
+        # OR-ing every term into one growing int costs O(M^2 n) instead.
+        vals, n = [t.value for t in self.terms], self.width
+        while len(vals) > 1:
+            if len(vals) % 2:
+                vals.append(0)
+            vals = [a | (b << n) for a, b in zip(vals[::2], vals[1::2])]
+            n *= 2
+        return vals[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MinPolyResult:
+    """Least-degree annihilator of a window, its status, and the Hankel
+    scan's rank evidence: `rank_profile` lists (k, rank H(k)) for each
+    degree k the scan tried.
+
+    The third argument is that profile, or the window itself when the
+    projected route won without the scan.  The scan then runs on the
+    first read of `rank_profile`, which is cached like
+    InversionReport.period_estimate.  Equality, hash and repr see
+    (minpoly, status, rank_profile) alone.
+    """
+
     minpoly: Gf2Poly | None
     status: str
-    rank_profile: tuple[tuple[int, int], ...]
+    evidence: tuple[tuple[int, int], ...] | RecurrenceSequence
+
+    @cached_property
+    def rank_profile(self) -> tuple[tuple[int, int], ...]:
+        evidence = self.evidence
+        if isinstance(evidence, RecurrenceSequence):
+            return _hankel_scan(evidence, evidence.packed()).rank_profile
+        return evidence
+
+    def _key(self) -> tuple:
+        return self.minpoly, self.status, self.rank_profile
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"MinPolyResult(minpoly={self.minpoly!r}, status={self.status!r}, "
+                f"rank_profile={self.rank_profile!r})")
 
 
 @dataclass(frozen=True)
@@ -152,8 +197,85 @@ def generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
     return RecurrenceSequence(tuple(terms), y)
 
 
+# 2^64 over the golden ratio: dense, irregular bits for _projections.
+_PROJECTION_KEY = 0x9E3779B97F4A7C15
+
+
+@cache
+def _projections(n: int) -> tuple[int, ...]:
+    """The fixed projection schedule for width n: for i < min(8, n), u_i
+    has its lowest set bit at i and the bits of _PROJECTION_KEY, repeated
+    as far as needed, above it.
+
+    The vectors are in echelon form, so they are independent, hence
+    distinct and nonzero, and at n <= 8 they span GF(2)^n.  The u whose
+    <u, y(t)> lacks part of the minimal polynomial form a proper
+    subspace for each irreducible factor, so a spanning schedule always
+    reaches the whole polynomial: at widths up to 8 the projected route
+    wins on every window the scan solves.
+    """
+    key = _PROJECTION_KEY * ((1 << (64 * (n // 64 + 1))) - 1) // ((1 << 64) - 1)
+    mask = (1 << n) - 1
+    return tuple(((key << (i + 1)) | (1 << i)) & mask
+                 for i in range(min(8, n)))
+
+
+def _annihilates(packed: int, poly: int, n: int, M: int) -> bool:
+    """Does the polynomial with coefficient i at bit i of `poly` annihilate
+    every window of the packed data, M terms of n bits?"""
+    acc = 0
+    b = poly
+    while b:
+        i = (b & -b).bit_length() - 1
+        acc ^= packed >> (i * n)
+        b &= b - 1
+    return acc & ((1 << ((M - poly.bit_length() + 1) * n)) - 1) == 0
+
+
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     """Least-degree monic annihilator of the window, with rank evidence.
+
+    Projected Berlekamp-Massey first: for each u of the fixed schedule,
+    the minimal polynomial of the scalar sequence <u, y(t)>, unique
+    while 2L <= M, divides the window's, so the lcm of those found so
+    far grows toward it.  Once the lcm has degree <= M/2 and annihilates
+    every window of the data, it is the result the scan would give: two
+    recurrences of lengths L1 and L2 that agree on L1 + L2 <= M terms
+    agree forever (Massey 1969), so an annihilator of lower degree, or a
+    rank H(k) below k at the lcm's degree, would contradict the lcm's
+    minimality.  It comes back `unique`, and its rank profile is scanned
+    only when read.
+
+    The Hankel scan decides instead when the lcm passes M/2 (some
+    <u, y(t)> has 2L > M, or the factors add up past it), when the
+    schedule runs out, and on the all-zero window.
+    """
+    M = len(seq.terms)
+    if M < 2:
+        raise ValueError("need at least 2 terms")
+    n = seq.width
+    packed = seq.packed()
+    if packed:
+        values = [t.value for t in seq.terms]
+        found = ONE
+        for u in _projections(n):
+            # s_t = <u, y(t)> at bit M-1-t, the order _bm_scalar reads
+            s = int("".join(["1" if (v & u).bit_count() & 1 else "0"
+                             for v in values]), 2)
+            mp = _bm_scalar(s, M)
+            if found != ONE and 2 * mp.degree <= M:
+                mp = lcm(found, mp)
+            if 2 * mp.degree > M:
+                break
+            if mp != found and _annihilates(packed, mp.bits, n, M):
+                return MinPolyResult(mp, UNIQUE, seq)
+            found = mp
+    return _hankel_scan(seq, packed)
+
+
+def _hankel_scan(seq: RecurrenceSequence, packed: int) -> MinPolyResult:
+    """Least-degree monic annihilator of the window by the stacked Hankel
+    scan, with rank evidence; `packed` is seq.packed().
 
     Scans k = 1 .. floor(M/2).  Degree k wins when the k stacked window
     columns are independent on their top n*k rows (rank H(k) = k),
@@ -172,10 +294,7 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     is top - bit_length() with top = low + height.
     """
     M = len(seq.terms)
-    if M < 2:
-        raise ValueError("need at least 2 terms")
     n = seq.width
-    packed = seq.packed()
     if packed == 0:
         # Constant-zero orbit: every polynomial annihilates, so the scan
         # below never sees a full-rank system.  X+1 is the least-degree
@@ -220,13 +339,7 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
             # the first m_max windows.  Check the rest of the data too.
             # (A win implies rank_k == k, so testing the rank first only
             # skips checks that would fail.)
-            acc = 0
-            b = vec
-            while b:
-                i = (b & -b).bit_length() - 1
-                acc ^= packed >> (i * n)
-                b &= b - 1
-            if (acc & ((1 << ((M - k) * n)) - 1)) == 0:
+            if _annihilates(packed, vec, n, M):
                 return MinPolyResult(Gf2Poly(vec), UNIQUE, tuple(profile))
 
     status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT

@@ -130,12 +130,7 @@ class Gf2Poly:
     def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
         if other.bits == 0:
             raise ZeroDivisionError("division by zero polynomial")
-        r, d, q = self.bits, other.bits, 0
-        dn = d.bit_length()
-        while r.bit_length() >= dn:
-            shift = r.bit_length() - dn
-            q ^= 1 << shift
-            r ^= d << shift
+        q, r = _divmod_bits(self.bits, other.bits)
         return Gf2Poly(q), Gf2Poly(r)
 
     def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
@@ -154,6 +149,17 @@ class Gf2Poly:
         return " + ".join(parts)
 
 
+def _divmod_bits(r: int, d: int) -> tuple[int, int]:
+    """Quotient and remainder of coefficient masks, d nonzero."""
+    q = 0
+    dn = d.bit_length()
+    while r.bit_length() >= dn:
+        shift = r.bit_length() - dn
+        q ^= 1 << shift
+        r ^= d << shift
+    return q, r
+
+
 ZERO = Gf2Poly(0)
 ONE = Gf2Poly(1)
 X = Gf2Poly(2)
@@ -163,9 +169,11 @@ def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
     """Monic gcd; gcd(0, 0) is rejected."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while b.bits:
-        a, b = b, a % b
-    return a
+    # on the masks: a Gf2Poly per remainder would cost more than the step
+    a, b = a.bits, b.bits
+    while b:
+        a, b = b, _divmod_bits(a, b)[1]
+    return Gf2Poly(a)
 
 
 def lcm(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:

@@ -18,6 +18,9 @@ from ..engine import BlackBoxMap
 from ..gf2 import BitVec
 
 WIDTH = 16
+# One evaluation runs every round and --max-evals counts evaluations, so
+# the round count needs its own bound.
+ROUNDS_LIMIT = 256
 
 # Classic teaching constants: 4-bit S-box and the bit transposition that
 # sends bit 4*i+j to bit 4*j+i.
@@ -52,6 +55,8 @@ class ToySpn:
     def __init__(self, rounds: int = 4):
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if rounds > ROUNDS_LIMIT:
+            raise ValueError(f"rounds must stay at most {ROUNDS_LIMIT}")
         self.rounds = rounds
 
     def encrypt(self, key: int, plaintext: int) -> int:

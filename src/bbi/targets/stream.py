@@ -24,6 +24,10 @@ from ..gf2 import BitVec, Gf2Poly
 from .arith import is_primitive_poly
 
 DEGREE_LIMIT = 32  # 2^d - 1 is factored by trial division
+# One evaluation clocks the register warmup + count times, and --max-evals
+# counts evaluations, not clocks, so both need their own bound.
+WARMUP_LIMIT = 1 << 12
+COUNT_LIMIT = 1 << 10
 
 
 class FilteredLfsr:
@@ -52,6 +56,8 @@ class FilteredLfsr:
             raise ValueError("filter table does not match the tap count")
         if warmup < 0:
             raise ValueError("warmup must be >= 0")
+        if warmup > WARMUP_LIMIT:
+            raise ValueError(f"warmup must stay at most {WARMUP_LIMIT}")
         self.feedback = feedback
         self.degree = d
         self.key_width = key_width
@@ -89,6 +95,8 @@ class FilteredLfsr:
         """key -> keystream window; an embedding when count > key_width."""
         if count < self.key_width:
             raise ValueError("need at least key_width keystream bits")
+        if count > COUNT_LIMIT:
+            raise ValueError(f"count must stay at most {COUNT_LIMIT}")
         return BlackBoxMap(lambda k: BitVec(self.keystream(k.value, count), count),
                            self.key_width, count,
                            label=f"stream-kpa(iv={self.iv:#x},count={count})")

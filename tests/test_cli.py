@@ -394,6 +394,61 @@ def test_config_fuzz_one_key_at_a_time(name, tmp_path):
                 assert (rc, out, len(err.splitlines())) == (1, "", 1), (key, value)
 
 
+@pytest.mark.parametrize("name, key", [("spn-kpa", "rounds"), ("stream", "warmup"),
+                                       ("stream", "count")])
+def test_per_evaluation_work_is_bounded(name, key, tmp_path):
+    """One evaluation runs every round or clock, which --max-evals cannot
+    bound, so an oversized count is refused before the first evaluation."""
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    doc[key] = (1 << 61) - 1
+    cfg = tmp_path / "oversized.json"
+    cfg.write_text(json.dumps(doc))
+    rc, out, err, made = run_main("invert", "--target", str(cfg), "--y", "0x1",
+                                  "--max-evals", "2")
+    assert (rc, out, len(err.splitlines())) == (1, "", 1), err
+    assert f"{key} must stay at most" in err
+    assert sum(F.evals for F in made) == 0
+
+
+def test_back_to_back_main_calls_share_no_parse_state():
+    """main() reuses one parser; an option given to one call, or a failed
+    parse, must not reach the next call."""
+    assert cli._build_parser() is cli._build_parser()
+    base = ("invert", "--target", "identity16", "--y", "0x5")
+    rc, out, _, _ = run_main(*base, "--M", "8")
+    assert rc == 0 and json.loads(out)["terms_consumed"] == 8
+    for bad in (("--M", "zz"), ("--M", "8", "--bogus")):
+        rc, out, err, _ = run_main(*base, *bad)
+        assert (rc, out, len(err.splitlines())) == (1, "", 1), err
+    rc, out, _, _ = run_main(*base)
+    assert rc == 0 and json.loads(out)["terms_consumed"] == 64
+
+
+CLI_NUMBERS = {  # command -> (base argv, numeric options fuzzed)
+    "invert": (("invert", "--target", "spn-kpa", "--y", "0x3c84"),
+               ("--M", "--max-evals")),
+    "survey": (("survey", "--target", "dlp-p11", "--samples", "2"),
+               ("--M", "--max-evals", "--samples", "--lc-threshold", "--seed")),
+    "demo": (("demo", "rsa-cca"), ("--max-evals", "--seed")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_NUMBERS))
+def test_cli_number_fuzz_one_option_at_a_time(command):
+    """Each numeric option set to each value of the config fuzzer's pool,
+    spelled as on a command line, exits 0, 1 or 2 with at most one stderr
+    line.  A command with --M runs under --max-evals 50 unless that is
+    the option fuzzed, so a huge --M runs dry at once."""
+    base, options = CLI_NUMBERS[command]
+    for option in options:
+        for value in FUZZ_POOL:
+            argv = [*base, option, str(value)]
+            if "--M" in options and option != "--max-evals":
+                argv += ["--max-evals", "50"]
+            rc, _, err, _ = run_main(*argv)
+            assert rc in (0, 1, 2) and len(err.splitlines()) <= 1, (argv, err)
+
+
 def test_python_dash_m_bbi_runs_the_cli():
     res = run_cli("invert", "--target", "rsa-demo", "--y", "0x8", module="bbi")
     assert res.returncode == 0, res.stderr

@@ -506,3 +506,100 @@ def test_local_inversion_is_sound(case, data):
         assert table[report.x.value] == y
     else:
         assert report.x is None
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Route the engine's Hankel scan through a call counter."""
+    calls = []
+    scan = engine._hankel_scan
+
+    def counting(seq, packed):
+        calls.append(seq)
+        return scan(seq, packed)
+
+    monkeypatch.setattr(engine, "_hankel_scan", counting)
+    return calls
+
+
+def hidden_cycle_window(n: int, N: int, seed: int) -> RecurrenceSequence:
+    """M = 2N + 2 terms of a map with one hidden cycle of N distinct
+    values and every other point fixed."""
+    rng = random.Random(seed)
+    cycle = rng.sample(range(1 << n), N) if n <= 16 else list(
+        dict.fromkeys(rng.getrandbits(n) for _ in range(2 * N)))[:N]
+    succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    F = BlackBoxMap(lambda x: BitVec(succ.get(x.value, x.value), n), n)
+    return generate(F, BitVec(cycle[0], n), 2 * N + 2)
+
+
+@pytest.mark.parametrize("n, N", [(1, 2), (2, 3), (2, 4), (3, 5), (3, 8),
+                                  (16, 16), (16, 100), (16, 256),
+                                  (64, 64), (64, 129), (64, 256)])
+def test_projected_route_matches_lowbit_scan_on_hidden_cycles(scans, n, N):
+    s = hidden_cycle_window(n, N, seed=N)
+    res = minimal_polynomial(s)
+    assert scans == []  # won by projection, no scan
+    assert res.status == UNIQUE
+    assert res == _minimal_polynomial_lowbit(s)
+    cycle_sum = 0
+    for t in s.terms[:N]:
+        cycle_sum ^= t.value
+    if N & (N - 1) == 0 and cycle_sum:
+        # X^N - 1 = (X + 1)^N, and the sum over one period is not zero,
+        # so no proper divisor annihilates
+        assert res.minpoly == Gf2Poly((1 << N) | 1)
+    assert invert_from_minpoly(s, res.minpoly) == s.terms[N - 1]
+
+
+def test_projections_that_fall_short_leave_the_window_to_the_scan(scans):
+    # Width 9 has one nonzero w orthogonal to all eight projections.  The
+    # window (1,1,0,1,1,0,...) * e + w has minimal polynomial
+    # (X^2 + X + 1)(X + 1), but every projection sees X^2 + X + 1 at
+    # most, which does not annihilate the constant w: the schedule runs
+    # out and the scan decides.
+    us = engine._projections(9)
+    assert len(us) == 8
+    w = next(v for v in range(1, 512)
+             if all((u & v).bit_count() % 2 == 0 for u in us))
+    e = 1 if w != 1 else 2
+    s = seq_of([(e if t % 3 != 2 else 0) ^ w for t in range(12)], 9)
+    res = minimal_polynomial(s)
+    assert scans == [s]
+    assert res == _minimal_polynomial_lowbit(s)
+    assert res.status == UNIQUE and res.minpoly == Gf2Poly(0b1001)  # X^3 + 1
+    # all projections zero: the window is w alone
+    scans.clear()
+    s = seq_of([w] * 6, 9)
+    assert minimal_polynomial(s) == _minimal_polynomial_lowbit(s)
+    assert scans == [s]
+
+
+@pytest.mark.parametrize("s", [
+    seq_of([1, 1, 1, 2], 2),                 # rank-deficient
+    generate(lfsr5(), BitVec(1, 5), 3),      # saturated
+    generate(identity(3), BitVec(0, 3), 6),  # all zero
+], ids=["rank-deficient", "saturated", "zero"])
+def test_unsolved_and_zero_windows_go_to_the_scan(scans, s):
+    assert minimal_polynomial(s) == _minimal_polynomial_lowbit(s)
+    assert scans == [s]
+
+
+def test_rank_profile_is_scanned_once_on_first_read(scans):
+    s = hidden_cycle_window(16, 64, seed=3)
+    read, unread = minimal_polynomial(s), minimal_polynomial(s)
+    assert scans == []
+    expected = _minimal_polynomial_lowbit(s)
+    assert read.rank_profile == expected.rank_profile
+    assert scans == [s]
+    assert read.rank_profile == expected.rank_profile
+    assert len(scans) == 1
+    assert read == unread == expected
+    assert hash(read) == hash(unread) == hash(expected)
+    assert read != MinPolyResult(read.minpoly, read.status, read.rank_profile[:-1])
+    for result in (read, unread):
+        for clone in (copy.copy(result), copy.deepcopy(result),
+                      pickle.loads(pickle.dumps(result))):
+            assert clone == expected and hash(clone) == hash(expected)
+            assert clone.rank_profile == expected.rank_profile
+    assert repr(read) == repr(expected)
