@@ -186,18 +186,39 @@ def lcm(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
 
 
 def powmod(a: Gf2Poly, e: int, mod: Gf2Poly) -> Gf2Poly:
-    """a^e reduced by mod."""
+    """a^e reduced by mod, by square-and-multiply on the coefficient ints.
+
+    The exponent is read from its top bit down, so every multiply is by
+    the reduced base itself, and costs one step per bit of the base:
+    two for X, the base that primitivity checks raise.
+    """
     if e < 0:
         raise ValueError("negative exponent")
     if mod.degree < 1:
         raise ValueError("modulus must have degree >= 1")
-    acc = ONE % mod
-    base = a % mod
-    while e:
-        if e & 1:
-            acc = (acc * base) % mod
-        base = (base * base) % mod
-        e >>= 1
+    m = mod.bits
+    top = 1 << mod.degree
+    base = _divmod_bits(a.bits, m)[1]
+    acc = 1
+    for bit in format(e, "b"):
+        acc = _mulmod_bits(acc, acc, m, top)
+        if bit == "1":
+            acc = _mulmod_bits(acc, base, m, top)
+    return Gf2Poly(acc)
+
+
+def _mulmod_bits(a: int, b: int, m: int, top: int) -> int:
+    """a * b mod m for a, b already reduced; top is the leading bit of m.
+    Each bit of b adds the running a * X^i, kept reduced by one
+    conditional XOR per shift, so the cost is the bit length of b."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= m
     return acc
 
 

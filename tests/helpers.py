@@ -1,6 +1,8 @@
 """Code that only the tests need: BitVec and polynomial builders, a
 modular-integer type, small maps and checks over the engine's types, the
-closed-form full-period oracle, and inverse operations of the targets."""
+closed-form full-period oracle, inverse operations of the targets, and
+the clocked per-bit keystream that the stream cipher's tables must
+reproduce."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from bbi.gf2 import ONE, BitVec, Gf2Poly, gcd, lcm
 from bbi.oracle import orbit_profile
 from bbi.targets.ec import INFINITY, CurveParams, ECPoint
 from bbi.targets.spn import PBOX, SBOX, ToySpn
+from bbi.targets.stream import FilteredLfsr
 
 FULL_PERIOD_LIMIT = 1 << 16
 
@@ -183,6 +186,33 @@ def spn_decrypt(cipher: ToySpn, key: int, ciphertext: int) -> int:
             state |= inv_sbox[(perm >> (4 * nib)) & 0xF] << (4 * nib)
         state ^= rotl(BitVec(key, 16), r).value
     return state
+
+
+def clock(lfsr: FilteredLfsr, state: int) -> int:
+    """One register step: shift down, feed the recurrence bit in at the top."""
+    fb_mask = lfsr.feedback.bits & ((1 << lfsr.degree) - 1)
+    new = (state & fb_mask).bit_count() & 1
+    return (state >> 1) | (new << (lfsr.degree - 1))
+
+
+def output_bit(lfsr: FilteredLfsr, state: int) -> int:
+    """The filter read straight off the truth table, one tap at a time."""
+    idx = 0
+    for j, t in enumerate(lfsr.filter_taps):
+        idx |= ((state >> t) & 1) << j
+    return (lfsr.filter_table >> idx) & 1
+
+
+def reference_keystream(lfsr: FilteredLfsr, key: int, count: int) -> int:
+    """First `count` keystream bits, clocking the register bit by bit."""
+    state = key | (lfsr.iv << lfsr.key_width)
+    for _ in range(lfsr.warmup):
+        state = clock(lfsr, state)
+    out = 0
+    for i in range(count):
+        out |= output_bit(lfsr, state) << i
+        state = clock(lfsr, state)
+    return out
 
 
 def ec_neg(curve: CurveParams, point: ECPoint) -> ECPoint:

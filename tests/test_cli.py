@@ -20,6 +20,7 @@ from bbi.gf2 import BitVec
 from bbi.targets import (CONFIG_DIR, TargetInstance, build_target,
                           list_targets, load_target)
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, encode_point)
+from bbi.targets.stream import FilteredLfsr
 
 
 def run_cli(*args, seed_env=None, module="bbi.cli"):
@@ -237,6 +238,30 @@ def test_stream_demo_inverts_only_the_periodic_window(monkeypatch):
     assert [i for i, _ in windows] == [1, 2, 2]
     assert [id(F) for _, F in windows] == [id(F) for F in made]
     assert windows[2][1].evals == 598
+
+
+def test_stream_maps_share_one_table_build(monkeypatch):
+    """The demo's keystream, its window maps and its re-synthesis check
+    all evaluate through one table build, and so do the five window maps
+    of one loaded target."""
+    builds = []
+    build = FilteredLfsr._build_evaluator
+
+    def spy(lfsr, count):
+        builds.append(count)
+        return build(lfsr, count)
+
+    monkeypatch.setattr(FilteredLfsr, "_build_evaluator", spy)
+    rc, _, _, made = run_main("demo", "stream")
+    assert rc == 0 and len(made) == 3 and builds == [20]
+
+    target = load_target("stream")
+    F = target.fresh_map()
+    windows = [cli.composed_map(target.fresh_map(), i)
+               for i in range(1, F.out_width - F.in_width + 2)]
+    for G in windows:
+        G(BitVec(0x36, 16))
+    assert len(windows) == 5 and builds == [20, 20]
 
 
 def test_demo_rsa_cca_rejects_bad_seed_before_the_attack():

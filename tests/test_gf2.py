@@ -5,6 +5,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bbi.engine import local_inversion
 from bbi.gf2 import ONE, X, ZERO, BitVec, Gf2Poly, gcd, lcm, order, powmod
@@ -201,6 +202,17 @@ def test_powmod():
         powmod(X, -1, mod)
     with pytest.raises(ValueError):
         powmod(X, 3, ONE)
+
+
+@given(st.integers(0, 1 << 80), st.integers(0, 200),
+       st.integers(1, 40).flatmap(lambda d: st.integers(1 << d, (2 << d) - 1)))
+def test_powmod_matches_repeated_multiplication(a, e, mod):
+    # moduli of degree 1 .. 40, bases wider than the modulus
+    a, mod = Gf2Poly(a), Gf2Poly(mod)
+    acc = ONE % mod
+    for _ in range(e):
+        acc = (acc * a) % mod
+    assert powmod(a, e, mod) == acc
 
 
 def test_mulmod():

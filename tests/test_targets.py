@@ -4,9 +4,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bbi.embedding import invert_embedding
-from bbi.gf2 import BitVec, Gf2Poly
+from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import brute_force_invert
 from bbi.targets import build_target, list_targets, load_target
 from bbi.targets.arith import (is_prime, is_primitive_poly, is_primitive_root,
@@ -17,9 +18,10 @@ from bbi.targets.ec import (INFINITY, CurveParams, ECPoint, ec_add,
                             ec_scalar_mul, ecdlp_map, encode_point)
 from bbi.targets.rsa import RsaParams, cca_map, enc_map
 from bbi.targets.spn import ToySpn
-from bbi.targets.stream import FilteredLfsr
+from bbi.targets.stream import COUNT_LIMIT, WARMUP_LIMIT, FilteredLfsr
 
-from helpers import IntMod, count_points, ec_neg, not_map, spn_decrypt
+from helpers import (IntMod, clock, count_points, ec_neg, not_map,
+                     output_bit, reference_keystream, spn_decrypt)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -55,6 +57,16 @@ def test_is_primitive_poly():
     assert not is_primitive_poly(Gf2Poly(0b11111))
     assert not is_primitive_poly(Gf2Poly(0b101))     # (X+1)^2
     assert not is_primitive_poly(Gf2Poly(0b10))      # zero constant term
+
+
+def test_is_primitive_poly_agrees_with_order_up_to_degree_10():
+    # order() finds the order of X by baby-step giant-step, a route that
+    # shares nothing with the powmod checks over the factors of 2^d - 1
+    for d in range(2, 11):
+        n = (1 << d) - 1
+        for low in range(1, 1 << d, 2):
+            p = Gf2Poly((1 << d) | low)
+            assert is_primitive_poly(p) == (order(p, n) == n), p
 
 
 # ----------------------------------------------------------------- basic maps
@@ -157,9 +169,9 @@ def test_stream_filter_and_clock():
         state = rng.randrange(1 << 24)
         bits = [(state >> t) & 1 for t in (2, 5, 9, 14, 20)]
         expect = bits[0] ^ (bits[1] & bits[2]) ^ (bits[3] & bits[4])
-        assert lfsr.output_bit(state) == expect
+        assert output_bit(lfsr, state) == expect
         # clock shifts down and feeds the recurrence bit in at the top
-        nxt = lfsr.clock(state)
+        nxt = clock(lfsr, state)
         assert nxt & ((1 << 23) - 1) == state >> 1
 
 
@@ -168,7 +180,7 @@ def test_stream_state_cycle_is_full():
     lfsr = plain_lfsr()
     state, seen = 1, 0
     while True:
-        state = lfsr.clock(state)
+        state = clock(lfsr, state)
         seen += 1
         if state == 1:
             break
@@ -229,6 +241,85 @@ def test_stream_degree_limit_and_wide_filter():
     FilteredLfsr(**good)  # 1 tap: tables 0 .. 3
     with pytest.raises(ValueError, match="filter table"):
         FilteredLfsr(**{**good, "filter_table": -1})
+
+
+@pytest.mark.parametrize("extra_taps", [[], [23]], ids=["shipped", "high-tap"])
+def test_keystream_matches_clocked_reference_on_every_shipped_key(extra_taps):
+    # the shipped table spans all five taps; a sixth tap above them must
+    # force the output to 0 whenever it reads 1
+    config = load_target("stream").config
+    taps = config["filter_taps"] + extra_taps
+    lfsr = build_target({**config, "filter_taps": taps}).params
+    for key in range(1 << 16):
+        assert lfsr.keystream(key, 20) == reference_keystream(lfsr, key, 20), key
+
+
+@st.composite
+def primitive_feedbacks(draw) -> Gf2Poly:
+    """A named feedback, or the first primitive one of a random degree
+    2..32 at or after random low coefficients."""
+    named = draw(st.sampled_from([None, 0x1000087, 0x100400007]))
+    if named is not None:
+        return Gf2Poly(named)
+    d = draw(st.integers(2, 32))
+    low = draw(st.integers(0, (1 << (d - 1)) - 1))
+    for step in range(1 << (d - 1)):
+        p = Gf2Poly((1 << d) | ((low + step) % (1 << (d - 1))) << 1 | 1)
+        if is_primitive_poly(p):
+            return p
+    raise AssertionError(f"no primitive polynomial of degree {d}")
+
+
+@st.composite
+def stream_configs(draw):
+    feedback = draw(primitive_feedbacks())
+    d = feedback.degree
+    key_width = draw(st.integers(1, d - 1))
+    taps = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d,
+                         unique=True))
+    # tables over at most 2^10 entries: zero, dense over the first v taps,
+    # or a few set entries, which leave the taps above them as high taps
+    size = 1 << min(len(taps), 10)
+    table = draw(st.one_of(
+        st.just(0),
+        st.integers(0, len(taps)).flatmap(
+            lambda v: st.integers(0, (1 << min(1 << v, size)) - 1)),
+        st.lists(st.integers(0, size - 1), max_size=4).map(
+            lambda idx: sum(1 << i for i in set(idx)))))
+    lfsr = FilteredLfsr(feedback=feedback, key_width=key_width,
+                        iv=draw(st.integers(0, (1 << (d - key_width)) - 1)),
+                        filter_taps=taps, filter_table=table,
+                        warmup=draw(st.integers(0, 64)))
+    return lfsr, draw(st.integers(key_width, 64))
+
+
+@given(stream_configs(), st.data())
+def test_keystream_matches_clocked_reference_on_random_configs(config, data):
+    lfsr, count = config
+    F = lfsr.kpa_map(count)
+    top = (1 << lfsr.key_width) - 1
+    keys = [0, top] + data.draw(st.lists(st.integers(0, top), max_size=4))
+    for key in keys:
+        expect = reference_keystream(lfsr, key, count)
+        assert lfsr.keystream(key, count) == expect
+        assert F(BitVec(key, lfsr.key_width)) == BitVec(expect, count)
+
+
+@pytest.mark.parametrize("taps", [list(range(31, -1, -1)), [2, 5, 9, 14, 20]])
+def test_keystream_build_is_bounded_at_every_limit(taps):
+    """Degree 32 at the warmup and count limits.  With 32 taps the filter's
+    normal form spans the table's 5 variables, not 2^32 entries, and the
+    27 taps above them force the output to 0 unless all read 0; the
+    5-tap filter's keystream takes both values over the same walk."""
+    lfsr = FilteredLfsr(feedback=Gf2Poly(0x100400007), key_width=24,
+                        iv=0x9D, filter_taps=taps,
+                        filter_table=0x956A6A6A, warmup=WARMUP_LIMIT)
+    F = lfsr.kpa_map(COUNT_LIMIT)
+    rng = random.Random(11)
+    for _ in range(20):
+        key = rng.randrange(1 << 24)
+        expect = reference_keystream(lfsr, key, COUNT_LIMIT)
+        assert F(BitVec(key, 24)) == BitVec(expect, COUNT_LIMIT)
 
 
 # ----------------------------------------------------------------------- RSA
