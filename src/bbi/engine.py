@@ -11,22 +11,24 @@ the element before y on the orbit is
 and the window was long enough.  A candidate is only ever reported after
 that equation has been re-checked against a fresh evaluation of F.
 
-The minimal polynomial comes from projected Berlekamp-Massey, with the
-Hankel scan on fallback.  The window is projected onto a fixed schedule
-of vectors u (Wiedemann, IEEE Trans. IT 32(1), 1986); Berlekamp-Massey
+The minimal polynomial comes from projected Berlekamp-Massey alone.  The
+window is projected onto a fixed schedule of vectors u that spans
+GF(2)^n (Wiedemann, IEEE Trans. IT 32(1), 1986); Berlekamp-Massey
 (Massey, IEEE Trans. IT 15(1), 1969) gives the minimal polynomial of
-each scalar sequence <u, y(t)>, and their lcm is returned once it has
-degree <= M/2 and annihilates the whole window.  Anything else goes to
-the scan, which also supplies the rank evidence.
+each scalar sequence <u, y(t)>.  Their lcm is returned once it has
+degree <= M/2 and annihilates the whole window; a projection or an lcm
+of degree past M/2 proves that no annihilator of degree <= M/2 exists.
+One of the two always happens (see minimal_polynomial).
 
-For the scan's linear algebra the whole window is packed into one int,
-n bits per term, and bit-reversed once, so the column of the stacked
-Hankel system that starts at term j is a single shift+mask with row r
-at bit height-1-r.  One XOR basis over full-height columns serves every
-candidate degree k at once: a pivot in the top n*k rows counts toward
-rank H(k), and reducing column k against the basis solves
-H(k) a = h(k+1).  A vector's pivot, its first nonzero row, is read off
-its bit_length(), and the int shrinks as its leading rows clear.
+The Hankel scan supplies rank evidence only: rank H(k) for k = 1 ..
+M/2, at once on an undecided window and on first read of rank_profile
+on a solved one.  The whole window is packed into one int, n bits per
+term, and bit-reversed once, so the column of the stacked Hankel system
+that starts at term j is a single shift+mask with row r at bit
+height-1-r.  One XOR basis over full-height columns serves every k at
+once: a pivot in the top n*k rows counts toward rank H(k).  A vector's
+pivot, its first nonzero row, is read off its bit_length(), and the int
+shrinks as its leading rows clear.
 """
 
 from __future__ import annotations
@@ -116,12 +118,12 @@ class RecurrenceSequence:
 @dataclass(frozen=True, eq=False, repr=False)
 class MinPolyResult:
     """Least-degree annihilator of a window, its status, and the Hankel
-    scan's rank evidence: `rank_profile` lists (k, rank H(k)) for each
-    degree k the scan tried.
+    scan's rank evidence: `rank_profile` lists (k, rank H(k)) for k = 1
+    .. minpoly.degree on a solved window, k = 1 .. floor(M/2) otherwise.
 
-    The third argument is that profile, or the window itself when the
-    projected route won without the scan.  The scan then runs on the
-    first read of `rank_profile`, which is cached like
+    The third argument is that profile, or the window itself when
+    minimal_polynomial solved it.  The scan then runs on the first read
+    of `rank_profile`, which is cached like
     InversionReport.period_estimate.  Equality, hash and repr see
     (minpoly, status, rank_profile) alone.
     """
@@ -134,7 +136,10 @@ class MinPolyResult:
     def rank_profile(self) -> tuple[tuple[int, int], ...]:
         evidence = self.evidence
         if isinstance(evidence, RecurrenceSequence):
-            return _hankel_scan(evidence, evidence.packed()).rank_profile
+            # rank H(k) reads columns 0 .. k-1 only, so the profile of a
+            # win is a prefix of the full one
+            profile = _hankel_scan(evidence, evidence.packed())
+            return profile[:self.minpoly.degree]
         return evidence
 
     def _key(self) -> tuple:
@@ -203,21 +208,20 @@ _PROJECTION_KEY = 0x9E3779B97F4A7C15
 
 @cache
 def _projections(n: int) -> tuple[int, ...]:
-    """The fixed projection schedule for width n: for i < min(8, n), u_i
-    has its lowest set bit at i and the bits of _PROJECTION_KEY, repeated
-    as far as needed, above it.
+    """The fixed projection schedule for width n: for i < n, u_i has its
+    lowest set bit at i and the bits of _PROJECTION_KEY, repeated as far
+    as needed, above it.
 
-    The vectors are in echelon form, so they are independent, hence
-    distinct and nonzero, and at n <= 8 they span GF(2)^n.  The u whose
-    <u, y(t)> lacks part of the minimal polynomial form a proper
-    subspace for each irreducible factor, so a spanning schedule always
-    reaches the whole polynomial: at widths up to 8 the projected route
-    wins on every window the scan solves.
+    The vectors are in echelon form, so they are independent and span
+    GF(2)^n: every coordinate <v, y(t)> is a sum of projections, so an
+    lcm that annihilates each <u_i, y(t)> annihilates the window.  The
+    u whose <u, y(t)> lacks part of the minimal polynomial form a proper
+    subspace for each irreducible factor, so the dense vectors first
+    usually reach the whole polynomial within one or two projections.
     """
     key = _PROJECTION_KEY * ((1 << (64 * (n // 64 + 1))) - 1) // ((1 << 64) - 1)
     mask = (1 << n) - 1
-    return tuple(((key << (i + 1)) | (1 << i)) & mask
-                 for i in range(min(8, n)))
+    return tuple(((key << (i + 1)) | (1 << i)) & mask for i in range(n))
 
 
 def _annihilates(packed: int, poly: int, n: int, M: int) -> bool:
@@ -235,115 +239,94 @@ def _annihilates(packed: int, poly: int, n: int, M: int) -> bool:
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     """Least-degree monic annihilator of the window, with rank evidence.
 
-    Projected Berlekamp-Massey first: for each u of the fixed schedule,
-    the minimal polynomial of the scalar sequence <u, y(t)>, unique
-    while 2L <= M, divides the window's, so the lcm of those found so
-    far grows toward it.  Once the lcm has degree <= M/2 and annihilates
-    every window of the data, it is the result the scan would give: two
-    recurrences of lengths L1 and L2 that agree on L1 + L2 <= M terms
-    agree forever (Massey 1969), so an annihilator of lower degree, or a
-    rank H(k) below k at the lcm's degree, would contradict the lcm's
-    minimality.  It comes back `unique`, and its rank profile is scanned
-    only when read.
+    Projected Berlekamp-Massey decides every window.  For each u of the
+    fixed schedule, the minimal polynomial m_u of the scalar sequence
+    <u, y(t)> has degree L_u and is unique while 2 L_u <= M.  It divides
+    every annihilator P of the window of degree <= M/2: the recurrences
+    m_u and P agree on L_u + deg P <= M terms of <u, y(t)>, so they
+    agree forever (Massey 1969).  So the lcm of those found so far
+    divides P too, and
+    - a projection with 2 L_u > M, or an lcm of degree > M/2, proves
+      that no annihilator of degree <= M/2 exists;
+    - an lcm of degree k <= M/2 that annihilates every window of the
+      data is the least annihilator, and it comes back `unique`.  Its
+      rank H(k) is k: a nonzero column combination Q of degree < k that
+      vanished on the top n*k rows would satisfy each <u, y(t)> on
+      k + deg Q >= L_u + deg Q terms, so each m_u, and the lcm, would
+      divide Q.  So it is the one solution of the stacked Hankel system
+      H(k) a = h(k+1), and its rank profile is scanned only when read.
+    One of the two happens before the schedule runs out.  Each m_u
+    annihilates <u, y(t)> on the window, and so does any multiple of
+    degree <= M/2, so once the n vectors of the spanning schedule are
+    in, an lcm still at or below M/2 annihilates every coordinate.  The
+    loop reads the next vector only when the lcm failed that check.
 
-    The Hankel scan decides instead when the lcm passes M/2 (some
-    <u, y(t)> has 2L > M, or the factors add up past it), when the
-    schedule runs out, and on the all-zero window.
+    The all-zero window gets X+1: every polynomial annihilates it, and
+    X+1 is the least-degree one with an invertible constant term, which
+    inverts to x = y = 0.  An undecided window gets the scanned rank
+    profile and status `saturated` when rank H(floor(M/2)) is full,
+    `rank-deficient` otherwise.
     """
     M = len(seq.terms)
     if M < 2:
         raise ValueError("need at least 2 terms")
     n = seq.width
     packed = seq.packed()
-    if packed:
-        values = [t.value for t in seq.terms]
-        found = ONE
-        for u in _projections(n):
-            # s_t = <u, y(t)> at bit M-1-t, the order _bm_scalar reads
-            s = int("".join(["1" if (v & u).bit_count() & 1 else "0"
-                             for v in values]), 2)
-            mp = _bm_scalar(s, M)
-            if found != ONE and 2 * mp.degree <= M:
-                mp = lcm(found, mp)
-            if 2 * mp.degree > M:
-                break
-            if mp != found and _annihilates(packed, mp.bits, n, M):
-                return MinPolyResult(mp, UNIQUE, seq)
-            found = mp
-    return _hankel_scan(seq, packed)
+    if not packed:
+        return MinPolyResult(Gf2Poly(0b11), UNIQUE, seq)
+    values = [t.value for t in seq.terms]
+    found = ONE
+    for u in _projections(n):
+        # s_t = <u, y(t)> at bit M-1-t, the order _bm_scalar reads
+        s = int("".join(["1" if (v & u).bit_count() & 1 else "0"
+                         for v in values]), 2)
+        mp = _bm_scalar(s, M)
+        if found != ONE and 2 * mp.degree <= M:
+            mp = lcm(found, mp)
+        if 2 * mp.degree > M:
+            break
+        if mp != found and _annihilates(packed, mp.bits, n, M):
+            return MinPolyResult(mp, UNIQUE, seq)
+        found = mp
+    profile = _hankel_scan(seq, packed)
+    status = SATURATED if profile[-1] == (M // 2, M // 2) else RANK_DEFICIENT
+    return MinPolyResult(None, status, profile)
 
 
-def _hankel_scan(seq: RecurrenceSequence, packed: int) -> MinPolyResult:
-    """Least-degree monic annihilator of the window by the stacked Hankel
-    scan, with rank evidence; `packed` is seq.packed().
+def _hankel_scan(seq: RecurrenceSequence, packed: int) -> tuple[tuple[int, int], ...]:
+    """Rank profile (k, rank H(k)) of the window for k = 1 .. floor(M/2);
+    `packed` is seq.packed().
 
-    Scans k = 1 .. floor(M/2).  Degree k wins when the k stacked window
-    columns are independent on their top n*k rows (rank H(k) = k),
-    column k reduces to zero against them, which solves H(k) a = h(k+1),
-    and the resulting polynomial X^k + sum a_i X^i annihilates every
-    window of the data.  Status is `unique` on a win, `saturated` when
-    the rank is still full at k = floor(M/2) (the degree may exceed the
-    data), `rank-deficient` otherwise.
-
-    Columns are reduced over their full height: row r is the window at
-    offset r // n, which the annihilation check covers, so a combination
-    that solves the top n*k rows but leaves a lower row nonzero could not
-    win anyway.  A vector is one int: row r at bit low+height-1-r, and
-    below the rows a low = floor(M/2)+1 bit mask of the columns XORed
-    into it, so one XOR updates both.  Its pivot, the first nonzero row,
-    is top - bit_length() with top = low + height.
+    Column j of the stacked Hankel system H(k) holds terms j .. j+k-1.
+    Columns are reduced over their full height of floor(M/2) terms into
+    one echelon basis, so rank H(k) counts the basis vectors of columns
+    0 .. k-1 whose pivot lies in the top n*k rows.  A vector is one int,
+    row r at bit height-1-r, and its pivot, the first nonzero row, is
+    height - bit_length().
     """
     M = len(seq.terms)
     n = seq.width
-    if packed == 0:
-        # Constant-zero orbit: every polynomial annihilates, so the scan
-        # below never sees a full-rank system.  X+1 is the least-degree
-        # annihilator with an invertible constant term and inverts to
-        # x = y = 0.
-        return MinPolyResult(Gf2Poly(0b11), UNIQUE, ((1, 0),))
-
     m_max = M // 2
     height = n * m_max
-    low = m_max + 1
-    top = low + height
-    floor = 1 << low  # vectors below this have all their rows clear
-    colmask = ((1 << height) - 1) << low
-    # The window reversed (bit i of packed at bit M*n-1-i) and lifted
-    # above the mask, so column k is one shift and one mask.
-    rev = int(format(packed, f"0{M * n}b")[::-1], 2) << low
+    mask = (1 << height) - 1
+    # The window reversed (bit i of packed at bit M*n-1-i), so column k
+    # is one shift and one mask.
+    rev = int(format(packed, f"0{M * n}b")[::-1], 2)
     basis: dict[int, int] = {}  # pivot row -> stored vector
     pivots: list[int] = []
-    profile: list[tuple[int, int]] = []
-
-    for k in range(m_max + 1):
-        cut = n * k
-        rank_k = bisect_left(pivots, cut)
-        if k:
-            profile.append((k, rank_k))
-
-        vec = ((rev >> (M * n - cut - height)) & colmask) | (1 << k)
-        while vec >= floor:
-            p = top - vec.bit_length()
+    profile = []
+    for k in range(m_max):
+        vec = (rev >> (n * (M - k - m_max))) & mask
+        while vec:
+            p = height - vec.bit_length()
             hit = basis.get(p)
             if hit is None:
-                break
-            vec ^= hit
-
-        if vec >= floor:
-            if k < m_max:
                 basis[p] = vec
                 insort(pivots, p)
-        elif k and rank_k == k:
-            # Column k reduced to zero: the mask, bit k plus the columns
-            # 0 .. k-1 XORed in, is a degree-k polynomial annihilating
-            # the first m_max windows.  Check the rest of the data too.
-            # (A win implies rank_k == k, so testing the rank first only
-            # skips checks that would fail.)
-            if _annihilates(packed, vec, n, M):
-                return MinPolyResult(Gf2Poly(vec), UNIQUE, tuple(profile))
-
-    status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT
-    return MinPolyResult(None, status, tuple(profile))
+                break
+            vec ^= hit
+        profile.append((k + 1, bisect_left(pivots, n * (k + 1))))
+    return tuple(profile)
 
 
 def invert_from_minpoly(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
@@ -368,15 +351,15 @@ def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> Inversio
 
     Uses M-1 evaluations for the window plus one fresh evaluation to
     check F(x) == y.  Never returns an unverified candidate: every
-    failure mode (saturated or rank-deficient window, zero constant
-    term, verification mismatch) comes back as insufficient data.
+    failure mode (no annihilator of degree <= M/2, zero constant term,
+    verification mismatch) comes back as insufficient data.
     """
     if M is None:
         M = 4 * F.in_width
     before = F.evals
     seq = generate(F, y, M)
     res = minimal_polynomial(seq)
-    if res.status == UNIQUE and res.minpoly.constant_term == 1:
+    if res.minpoly is not None and res.minpoly.constant_term == 1:
         x = invert_from_minpoly(seq, res.minpoly)
         if F(x) == y:
             return InversionReport(SOLUTION, x, res.minpoly, M, F.evals - before)

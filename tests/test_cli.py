@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bbi import cli
+from bbi import cli, engine
 from bbi.engine import INSUFFICIENT_DATA, InversionReport
 from bbi.gf2 import BitVec
 from bbi.targets import (CONFIG_DIR, TargetInstance, build_target,
@@ -144,6 +144,37 @@ def demo_golden_lines() -> list[str]:
 
 def test_demos_match_golden_jsonl():
     assert "".join(demo_golden_lines()) == DEMO_GOLDEN.read_text()
+
+
+def test_only_unsolved_windows_are_scanned(monkeypatch):
+    """`bbi invert` on every golden case and every demo, in-process: the
+    Hankel scan runs once per window minimal_polynomial leaves without a
+    minpoly, inside that call, and never on a solved window."""
+    scans, calls = [], []
+    solve, scan = engine.minimal_polynomial, engine._hankel_scan
+
+    def counted_scan(seq, packed):
+        scans.append(seq)
+        return scan(seq, packed)
+
+    def counted_solve(seq):
+        before = len(scans)
+        res = solve(seq)
+        calls.append((res.minpoly is None, len(scans) - before))
+        return res
+
+    monkeypatch.setattr(engine, "_hankel_scan", counted_scan)
+    monkeypatch.setattr(engine, "minimal_polynomial", counted_solve)
+    for line in INVERT_GOLDEN.read_text().splitlines():
+        case = json.loads(line)
+        rc, out, _, _ = run_main("invert", "--target", case["target"],
+                                 "--y", case["y"])
+        assert (rc, out) == (case["exit"], case["stdout"])
+    for name in sorted(cli.DEMOS):
+        assert run_main("demo", name)[0] == 0
+    assert {unsolved for unsolved, _ in calls} == {False, True}
+    assert all(scanned == unsolved for unsolved, scanned in calls)
+    assert len(scans) == sum(unsolved for unsolved, _ in calls)
 
 
 BUDGET_RUNS = (
@@ -420,10 +451,11 @@ def test_config_fuzz_one_key_at_a_time(name, tmp_path):
 
 
 @pytest.mark.parametrize("name, key", [("spn-kpa", "rounds"), ("stream", "warmup"),
-                                       ("stream", "count")])
+                                       ("stream", "count"), ("identity16", "width")])
 def test_per_evaluation_work_is_bounded(name, key, tmp_path):
-    """One evaluation runs every round or clock, which --max-evals cannot
-    bound, so an oversized count is refused before the first evaluation."""
+    """One evaluation runs every round or clock, and the default window
+    holds 4*width terms of width bits; --max-evals bounds neither, so an
+    oversized count is refused before the first evaluation."""
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     doc[key] = (1 << 61) - 1
     cfg = tmp_path / "oversized.json"

@@ -443,23 +443,61 @@ def table_maps(draw):
     return width, table, rng.randrange(size)
 
 
+def hidden_vector(n: int, high: int) -> int:
+    """The vector of width n > 8 orthogonal to the first eight projections
+    whose bits 8 and up are those of `high`: u_i has its lowest set bit
+    at i, so bits 7 .. 0 are fixed in turn."""
+    v = (high << 8) & ((1 << n) - 1)
+    for i, u in reversed(list(enumerate(engine._projections(n)[:8]))):
+        v |= ((u & v).bit_count() & 1) << i
+    return v
+
+
 @st.composite
-def windows(draw):
+def windows(draw, wide=False):
     """A window of M = 2..40 terms: arbitrary values, or the orbit of a
-    table map from `table_maps`."""
+    table map from `table_maps`.
+
+    A wide window has width 9..64.  Its orbit is spread over that width
+    by a random linear map, and a periodic scalar sequence along a
+    vector hidden from the first eight projections is XORed in, so only
+    the later projections see that sequence's factors."""
     M = draw(st.integers(2, 40))
+    widths = st.integers(9, 64) if wide else st.integers(1, 8)
     if draw(st.booleans()):
-        width = draw(st.integers(1, 8))
-        values = draw(st.lists(st.integers(0, (1 << width) - 1),
+        n = draw(widths)
+        values = draw(st.lists(st.integers(0, (1 << n) - 1),
                                min_size=M, max_size=M))
-        return seq_of(values, width)
+        return seq_of(values, n)
     width, table, start = draw(table_maps())
-    return generate(table_map(table, width), BitVec(start, width), M)
+    orbit = generate(table_map(table, width), BitVec(start, width), M)
+    if not wide:
+        return orbit
+    n = draw(widths)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    columns = [rng.getrandbits(n) for _ in range(width)]
+    w = hidden_vector(n, rng.getrandbits(n))
+    pattern = draw(st.lists(st.booleans(), min_size=1, max_size=7))
+    values = []
+    for t, term in enumerate(orbit.terms):
+        v = w if pattern[t % len(pattern)] else 0
+        for i, c in enumerate(columns):
+            if term.value >> i & 1:
+                v ^= c
+        values.append(v)
+    return seq_of(values, n)
 
 
 @settings(max_examples=500)
 @given(windows())
 def test_minpoly_matches_lowbit_scan(seq):
+    assert minimal_polynomial(seq) == _minimal_polynomial_lowbit(seq)
+
+
+@settings(max_examples=300)
+@given(windows(wide=True))
+def test_minpoly_matches_lowbit_scan_at_widths_9_to_64(seq):
+    # equality compares minpoly, status and rank_profile
     assert minimal_polynomial(seq) == _minimal_polynomial_lowbit(seq)
 
 
@@ -552,27 +590,30 @@ def test_projected_route_matches_lowbit_scan_on_hidden_cycles(scans, n, N):
     assert invert_from_minpoly(s, res.minpoly) == s.terms[N - 1]
 
 
-def test_projections_that_fall_short_leave_the_window_to_the_scan(scans):
-    # Width 9 has one nonzero w orthogonal to all eight projections.  The
-    # window (1,1,0,1,1,0,...) * e + w has minimal polynomial
-    # (X^2 + X + 1)(X + 1), but every projection sees X^2 + X + 1 at
-    # most, which does not annihilate the constant w: the schedule runs
-    # out and the scan decides.
+def test_ninth_projection_wins_a_window_hidden_from_the_first_eight(scans):
+    # Width 9 has one nonzero w orthogonal to the first eight projections.
+    # The window (1,1,0,1,1,0,...) * e + w has minimal polynomial
+    # (X^2 + X + 1)(X + 1), but those eight see X^2 + X + 1 at most, which
+    # does not annihilate the constant w.  The ninth sees X + 1, and the
+    # lcm wins without the scan.
     us = engine._projections(9)
-    assert len(us) == 8
+    assert len(us) == 9
     w = next(v for v in range(1, 512)
-             if all((u & v).bit_count() % 2 == 0 for u in us))
+             if all((u & v).bit_count() % 2 == 0 for u in us[:8]))
+    assert w == hidden_vector(9, 1)
     e = 1 if w != 1 else 2
     s = seq_of([(e if t % 3 != 2 else 0) ^ w for t in range(12)], 9)
     res = minimal_polynomial(s)
-    assert scans == [s]
-    assert res == _minimal_polynomial_lowbit(s)
+    assert scans == []
     assert res.status == UNIQUE and res.minpoly == Gf2Poly(0b1001)  # X^3 + 1
-    # all projections zero: the window is w alone
+    assert res == _minimal_polynomial_lowbit(s)
+    # the first eight projections all zero: the window is w alone
     scans.clear()
     s = seq_of([w] * 6, 9)
-    assert minimal_polynomial(s) == _minimal_polynomial_lowbit(s)
-    assert scans == [s]
+    res = minimal_polynomial(s)
+    assert scans == []
+    assert res.status == UNIQUE and res.minpoly == Gf2Poly(0b11)  # X + 1
+    assert res == _minimal_polynomial_lowbit(s)
 
 
 @pytest.mark.parametrize("s", [
