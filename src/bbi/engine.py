@@ -21,8 +21,9 @@ of degree past M/2 proves that no annihilator of degree <= M/2 exists.
 One of the two always happens (see minimal_polynomial).
 
 The Hankel scan supplies rank evidence only: rank H(k) for k = 1 ..
-M/2, at once on an undecided window and on first read of rank_profile
-on a solved one.  The whole window is packed into one int, n bits per
+M/2.  minimal_polynomial never runs it; a MinPolyResult runs it once,
+on the first read of rank_profile, or of status on a window without a
+minimal polynomial.  The whole window is packed into one int, n bits per
 term, and bit-reversed once, so the column of the stacked Hankel system
 that starts at term j is a single shift+mask with row r at bit
 height-1-r.  One XOR basis over full-height columns serves every k at
@@ -34,7 +35,7 @@ shrinks as its leading rows clear.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable
 
@@ -84,10 +85,9 @@ class BlackBoxMap:
 
 @dataclass(frozen=True)
 class RecurrenceSequence:
-    """Window terms[t] = F^(t)(seed) of an iterated map, t = 0 .. M-1."""
+    """Window terms[t] = F^(t)(terms[0]) of an iterated map, t = 0 .. M-1."""
 
     terms: tuple[BitVec, ...]
-    seed: BitVec
 
     def __post_init__(self):
         if len(self.terms) < 1:
@@ -95,8 +95,6 @@ class RecurrenceSequence:
         w = self.terms[0].width
         if any(t.width != w for t in self.terms):
             raise ValueError("mixed widths in sequence")
-        if self.terms[0] != self.seed:
-            raise ValueError("terms[0] must equal the seed")
 
     @property
     def width(self) -> int:
@@ -115,47 +113,38 @@ class RecurrenceSequence:
         return vals[0]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class MinPolyResult:
-    """Least-degree annihilator of a window, its status, and the Hankel
-    scan's rank evidence: `rank_profile` lists (k, rank H(k)) for k = 1
-    .. minpoly.degree on a solved window, k = 1 .. floor(M/2) otherwise.
+    """Least-degree annihilator of a window, or None, and the Hankel
+    scan's rank evidence, measured when it is read.
 
-    The third argument is that profile, or the window itself when
-    minimal_polynomial solved it.  The scan then runs on the first read
-    of `rank_profile`, which is cached like
-    InversionReport.period_estimate.  Equality, hash and repr see
-    (minpoly, status, rank_profile) alone.
+    `status` is `unique` whenever minpoly is not None, with no scan.
+    `rank_profile` lists (k, rank H(k)) for k = 1 .. minpoly.degree on
+    a solved window, k = 1 .. floor(M/2) otherwise; on a window without
+    a minpoly, `status` is `saturated` when the last rank is full and
+    `rank-deficient` otherwise.  Both are cached like
+    InversionReport.period_estimate and share one scan, run on the first
+    read that needs it.  Equality is identity.
     """
 
     minpoly: Gf2Poly | None
-    status: str
-    evidence: tuple[tuple[int, int], ...] | RecurrenceSequence
+    window: RecurrenceSequence = field(repr=False)
+
+    @cached_property
+    def status(self) -> str:
+        if self.minpoly is not None:
+            return UNIQUE
+        k, rank = self.rank_profile[-1]
+        return SATURATED if rank == k else RANK_DEFICIENT
 
     @cached_property
     def rank_profile(self) -> tuple[tuple[int, int], ...]:
-        evidence = self.evidence
-        if isinstance(evidence, RecurrenceSequence):
-            # rank H(k) reads columns 0 .. k-1 only, so the profile of a
-            # win is a prefix of the full one
-            profile = _hankel_scan(evidence, evidence.packed())
-            return profile[:self.minpoly.degree]
-        return evidence
-
-    def _key(self) -> tuple:
-        return self.minpoly, self.status, self.rank_profile
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"MinPolyResult(minpoly={self.minpoly!r}, status={self.status!r}, "
-                f"rank_profile={self.rank_profile!r})")
+        profile = _hankel_scan(self.window)
+        if self.minpoly is None:
+            return profile
+        # rank H(k) reads columns 0 .. k-1 only, so the profile of a win
+        # is a prefix of the full one
+        return profile[:self.minpoly.degree]
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,7 @@ def generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
     terms = [y]
     for _ in range(M - 1):
         terms.append(F(terms[-1]))
-    return RecurrenceSequence(tuple(terms), y)
+    return RecurrenceSequence(tuple(terms))
 
 
 # 2^64 over the golden ratio: dense, irregular bits for _projections.
@@ -237,7 +226,9 @@ def _annihilates(packed: int, poly: int, n: int, M: int) -> bool:
 
 
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
-    """Least-degree monic annihilator of the window, with rank evidence.
+    """Least-degree monic annihilator of degree <= M/2 of the window, or
+    None when there is none.  This only decides: no Hankel scan runs
+    here, and the result measures status and rank_profile when read.
 
     Projected Berlekamp-Massey decides every window.  For each u of the
     fixed schedule, the minimal polynomial m_u of the scalar sequence
@@ -254,7 +245,7 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
       vanished on the top n*k rows would satisfy each <u, y(t)> on
       k + deg Q >= L_u + deg Q terms, so each m_u, and the lcm, would
       divide Q.  So it is the one solution of the stacked Hankel system
-      H(k) a = h(k+1), and its rank profile is scanned only when read.
+      H(k) a = h(k+1).
     One of the two happens before the schedule runs out.  Each m_u
     annihilates <u, y(t)> on the window, and so does any multiple of
     degree <= M/2, so once the n vectors of the spanning schedule are
@@ -263,9 +254,7 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
 
     The all-zero window gets X+1: every polynomial annihilates it, and
     X+1 is the least-degree one with an invertible constant term, which
-    inverts to x = y = 0.  An undecided window gets the scanned rank
-    profile and status `saturated` when rank H(floor(M/2)) is full,
-    `rank-deficient` otherwise.
+    inverts to x = y = 0.
     """
     M = len(seq.terms)
     if M < 2:
@@ -273,7 +262,7 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     n = seq.width
     packed = seq.packed()
     if not packed:
-        return MinPolyResult(Gf2Poly(0b11), UNIQUE, seq)
+        return MinPolyResult(Gf2Poly(0b11), seq)
     values = [t.value for t in seq.terms]
     found = ONE
     for u in _projections(n):
@@ -286,16 +275,13 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
         if 2 * mp.degree > M:
             break
         if mp != found and _annihilates(packed, mp.bits, n, M):
-            return MinPolyResult(mp, UNIQUE, seq)
+            return MinPolyResult(mp, seq)
         found = mp
-    profile = _hankel_scan(seq, packed)
-    status = SATURATED if profile[-1] == (M // 2, M // 2) else RANK_DEFICIENT
-    return MinPolyResult(None, status, profile)
+    return MinPolyResult(None, seq)
 
 
-def _hankel_scan(seq: RecurrenceSequence, packed: int) -> tuple[tuple[int, int], ...]:
-    """Rank profile (k, rank H(k)) of the window for k = 1 .. floor(M/2);
-    `packed` is seq.packed().
+def _hankel_scan(seq: RecurrenceSequence) -> tuple[tuple[int, int], ...]:
+    """Rank profile (k, rank H(k)) of the window for k = 1 .. floor(M/2).
 
     Column j of the stacked Hankel system H(k) holds terms j .. j+k-1.
     Columns are reduced over their full height of floor(M/2) terms into
@@ -309,9 +295,9 @@ def _hankel_scan(seq: RecurrenceSequence, packed: int) -> tuple[tuple[int, int],
     m_max = M // 2
     height = n * m_max
     mask = (1 << height) - 1
-    # The window reversed (bit i of packed at bit M*n-1-i), so column k
-    # is one shift and one mask.
-    rev = int(format(packed, f"0{M * n}b")[::-1], 2)
+    # The window reversed (bit i of seq.packed() at bit M*n-1-i), so
+    # column k is one shift and one mask.
+    rev = int(format(seq.packed(), f"0{M * n}b")[::-1], 2)
     basis: dict[int, int] = {}  # pivot row -> stored vector
     pivots: list[int] = []
     profile = []
@@ -330,7 +316,7 @@ def _hankel_scan(seq: RecurrenceSequence, packed: int) -> tuple[tuple[int, int],
 
 
 def invert_from_minpoly(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
-    """Candidate preimage of the seed from an annihilator with mp(0) = 1."""
+    """Candidate preimage of terms[0] from an annihilator with mp(0) = 1."""
     m = mp.degree
     if m < 1:
         raise ValueError("annihilator must have degree >= 1")

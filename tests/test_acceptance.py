@@ -21,7 +21,7 @@ from bbi.engine import (UNIQUE, BlackBoxMap, EvalBudgetExceeded,
                         RecurrenceSequence, bm_crosscheck, generate,
                         invert_from_minpoly, local_inversion,
                         minimal_polynomial)
-from bbi.gf2 import BitVec, order
+from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import brute_force_invert, orbit_profile
 from bbi.targets.arith import (is_prime, is_primitive_root, prime_factors,
                                reduce_exponent)
@@ -87,7 +87,7 @@ def periodic_suite():
         on_orbit = [v for v in preimages if v.value in cycle_values]
         assert on_orbit == [predecessor]                 # unique on the orbit
         assert x == predecessor                          # (c)
-        cases.append((seq, mp))
+        cases.append((seq, res))
     return {"cases": cases, "elapsed": time.perf_counter() - t0}
 
 
@@ -101,11 +101,20 @@ def test_c1_periodic_orbit_inversion(periodic_suite):
 
 
 def test_c2_hankel_bm_agreement(periodic_suite):
+    # bm_crosscheck shares _bm_scalar with the solver, so the rank is the
+    # independent check: rank H(d) = d means no nonzero polynomial of
+    # degree < d annihilates the window, so nothing below mp does
     cases = periodic_suite["cases"]
-    for seq, mp in cases:
+    for seq, res in cases:
+        mp = res.minpoly
         assert bm_crosscheck(seq) == mp
-    print(f"C2 PASS: per-bit Berlekamp-Massey lcm equals the Hankel minpoly "
-          f"on all {len(cases)} criterion-1 cases")
+        if seq.packed():
+            assert res.rank_profile[-1] == (mp.degree, mp.degree)
+        else:  # the all-zero window: X + 1 by convention, rank 0
+            assert mp == Gf2Poly(0b11) and res.rank_profile == ((1, 0),)
+    print(f"C2 PASS: per-bit Berlekamp-Massey lcm equals the projected "
+          f"minpoly, and the Hankel rank at its degree is full, on all "
+          f"{len(cases)} criterion-1 cases")
 
 
 # --------------------------------------------------------------- criterion 3
@@ -287,7 +296,7 @@ def test_c6_dlp_exhaustive_orbits():
             # the engine formula agrees with the raw sweep
             for j in rng.sample(range(N), min(5, N)):
                 terms = tuple(BitVec(cyc[(j + t) % N], w) for t in range(deg))
-                got = invert_from_minpoly(RecurrenceSequence(terms, terms[0]), mp)
+                got = invert_from_minpoly(RecurrenceSequence(terms), mp)
                 assert got.value == cyc[j - 1]
             # full pipeline on a representative of manageable cycles
             if N <= 200:

@@ -146,21 +146,21 @@ def test_demos_match_golden_jsonl():
     assert "".join(demo_golden_lines()) == DEMO_GOLDEN.read_text()
 
 
-def test_only_unsolved_windows_are_scanned(monkeypatch):
-    """`bbi invert` on every golden case and every demo, in-process: the
-    Hankel scan runs once per window minimal_polynomial leaves without a
-    minpoly, inside that call, and never on a solved window."""
-    scans, calls = [], []
+def test_invert_and_demos_run_no_scan(monkeypatch):
+    """`bbi invert` on every golden case and every demo, in-process:
+    minimal_polynomial decides every window, solved or not, and nothing
+    on those paths reads the rank evidence, so the Hankel scan never
+    runs."""
+    scans, unsolved = [], []
     solve, scan = engine.minimal_polynomial, engine._hankel_scan
 
-    def counted_scan(seq, packed):
+    def counted_scan(seq):
         scans.append(seq)
-        return scan(seq, packed)
+        return scan(seq)
 
     def counted_solve(seq):
-        before = len(scans)
         res = solve(seq)
-        calls.append((res.minpoly is None, len(scans) - before))
+        unsolved.append(res.minpoly is None)
         return res
 
     monkeypatch.setattr(engine, "_hankel_scan", counted_scan)
@@ -172,9 +172,8 @@ def test_only_unsolved_windows_are_scanned(monkeypatch):
         assert (rc, out) == (case["exit"], case["stdout"])
     for name in sorted(cli.DEMOS):
         assert run_main("demo", name)[0] == 0
-    assert {unsolved for unsolved, _ in calls} == {False, True}
-    assert all(scanned == unsolved for unsolved, scanned in calls)
-    assert len(scans) == sum(unsolved for unsolved, _ in calls)
+    assert set(unsolved) == {False, True}
+    assert scans == []
 
 
 BUDGET_RUNS = (

@@ -39,8 +39,7 @@ def lfsr5() -> BlackBoxMap:
 
 
 def seq_of(values, width) -> RecurrenceSequence:
-    terms = tuple(BitVec(v, width) for v in values)
-    return RecurrenceSequence(terms, terms[0])
+    return RecurrenceSequence(tuple(BitVec(v, width) for v in values))
 
 
 def annihilates(p: Gf2Poly, seq: RecurrenceSequence) -> bool:
@@ -80,13 +79,10 @@ def test_blackboxmap_eval_budget():
 
 
 def test_sequence_validation():
-    t = (BitVec(1, 3), BitVec(2, 3))
     with pytest.raises(ValueError):
-        RecurrenceSequence((), BitVec(0, 3))
+        RecurrenceSequence(())
     with pytest.raises(ValueError):
-        RecurrenceSequence((BitVec(1, 3), BitVec(1, 4)), BitVec(1, 3))
-    with pytest.raises(ValueError):
-        RecurrenceSequence(t, BitVec(2, 3))  # terms[0] != seed
+        RecurrenceSequence((BitVec(1, 3), BitVec(1, 4)))
 
 
 def test_packed_layout():
@@ -354,14 +350,22 @@ def test_bm_crosscheck_on_random_permutation_full_period():
     assert bm_crosscheck(s) == mp_oracle
 
 
-def _minimal_polynomial_lowbit(seq: RecurrenceSequence) -> MinPolyResult:
-    """Reference for `minimal_polynomial`: the same scan with row r of a
-    column at bit r, each pivot found as the lowest set bit."""
+def measured(res: MinPolyResult) -> tuple:
+    """(minpoly, status, rank_profile) of a result, the triple that
+    `_minimal_polynomial_lowbit` returns."""
+    return res.minpoly, res.status, res.rank_profile
+
+
+def _minimal_polynomial_lowbit(seq: RecurrenceSequence) -> tuple:
+    """Reference for `minimal_polynomial` and its rank evidence: a Hankel
+    scan that decides windows itself, with row r of a column at bit r
+    and each pivot found as the lowest set bit.  Returns (minpoly,
+    status, rank_profile)."""
     M = len(seq.terms)
     n = seq.width
     packed = seq.packed()
     if packed == 0:
-        return MinPolyResult(Gf2Poly(0b11), UNIQUE, ((1, 0),))
+        return Gf2Poly(0b11), UNIQUE, ((1, 0),)
 
     m_max = M // 2
     height = n * m_max
@@ -410,13 +414,13 @@ def _minimal_polynomial_lowbit(seq: RecurrenceSequence) -> MinPolyResult:
                 acc ^= packed >> (i * n)
                 b &= b - 1
             if (acc & ((1 << ((M - k) * n)) - 1)) == 0:
-                return MinPolyResult(Gf2Poly(mask), UNIQUE, tuple(profile))
+                return Gf2Poly(mask), UNIQUE, tuple(profile)
 
         if k < m_max:
             insert(vec, mask)
 
     status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT
-    return MinPolyResult(None, status, tuple(profile))
+    return None, status, tuple(profile)
 
 
 def table_map(table, width) -> BlackBoxMap:
@@ -491,21 +495,20 @@ def windows(draw, wide=False):
 @settings(max_examples=500)
 @given(windows())
 def test_minpoly_matches_lowbit_scan(seq):
-    assert minimal_polynomial(seq) == _minimal_polynomial_lowbit(seq)
+    assert measured(minimal_polynomial(seq)) == _minimal_polynomial_lowbit(seq)
 
 
 @settings(max_examples=300)
 @given(windows(wide=True))
 def test_minpoly_matches_lowbit_scan_at_widths_9_to_64(seq):
-    # equality compares minpoly, status and rank_profile
-    assert minimal_polynomial(seq) == _minimal_polynomial_lowbit(seq)
+    assert measured(minimal_polynomial(seq)) == _minimal_polynomial_lowbit(seq)
 
 
 @settings(max_examples=500)
 @given(windows())
 def test_bm_crosscheck_on_any_window(seq):
-    # solved by the scan or not, the per-bit lcm annihilates the window,
-    # and it is the scan's polynomial whenever the scan solves
+    # solved or not, the per-bit lcm annihilates the window, and it is
+    # minimal_polynomial's polynomial whenever that one solves
     mp = bm_crosscheck(seq)
     assert annihilates(mp, seq)
     res = minimal_polynomial(seq)
@@ -522,7 +525,7 @@ def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():
     s = generate(F, BitVec(cycle[0], 16), 514)
     res = minimal_polynomial(s)
     assert res.status == UNIQUE
-    assert res == _minimal_polynomial_lowbit(s)
+    assert measured(res) == _minimal_polynomial_lowbit(s)
     assert res.minpoly == bm_crosscheck(s)
     assert invert_from_minpoly(s, res.minpoly) == BitVec(cycle[-1], 16)
 
@@ -552,9 +555,9 @@ def scans(monkeypatch):
     calls = []
     scan = engine._hankel_scan
 
-    def counting(seq, packed):
+    def counting(seq):
         calls.append(seq)
-        return scan(seq, packed)
+        return scan(seq)
 
     monkeypatch.setattr(engine, "_hankel_scan", counting)
     return calls
@@ -579,7 +582,7 @@ def test_projected_route_matches_lowbit_scan_on_hidden_cycles(scans, n, N):
     res = minimal_polynomial(s)
     assert scans == []  # won by projection, no scan
     assert res.status == UNIQUE
-    assert res == _minimal_polynomial_lowbit(s)
+    assert measured(res) == _minimal_polynomial_lowbit(s)
     cycle_sum = 0
     for t in s.terms[:N]:
         cycle_sum ^= t.value
@@ -606,24 +609,40 @@ def test_ninth_projection_wins_a_window_hidden_from_the_first_eight(scans):
     res = minimal_polynomial(s)
     assert scans == []
     assert res.status == UNIQUE and res.minpoly == Gf2Poly(0b1001)  # X^3 + 1
-    assert res == _minimal_polynomial_lowbit(s)
+    assert measured(res) == _minimal_polynomial_lowbit(s)
     # the first eight projections all zero: the window is w alone
     scans.clear()
     s = seq_of([w] * 6, 9)
     res = minimal_polynomial(s)
     assert scans == []
     assert res.status == UNIQUE and res.minpoly == Gf2Poly(0b11)  # X + 1
-    assert res == _minimal_polynomial_lowbit(s)
+    assert measured(res) == _minimal_polynomial_lowbit(s)
 
 
-@pytest.mark.parametrize("s", [
-    seq_of([1, 1, 1, 2], 2),                 # rank-deficient
-    generate(lfsr5(), BitVec(1, 5), 3),      # saturated
-    generate(identity(3), BitVec(0, 3), 6),  # all zero
-], ids=["rank-deficient", "saturated", "zero"])
-def test_unsolved_and_zero_windows_go_to_the_scan(scans, s):
-    assert minimal_polynomial(s) == _minimal_polynomial_lowbit(s)
-    assert scans == [s]
+def test_status_read_scans_only_windows_without_a_minpoly(scans):
+    windows = [seq_of([1, 1, 1, 2], 2),                 # rank-deficient
+               generate(lfsr5(), BitVec(1, 5), 3),      # saturated
+               generate(identity(3), BitVec(0, 3), 6)]  # all zero
+    results = [minimal_polynomial(s) for s in windows]
+    assert scans == []
+    assert [res.status for res in results] == [RANK_DEFICIENT, SATURATED, UNIQUE]
+    assert scans == windows[:2]
+    for s, res in zip(windows, results):
+        assert measured(res) == _minimal_polynomial_lowbit(s)
+    assert scans == windows  # the zero window scans for its rank_profile
+
+
+def test_saturated_window_is_decided_without_a_scan(scans):
+    # a random permutation of GF(2)^16 whose cycle through 1 has 44,692
+    # points: no annihilator of degree <= M/2 fits M = 4096 of them.  The
+    # status would read saturated only after a scan of 2048 columns,
+    # about 0.3 s, so it is not read.
+    rng = random.Random(7)
+    table = list(range(1 << 16))
+    rng.shuffle(table)
+    s = generate(table_map(table, 16), BitVec(1, 16), 4096)
+    assert minimal_polynomial(s).minpoly is None
+    assert scans == []
 
 
 def test_rank_profile_is_scanned_once_on_first_read(scans):
@@ -631,16 +650,31 @@ def test_rank_profile_is_scanned_once_on_first_read(scans):
     read, unread = minimal_polynomial(s), minimal_polynomial(s)
     assert scans == []
     expected = _minimal_polynomial_lowbit(s)
-    assert read.rank_profile == expected.rank_profile
+    assert read.rank_profile == expected[2]
     assert scans == [s]
-    assert read.rank_profile == expected.rank_profile
+    assert measured(read) == expected
     assert len(scans) == 1
-    assert read == unread == expected
-    assert hash(read) == hash(unread) == hash(expected)
-    assert read != MinPolyResult(read.minpoly, read.status, read.rank_profile[:-1])
-    for result in (read, unread):
-        for clone in (copy.copy(result), copy.deepcopy(result),
-                      pickle.loads(pickle.dumps(result))):
-            assert clone == expected and hash(clone) == hash(expected)
-            assert clone.rank_profile == expected.rank_profile
-    assert repr(read) == repr(expected)
+    # status and rank_profile share one scan, read in either order
+    unsolved = generate(lfsr5(), BitVec(1, 5), 3)
+    for first, second in (("status", "rank_profile"),
+                          ("rank_profile", "status")):
+        for w in (s, unsolved):
+            res = minimal_polynomial(w)
+            scans.clear()
+            getattr(res, first), getattr(res, second)
+            assert scans == [w]
+            assert measured(res) == _minimal_polynomial_lowbit(w)
+            assert scans == [w]
+    # equality is identity, and the window stays out of the repr
+    assert read == read and read != unread
+    assert repr(read) == f"MinPolyResult(minpoly={read.minpoly!r})"
+    # copies keep both values, read or still to be measured
+    scans.clear()
+    for clone in (copy.copy(read), copy.deepcopy(read),
+                  pickle.loads(pickle.dumps(read))):
+        assert measured(clone) == expected
+    assert scans == []
+    for clone in (copy.copy(unread), copy.deepcopy(unread),
+                  pickle.loads(pickle.dumps(unread))):
+        assert measured(clone) == expected
+    assert len(scans) == 3
