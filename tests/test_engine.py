@@ -619,6 +619,19 @@ def test_ninth_projection_wins_a_window_hidden_from_the_first_eight(scans):
     assert measured(res) == _minimal_polynomial_lowbit(s)
 
 
+@pytest.mark.parametrize("s", [
+    seq_of([1, 1, 1, 2], 2),                 # rank-deficient
+    generate(lfsr5(), BitVec(1, 5), 3),      # saturated
+    generate(identity(3), BitVec(0, 3), 6),  # all zero
+], ids=["rank-deficient", "saturated", "zero"])
+def test_unsolved_and_zero_windows_go_to_the_scan(scans, s):
+    # the solve never scans; reading the evidence costs exactly one scan
+    res = minimal_polynomial(s)
+    assert scans == []
+    assert measured(res) == _minimal_polynomial_lowbit(s)
+    assert scans == [s]
+
+
 def test_status_read_scans_only_windows_without_a_minpoly(scans):
     windows = [seq_of([1, 1, 1, 2], 2),                 # rank-deficient
                generate(lfsr5(), BitVec(1, 5), 3),      # saturated
