@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import BlackBoxMap
+from .engine import BlackBoxMap, EvalBudgetExceeded
 from .gf2 import BitVec
 
 BRUTE_FORCE_WIDTH_LIMIT = 24
@@ -35,19 +35,38 @@ class OrbitProfile:
 
 
 def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
-    """All preimages of y by exhaustive scan of the input space."""
+    """All preimages of y by exhaustive scan of the input space.
+
+    The scan checks F's budget once, evaluates F.fn directly and adds its
+    evaluations to F.evals in one step, so it counts, checks widths and
+    raises exactly as calling F on each input in turn would: the inputs
+    the budget leaves are evaluated, then EvalBudgetExceeded names the cap.
+    """
     n = F.in_width
     if n > BRUTE_FORCE_WIDTH_LIMIT:
         raise ValueError(f"input width {n} exceeds the exhaustive "
                          f"scan limit {BRUTE_FORCE_WIDTH_LIMIT}")
-    if y.width != F.out_width:
+    out_width = F.out_width
+    if y.width != out_width:
         raise ValueError("y width does not match the map output")
-    target = y.value  # F checks the output width, so values suffice
+    fn, cap, size = F.fn, F.max_evals, 1 << n
+    limit = size if cap is None else max(0, min(size, cap - F.evals))
+    target = y.value  # widths are checked, so values suffice
     found = []
-    for v in range(1 << n):
-        x = BitVec(v, n)
-        if F(x).value == target:
-            found.append(x)
+    v = -1
+    try:
+        for v in range(limit):
+            x = BitVec(v, n)
+            out = fn(x)
+            if out.width != out_width:
+                raise ValueError(f"map produced width {out.width}, "
+                                 f"declared {out_width}")
+            if out.value == target:
+                found.append(x)
+    finally:
+        F.evals += v + 1  # input v reached fn, even if the call raised
+    if limit < size:
+        raise EvalBudgetExceeded(f"evaluation budget {cap} exhausted")
     return found
 
 

@@ -29,11 +29,6 @@ SBOX = (0xE, 0x4, 0xD, 0x1, 0x2, 0xF, 0xB, 0x8,
 PBOX = (0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15)
 
 
-def _rotl16(v: int, k: int) -> int:
-    k %= WIDTH
-    return ((v << k) | (v >> (WIDTH - k))) & 0xFFFF
-
-
 def _sub_perm_byte(byte: int, offset: int) -> int:
     nibs = (SBOX[byte & 0xF], SBOX[byte >> 4])
     out = 0
@@ -60,11 +55,14 @@ class ToySpn:
         self.rounds = rounds
 
     def encrypt(self, key: int, plaintext: int) -> int:
+        # The key rotated left by r is bits 16-r .. 31-r of the key written
+        # twice, so each round key is one shift and one mask.
+        k2 = key | (key << 16)
         state = plaintext & 0xFFFF
         for r in range(self.rounds):
-            state ^= _rotl16(key, r)
+            state ^= (k2 >> (16 - (r & 15))) & 0xFFFF
             state = _LO[state & 0xFF] | _HI[state >> 8]
-        return state ^ _rotl16(key, self.rounds)
+        return state ^ (k2 >> (16 - (self.rounds & 15))) & 0xFFFF
 
     def kpa_map(self, plaintext: int) -> BlackBoxMap:
         """key -> encrypt(key, plaintext), a 16 -> 16 bit black box."""

@@ -1,8 +1,9 @@
 """Code that only the tests need: BitVec and polynomial builders, a
 modular-integer type, small maps and checks over the engine's types, the
-closed-form full-period oracle, inverse operations of the targets, and
-the clocked per-bit keystream that the stream cipher's tables must
-reproduce."""
+closed-form full-period oracle, the per-call exhaustive scan and the
+rotate-per-round SPN that the fast oracle and cipher must reproduce,
+inverse operations of the targets, and the clocked per-bit keystream
+that the stream cipher's tables must reproduce."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from bbi.engine import BlackBoxMap, RecurrenceSequence
 from bbi.gf2 import ONE, BitVec, Gf2Poly, gcd, lcm
 from bbi.oracle import orbit_profile
 from bbi.targets.ec import INFINITY, CurveParams, ECPoint
-from bbi.targets.spn import PBOX, SBOX, ToySpn
+from bbi.targets.spn import _HI, _LO, PBOX, SBOX, ToySpn
 from bbi.targets.stream import FilteredLfsr
 
 FULL_PERIOD_LIMIT = 1 << 16
@@ -102,6 +103,13 @@ class IntMod:
         return self.value
 
 
+def per_call_brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
+    """All preimages of y, calling F once per input: the budget check,
+    evaluation count and width check all come from BlackBoxMap.__call__."""
+    return [x for x in (BitVec(v, F.in_width) for v in range(1 << F.in_width))
+            if F(x).value == y.value]
+
+
 def verify_sequence(seq: RecurrenceSequence, F: BlackBoxMap) -> bool:
     """Re-check terms[t+1] == F(terms[t]) with fresh evaluations."""
     return all(F(seq.terms[t]) == seq.terms[t + 1]
@@ -171,11 +179,26 @@ def full_period_minpoly(F: BlackBoxMap, y: BitVec) -> tuple[Gf2Poly, int]:
     return result, N
 
 
+def rotl16(v: int, k: int) -> int:
+    """v rotated left by k within 16 bits, by shifting both ways."""
+    k %= 16
+    return ((v << k) | (v >> (16 - k))) & 0xFFFF
+
+
+def reference_spn_encrypt(cipher: ToySpn, key: int, plaintext: int) -> int:
+    """cipher.encrypt with each round key rotated from the key afresh."""
+    state = plaintext & 0xFFFF
+    for r in range(cipher.rounds):
+        state ^= rotl16(key, r)
+        state = _LO[state & 0xFF] | _HI[state >> 8]
+    return state ^ rotl16(key, cipher.rounds)
+
+
 def spn_decrypt(cipher: ToySpn, key: int, ciphertext: int) -> int:
     """Inverse of cipher.encrypt under the same key."""
     inv_sbox = [SBOX.index(i) for i in range(16)]
     inv_pbox = [PBOX.index(i) for i in range(16)]
-    state = ciphertext ^ rotl(BitVec(key, 16), cipher.rounds).value
+    state = ciphertext ^ rotl16(key, cipher.rounds)
     for r in range(cipher.rounds - 1, -1, -1):
         perm = 0
         for i in range(16):
@@ -184,7 +207,7 @@ def spn_decrypt(cipher: ToySpn, key: int, ciphertext: int) -> int:
         state = 0
         for nib in range(4):
             state |= inv_sbox[(perm >> (4 * nib)) & 0xF] << (4 * nib)
-        state ^= rotl(BitVec(key, 16), r).value
+        state ^= rotl16(key, r)
     return state
 
 

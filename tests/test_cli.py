@@ -331,6 +331,23 @@ def test_invert_budget_exhaustion_exits_2():
     assert "insufficient data" in res.stderr
 
 
+# `bbi oracle invert` at the budget edge of a 16-bit scan, as the
+# per-call scan printed it: one short of the 2^16 inputs, and exactly them.
+ORACLE_EDGE = {
+    65535: (2, "", "insufficient data: evaluation budget 65535 exhausted\n"),
+    65536: (0, '{\n  "target": "spn-kpa(p0=0x5678)",\n  "y": "0x3c84",\n'
+               '  "preimages": [\n    "0x0073"\n  ]\n}\n', ""),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(ORACLE_EDGE))
+def test_oracle_invert_at_the_budget_edge(budget):
+    rc, out, err, made = run_main("oracle", "invert", "--target", "spn-kpa",
+                                  "--y", "0x3c84", "--max-evals", str(budget))
+    assert (rc, out, err) == ORACLE_EDGE[budget]
+    assert [F.evals for F in made] == [budget]
+
+
 def test_usage_errors_exit_1():
     assert run_cli().returncode == 1
     assert run_cli("no-such-command").returncode == 1

@@ -12,7 +12,8 @@ from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import brute_force_invert, orbit_profile
 from bbi.targets.spn import ToySpn
 
-from helpers import concat, full_period_minpoly, rotl
+from helpers import (concat, full_period_minpoly, per_call_brute_force_invert,
+                     rotl)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -269,6 +270,79 @@ def test_orbit_profile_budget_is_exact(case, store, data):
             prof = orbit_profile(G, y, store=store)
             assert G.evals == need
             assert prof.period == _rho_walk(table, start)[1]
+
+
+def _scan_outcome(scan, F, y):
+    """(preimages or the budget error's type and text, F.evals after)."""
+    try:
+        result = scan(F, y)
+    except EvalBudgetExceeded as err:
+        result = (type(err), str(err))
+    return result, F.evals
+
+
+@given(rho_tables(), st.data())
+def test_brute_force_budget_matches_per_call_scan(case, data):
+    width, table, _ = case
+    size = 1 << width
+    y = BitVec(data.draw(st.sampled_from(table)), width)
+    spent = data.draw(st.integers(0, 2 * size))
+    need = spent + size  # the smallest budget the whole scan fits in
+    for budget in (need - 1, need, need + 1, 0,
+                   data.draw(st.integers(0, 2 * need))):
+        outcomes = []
+        for scan in (brute_force_invert, per_call_brute_force_invert):
+            F = _table_map(table, width)
+            for v in range(spent):
+                F(BitVec(v % size, width))
+            F.max_evals = budget
+            outcomes.append(_scan_outcome(scan, F, y))
+        assert outcomes[0] == outcomes[1]
+        result, evals = outcomes[0]
+        if budget < need:
+            assert result == (EvalBudgetExceeded,
+                              f"evaluation budget {budget} exhausted")
+            assert evals == max(spent, budget)
+        else:
+            assert result == [BitVec(x, width) for x in range(size)
+                              if table[x] == y.value]
+            assert evals == need
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", ["raises", "wrong-width"])
+@given(width=st.integers(1, 8), data=st.data())
+def test_brute_force_counts_the_input_that_failed(fault, width, data):
+    """A map that raises, or returns the wrong width, at input k leaves
+    F.evals at before + k + 1, as calling F once per input does."""
+    k = data.draw(st.integers(0, (1 << width) - 1))
+    spent = data.draw(st.integers(0, 5))
+
+    def fn(x):
+        if x.value != k:
+            return x
+        if fault == "raises":
+            raise Boom(k)
+        return BitVec(0, width + 1)
+
+    error = Boom if fault == "raises" else ValueError
+    budget = data.draw(st.one_of(st.none(), st.integers(spent + k + 1, 1 << 10)))
+    messages = []
+    for scan in (brute_force_invert, per_call_brute_force_invert):
+        F = BlackBoxMap(fn, width)
+        for _ in range(spent):
+            F(BitVec(0 if k else 1, width))
+        F.max_evals = budget
+        with pytest.raises(error) as info:
+            scan(F, BitVec(0, width))
+        assert F.evals == spent + k + 1
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    if fault == "wrong-width":
+        assert messages[0] == f"map produced width {width + 1}, declared {width}"
 
 
 @given(rho_tables(), st.data())

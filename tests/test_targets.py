@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from bbi.embedding import invert_embedding
 from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import brute_force_invert
-from bbi.targets import build_target, list_targets, load_target
+from bbi.targets import arith, build_target, list_targets, load_target
 from bbi.targets.arith import (is_prime, is_primitive_poly, is_primitive_root,
                                prime_factors, reduce_exponent)
 from bbi.targets.basic import identity_map
@@ -17,11 +17,12 @@ from bbi.targets.dlp import DlpParams, dlp_map
 from bbi.targets.ec import (INFINITY, CurveParams, ECPoint, ec_add,
                             ec_scalar_mul, ecdlp_map, encode_point)
 from bbi.targets.rsa import RsaParams, cca_map, enc_map
-from bbi.targets.spn import ToySpn
+from bbi.targets.spn import ROUNDS_LIMIT, ToySpn
 from bbi.targets.stream import COUNT_LIMIT, WARMUP_LIMIT, FilteredLfsr
 
 from helpers import (IntMod, clock, count_points, ec_neg, not_map,
-                     output_bit, reference_keystream, spn_decrypt)
+                     output_bit, reference_keystream, reference_spn_encrypt,
+                     spn_decrypt)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -69,6 +70,24 @@ def test_is_primitive_poly_agrees_with_order_up_to_degree_10():
             assert is_primitive_poly(p) == (order(p, n) == n), p
 
 
+def test_stream_reload_runs_no_powmod(monkeypatch):
+    """Primitivity is remembered per polynomial, so reloading the stream
+    config skips the powmod checks of its feedback polynomial."""
+    calls, powmod = [], arith.powmod
+
+    def counted(*args):
+        calls.append(args)
+        return powmod(*args)
+
+    monkeypatch.setattr(arith, "powmod", counted)
+    is_primitive_poly.cache_clear()
+    load_target("stream")
+    assert calls  # the first load checks the polynomial
+    calls.clear()
+    load_target("stream")
+    assert calls == []
+
+
 # ----------------------------------------------------------------- basic maps
 
 def test_identity_and_not_maps():
@@ -98,6 +117,24 @@ def test_spn_round_trip():
         for _ in range(50):
             k, p = rng.randrange(1 << 16), rng.randrange(1 << 16)
             assert spn_decrypt(cipher, k, cipher.encrypt(k, p)) == p
+
+
+def test_spn_round_keys_match_rotate_per_round_reference():
+    shipped = load_target("spn-kpa")
+    cipher, p0 = shipped.params, int(shipped.config["plaintext"], 0)
+    assert cipher.rounds == 4
+    keys = range(1 << 16)
+    assert ([cipher.encrypt(k, p0) for k in keys]
+            == [reference_spn_encrypt(cipher, k, p0) for k in keys])
+    rng = random.Random(5)
+    keys = [rng.randrange(1 << 16) for _ in range(256)]
+    # encrypt takes any int key, so keys past 16 bits must agree too
+    wide = [-1, 1 << 16, 0x12345678, -0xBEEF]
+    for rounds in (0, 1, 15, 16, 17, ROUNDS_LIMIT):  # r & 15 wraps at 16
+        cipher = ToySpn(rounds)
+        for k in keys + wide:
+            p = rng.randrange(1 << 16)
+            assert cipher.encrypt(k, p) == reference_spn_encrypt(cipher, k, p), (rounds, k)
 
 
 def test_spn_zero_rounds_is_xor():
