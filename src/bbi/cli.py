@@ -174,7 +174,7 @@ def _key_note(x: int, key: int) -> str:
 def _orbit_windows(new_map, y: BitVec, name: str = "y", shown: int = 4):
     """Walk the orbit of y once, print its shape and first `shown` terms,
     and yield the inversion (map, y, M = 2N+2) when y is purely periodic."""
-    prof = orbit_profile(new_map(), y, store=True)
+    prof = orbit_profile(new_map(), y, store=shown > 0)
     print(f"  orbit of {name}: preperiod {prof.preperiod}, period {prof.period}")
     if prof.preperiod != 0:
         print(f"  {name} is not purely periodic; no inverse on its orbit")

@@ -22,7 +22,7 @@ def project(y: BitVec, n: int, i: int) -> BitVec:
     """Window i of y: bits i-1 .. i+n-2 (windows are 1-based)."""
     if not 1 <= i <= y.width - n + 1:
         raise ValueError(f"window {i} out of range for width {y.width}")
-    return y.extract(i - 1, n)
+    return BitVec((y.value >> (i - 1)) & ((1 << n) - 1), n)
 
 
 def composed_map(F: BlackBoxMap, i: int) -> BlackBoxMap:
@@ -30,7 +30,9 @@ def composed_map(F: BlackBoxMap, i: int) -> BlackBoxMap:
     n = F.in_width
     if not 1 <= i <= F.out_width - n + 1:
         raise ValueError(f"window {i} out of range")
-    return BlackBoxMap(lambda x, i=i: project(F(x), n, i), n,
+    # F checks its output width, so each evaluation only shifts and masks
+    shift, mask = i - 1, (1 << n) - 1
+    return BlackBoxMap(lambda x: BitVec((F(x).value >> shift) & mask, n), n,
                        label=f"{F.label}[window {i}]")
 
 

@@ -85,26 +85,23 @@ class BlackBoxMap:
 
 @dataclass(frozen=True)
 class RecurrenceSequence:
-    """Window terms[t] = F^(t)(terms[0]) of an iterated map, t = 0 .. M-1."""
+    """Window terms[t] = F^(t)(terms[0]) of an iterated map, t = 0 .. M-1,
+    each term the int value of a `width`-bit vector."""
 
-    terms: tuple[BitVec, ...]
+    terms: tuple[int, ...]
+    width: int
 
     def __post_init__(self):
         if len(self.terms) < 1:
             raise ValueError("empty sequence")
-        w = self.terms[0].width
-        if any(t.width != w for t in self.terms):
-            raise ValueError("mixed widths in sequence")
-
-    @property
-    def width(self) -> int:
-        return self.terms[0].width
+        if self.width < 1 or min(self.terms) < 0 or max(self.terms) >= 1 << self.width:
+            raise ValueError(f"terms do not fit width {self.width}")
 
     def packed(self) -> int:
         """All terms in one int, n bits per term, term 0 lowest."""
         # Merged in pairs, log2(M) rounds of ints twice as wide each time:
         # OR-ing every term into one growing int costs O(M^2 n) instead.
-        vals, n = [t.value for t in self.terms], self.width
+        vals, n = list(self.terms), self.width
         while len(vals) > 1:
             if len(vals) % 2:
                 vals.append(0)
@@ -185,10 +182,11 @@ def generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
         raise ValueError("window length M must be >= 2")
     if F.in_width != F.out_width:
         raise ValueError("feedback iteration needs matching in/out widths")
-    terms = [y]
+    x, terms = y, [y.value]
     for _ in range(M - 1):
-        terms.append(F(terms[-1]))
-    return RecurrenceSequence(tuple(terms))
+        x = F(x)
+        terms.append(x.value)
+    return RecurrenceSequence(tuple(terms), y.width)
 
 
 # 2^64 over the golden ratio: dense, irregular bits for _projections.
@@ -263,12 +261,11 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     packed = seq.packed()
     if not packed:
         return MinPolyResult(Gf2Poly(0b11), seq)
-    values = [t.value for t in seq.terms]
     found = ONE
     for u in _projections(n):
         # s_t = <u, y(t)> at bit M-1-t, the order _bm_scalar reads
         s = int("".join(["1" if (v & u).bit_count() & 1 else "0"
-                         for v in values]), 2)
+                         for v in seq.terms]), 2)
         mp = _bm_scalar(s, M)
         if found != ONE and 2 * mp.degree <= M:
             mp = lcm(found, mp)
@@ -325,10 +322,10 @@ def invert_from_minpoly(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
                          "a purely periodic orbit")
     if len(seq.terms) < m:
         raise ValueError("window shorter than the annihilator degree")
-    v = seq.terms[m - 1].value
+    v = seq.terms[m - 1]
     for i in range(1, m):
         if mp.coeff(i):
-            v ^= seq.terms[i - 1].value
+            v ^= seq.terms[i - 1]
     return BitVec(v, seq.width)
 
 
@@ -388,7 +385,7 @@ def bm_crosscheck(seq: RecurrenceSequence) -> Gf2Poly:
     M = len(seq.terms)
     # Character t*n + b is bit b of term t, so component b is bits[b::n]
     # and its int has s_t at bit M-1-t, the order _bm_scalar reads.
-    bits = "".join(format(t.value, f"0{n}b")[::-1] for t in seq.terms)
+    bits = "".join(format(t, f"0{n}b")[::-1] for t in seq.terms)
     result = ONE
     for b in range(n):
         comp = int(bits[b::n], 2)

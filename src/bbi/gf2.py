@@ -70,12 +70,6 @@ class BitVec:
     def bits(self) -> tuple[int, ...]:
         return tuple((self.value >> i) & 1 for i in range(self.width))
 
-    def extract(self, start: int, width: int) -> "BitVec":
-        """Contiguous sub-vector: bits start .. start+width-1."""
-        if start < 0 or width < 1 or start + width > self.width:
-            raise ValueError("extract window out of range")
-        return BitVec((self.value >> start) & ((1 << width) - 1), width)
-
     def hex(self) -> str:
         return f"0x{self.value:0{(self.width + 3) // 4}x}"
 

@@ -142,7 +142,10 @@ def load_target(name_or_path: str) -> TargetInstance:
                              f"shipped targets: {', '.join(list_targets())}")
         path = shipped
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except RecursionError:
+            raise ValueError("target config is nested too deeply") from None
     if not isinstance(config, dict):
         raise ValueError("a target config must be a JSON object")
     return build_target(config)

@@ -6,14 +6,11 @@ plenty for primality and factoring.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from ..gf2 import Gf2Poly, X, powmod
 
 MODULUS_LIMIT = 1 << 24
-# Feedback polynomials whose primitivity is remembered: every reload of a
-# stream config asks again, and each answer costs several powmods.
-PRIMITIVE_CACHE_SIZE = 64
 
 
 def reduce_exponent(x: int, m: int) -> int:
@@ -58,7 +55,7 @@ def is_primitive_root(a: int, p: int) -> bool:
     return all(pow(a, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
 
 
-@lru_cache(maxsize=PRIMITIVE_CACHE_SIZE)
+@cache
 def is_primitive_poly(p: Gf2Poly) -> bool:
     """Does X have order 2^deg - 1 mod p?  (Implies irreducibility.)"""
     d = p.degree

@@ -72,7 +72,6 @@ class FilteredLfsr:
         self.feedback = feedback
         self.degree = d
         self.key_width = key_width
-        self.iv_width = iv_width
         self.iv = iv
         self.filter_taps = taps
         self.filter_table = filter_table

@@ -112,7 +112,7 @@ def per_call_brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
 
 def verify_sequence(seq: RecurrenceSequence, F: BlackBoxMap) -> bool:
     """Re-check terms[t+1] == F(terms[t]) with fresh evaluations."""
-    return all(F(seq.terms[t]) == seq.terms[t + 1]
+    return all(F(BitVec(seq.terms[t], seq.width)).value == seq.terms[t + 1]
                for t in range(len(seq.terms) - 1))
 
 

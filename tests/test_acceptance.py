@@ -295,8 +295,8 @@ def test_c6_dlp_exhaustive_orbits():
                 points += 1
             # the engine formula agrees with the raw sweep
             for j in rng.sample(range(N), min(5, N)):
-                terms = tuple(BitVec(cyc[(j + t) % N], w) for t in range(deg))
-                got = invert_from_minpoly(RecurrenceSequence(terms), mp)
+                terms = tuple(cyc[(j + t) % N] for t in range(deg))
+                got = invert_from_minpoly(RecurrenceSequence(terms, w), mp)
                 assert got.value == cyc[j - 1]
             # full pipeline on a representative of manageable cycles
             if N <= 200:

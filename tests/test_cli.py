@@ -410,6 +410,14 @@ def test_stream_config_rejects_scalar_filter_taps(tmp_path):
     _one_line_error(res, "filter_taps must be a list")
 
 
+def test_deeply_nested_config_is_a_one_line_error(tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 200_000 + "]" * 200_000)
+    res = run_cli("invert", "--target", str(cfg), "--y", "0x1")
+    _one_line_error(res, "error: target config is nested too deeply")
+    assert res.stdout == "" and "Traceback" not in res.stderr
+
+
 def test_config_rejects_non_string_family(tmp_path):
     for shape in (["x"], {}):
         cfg = tmp_path / "family.json"

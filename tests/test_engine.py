@@ -39,7 +39,7 @@ def lfsr5() -> BlackBoxMap:
 
 
 def seq_of(values, width) -> RecurrenceSequence:
-    return RecurrenceSequence(tuple(BitVec(v, width) for v in values))
+    return RecurrenceSequence(tuple(values), width)
 
 
 def annihilates(p: Gf2Poly, seq: RecurrenceSequence) -> bool:
@@ -48,7 +48,7 @@ def annihilates(p: Gf2Poly, seq: RecurrenceSequence) -> bool:
         acc = 0
         for i in range(m + 1):
             if p.coeff(i):
-                acc ^= seq.terms[t + i].value
+                acc ^= seq.terms[t + i]
         if acc:
             return False
     return True
@@ -80,9 +80,13 @@ def test_blackboxmap_eval_budget():
 
 def test_sequence_validation():
     with pytest.raises(ValueError):
-        RecurrenceSequence(())
+        RecurrenceSequence((), 3)
     with pytest.raises(ValueError):
-        RecurrenceSequence((BitVec(1, 3), BitVec(1, 4)))
+        RecurrenceSequence((1, 8), 3)  # 8 needs four bits
+    with pytest.raises(ValueError):
+        RecurrenceSequence((1, -1), 3)
+    with pytest.raises(ValueError):
+        RecurrenceSequence((0, 0), 0)
 
 
 def test_packed_layout():
@@ -94,7 +98,7 @@ def test_packed_layout():
 def test_generate_counts_and_contents():
     F = rsa15()
     s = generate(F, BitVec(8, 4), 4)
-    assert [t.value for t in s.terms] == [8, 2, 8, 2]
+    assert s.terms == (8, 2, 8, 2) and s.width == 4
     assert F.evals == 3  # exactly M - 1
     assert verify_sequence(s, rsa15())
     with pytest.raises(ValueError):
@@ -486,7 +490,7 @@ def windows(draw, wide=False):
     for t, term in enumerate(orbit.terms):
         v = w if pattern[t % len(pattern)] else 0
         for i, c in enumerate(columns):
-            if term.value >> i & 1:
+            if term >> i & 1:
                 v ^= c
         values.append(v)
     return seq_of(values, n)
@@ -585,12 +589,12 @@ def test_projected_route_matches_lowbit_scan_on_hidden_cycles(scans, n, N):
     assert measured(res) == _minimal_polynomial_lowbit(s)
     cycle_sum = 0
     for t in s.terms[:N]:
-        cycle_sum ^= t.value
+        cycle_sum ^= t
     if N & (N - 1) == 0 and cycle_sum:
         # X^N - 1 = (X + 1)^N, and the sum over one period is not zero,
         # so no proper divisor annihilates
         assert res.minpoly == Gf2Poly((1 << N) | 1)
-    assert invert_from_minpoly(s, res.minpoly) == s.terms[N - 1]
+    assert invert_from_minpoly(s, res.minpoly) == BitVec(s.terms[N - 1], n)
 
 
 def test_ninth_projection_wins_a_window_hidden_from_the_first_eight(scans):

@@ -85,23 +85,12 @@ def test_bitvec_bit_indexing_is_little_endian():
         v.bit(-1)
 
 
-def test_bitvec_extract():
-    v = BitVec(0b10110, 5)
-    assert v.extract(0, 3) == BitVec(0b110, 3)
-    assert v.extract(2, 3) == BitVec(0b101, 3)
-    assert v.extract(0, 5) == v
-    with pytest.raises(ValueError):
-        v.extract(3, 3)  # runs past the end
-    with pytest.raises(ValueError):
-        v.extract(0, 0)
-
-
 def test_bitvec_concat_low_first():
     lo = BitVec(0b101, 3)
     hi = BitVec(0b01, 2)
     cat = concat(lo, hi)
     assert cat == BitVec(0b01101, 5)
-    assert cat.extract(0, 3) == lo and cat.extract(3, 2) == hi
+    assert cat.value & 0b111 == lo.value and cat.value >> 3 == hi.value
 
 
 def test_bitvec_rotl():
