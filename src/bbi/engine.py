@@ -75,12 +75,32 @@ class BlackBoxMap:
             raise ValueError(f"input width {x.width}, map expects {self.in_width}")
         evals, cap = self.evals, self.max_evals
         if cap is not None and evals >= cap:
-            raise EvalBudgetExceeded(f"evaluation budget {cap} exhausted")
+            raise self.budget_exceeded()
         self.evals = evals + 1
         y = self.fn(x)
         if y.width != self.out_width:
-            raise ValueError(f"map produced width {y.width}, declared {self.out_width}")
+            raise self.width_error(y.width)
         return y
+
+    def allowance(self, want: int) -> int:
+        """How many of `want` further evaluations the budget leaves.
+
+        A loop that calls `fn` directly, instead of calling the map once
+        per input, keeps the per-call contract this way: it makes that
+        many calls, raises width_error on an output of the wrong width,
+        adds every call that reached `fn` to `evals` (one that raised
+        included), and raises budget_exceeded() if it fell short of
+        `want`.  It then stops at the same evaluation, with the same
+        exception and count, as calling the map would.
+        """
+        cap = self.max_evals
+        return want if cap is None else max(0, min(want, cap - self.evals))
+
+    def budget_exceeded(self) -> EvalBudgetExceeded:
+        return EvalBudgetExceeded(f"evaluation budget {self.max_evals} exhausted")
+
+    def width_error(self, width: int) -> ValueError:
+        return ValueError(f"map produced width {width}, declared {self.out_width}")
 
 
 @dataclass(frozen=True)
@@ -177,16 +197,34 @@ class InversionReport:
 
 
 def generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
-    """First M terms of the feedback sequence: exactly M-1 evaluations."""
+    """First M terms of the feedback sequence: exactly M-1 evaluations.
+
+    The window checks F's budget once (F.allowance), not once per term:
+    it calls F.fn directly, checks each output's width and counts its
+    calls into F.evals in one step, so it raises and counts exactly as
+    calling F M-1 times would.
+    """
     if M < 2:
         raise ValueError("window length M must be >= 2")
-    if F.in_width != F.out_width:
+    n = F.in_width
+    if n != F.out_width:
         raise ValueError("feedback iteration needs matching in/out widths")
+    if y.width != n:
+        raise ValueError(f"input width {y.width}, map expects {n}")
+    fn, limit = F.fn, F.allowance(M - 1)
     x, terms = y, [y.value]
-    for _ in range(M - 1):
-        x = F(x)
-        terms.append(x.value)
-    return RecurrenceSequence(tuple(terms), y.width)
+    calls = 0
+    try:
+        for calls in range(1, limit + 1):
+            x = fn(x)
+            if x.width != n:
+                raise F.width_error(x.width)
+            terms.append(x.value)
+    finally:
+        F.evals += calls  # the call that raised reached fn too
+    if limit < M - 1:
+        raise F.budget_exceeded()
+    return RecurrenceSequence(tuple(terms), n)
 
 
 # 2^64 over the golden ratio: dense, irregular bits for _projections.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import BlackBoxMap, EvalBudgetExceeded
+from .engine import BlackBoxMap
 from .gf2 import BitVec
 
 BRUTE_FORCE_WIDTH_LIMIT = 24
@@ -37,10 +37,11 @@ class OrbitProfile:
 def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
     """All preimages of y by exhaustive scan of the input space.
 
-    The scan checks F's budget once, evaluates F.fn directly and adds its
-    evaluations to F.evals in one step, so it counts, checks widths and
-    raises exactly as calling F on each input in turn would: the inputs
-    the budget leaves are evaluated, then EvalBudgetExceeded names the cap.
+    The scan checks F's budget once (F.allowance), evaluates F.fn directly
+    and adds its evaluations to F.evals in one step, so it counts, checks
+    widths and raises exactly as calling F on each input in turn would:
+    the inputs the budget leaves are evaluated, then EvalBudgetExceeded
+    names the cap.
     """
     n = F.in_width
     if n > BRUTE_FORCE_WIDTH_LIMIT:
@@ -49,8 +50,8 @@ def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
     out_width = F.out_width
     if y.width != out_width:
         raise ValueError("y width does not match the map output")
-    fn, cap, size = F.fn, F.max_evals, 1 << n
-    limit = size if cap is None else max(0, min(size, cap - F.evals))
+    fn, size = F.fn, 1 << n
+    limit = F.allowance(size)
     target = y.value  # widths are checked, so values suffice
     found = []
     v = -1
@@ -59,14 +60,13 @@ def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
             x = BitVec(v, n)
             out = fn(x)
             if out.width != out_width:
-                raise ValueError(f"map produced width {out.width}, "
-                                 f"declared {out_width}")
+                raise F.width_error(out.width)
             if out.value == target:
                 found.append(x)
     finally:
         F.evals += v + 1  # input v reached fn, even if the call raised
     if limit < size:
-        raise EvalBudgetExceeded(f"evaluation budget {cap} exhausted")
+        raise F.budget_exceeded()
     return found
 
 

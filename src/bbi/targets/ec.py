@@ -9,6 +9,10 @@ map total while never hitting the identity, which has no affine
 encoding.  Outputs pack the x coordinate into the low bits and the y
 coordinate above it, coord_width bits each, so the output is wider than
 the input and the map inverts through sliding projection windows.
+
+The walk P, [2]P, [3]P, ... that finds n_P keeps the encodings of
+[1]P .. [n_P - 1]P as ints, so one evaluation of the map is one table
+index; ec_scalar_mul stays as the independent double-and-add reference.
 """
 
 from __future__ import annotations
@@ -70,16 +74,23 @@ class CurveParams:
         return (y * y - (x * x * x + self.a * x + self.b)) % self.q == 0
 
     @cached_property
-    def subgroup_order(self) -> int:
-        """Order of the base point, found by walking its multiples."""
+    def multiples(self) -> tuple[int, ...]:
+        """Encodings x | y << coord_width of [1]P .. [n_P - 1]P, found by
+        walking the multiples of the base point up to the identity."""
         bound = self.q + 1 + 2 * isqrt(self.q)
-        acc, n = self.base, 1
+        c = self.coord_width
+        acc, encoded = self.base, []
         while not acc.is_infinity:
+            encoded.append(acc.x | (acc.y << c))
             acc = ec_add(self, acc, self.base)
-            n += 1
-            if n > bound:
+            if len(encoded) + 1 > bound:  # acc is [len + 1]P
                 raise ValueError("base point order exceeds the Hasse bound")
-        return n
+        return tuple(encoded)
+
+    @property
+    def subgroup_order(self) -> int:
+        """Order n_P of the base point."""
+        return len(self.multiples) + 1
 
     @property
     def coord_width(self) -> int:
@@ -131,14 +142,15 @@ def encode_point(curve: CurveParams, point: ECPoint) -> BitVec:
 
 
 def ecdlp_map(curve: CurveParams) -> BlackBoxMap:
-    n_p = curve.subgroup_order
+    """v -> encode_point([reduce_exponent(v, n_P)]P), read off the table
+    of multiples."""
+    n_p, table = curve.subgroup_order, curve.multiples
     if n_p < 3:
         raise ValueError("base point order must be at least 3")
     r = n_p.bit_length()
     l = 2 * curve.coord_width
 
     def fn(v: BitVec) -> BitVec:
-        k = reduce_exponent(v.value, n_p)
-        return encode_point(curve, ec_scalar_mul(curve, k, curve.base))
+        return BitVec(table[reduce_exponent(v.value, n_p) - 1], l)
 
     return BlackBoxMap(fn, r, out_width=l, label=f"ecdlp(q={curve.q})")

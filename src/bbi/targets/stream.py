@@ -169,8 +169,9 @@ class FilteredLfsr:
         """key -> keystream window; an embedding when count > key_width."""
         if count < self.key_width:
             raise ValueError("need at least key_width keystream bits")
-        self._evaluator(count)  # build the tables now, or refuse the count
-        return BlackBoxMap(lambda k: BitVec(self.keystream(k.value, count), count),
+        # Bound once: the map's input width already keeps keys in range.
+        keystream = self._evaluator(count)
+        return BlackBoxMap(lambda k: BitVec(keystream(k.value), count),
                            self.key_width, count,
                            label=f"stream-kpa(iv={self.iv:#x},count={count})")
 

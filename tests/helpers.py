@@ -1,7 +1,8 @@
 """Code that only the tests need: BitVec and polynomial builders, a
 modular-integer type, small maps and checks over the engine's types, the
-closed-form full-period oracle, the per-call exhaustive scan and the
-rotate-per-round SPN that the fast oracle and cipher must reproduce,
+closed-form full-period oracle, the per-call exhaustive scan and window
+walk and the rotate-per-round SPN that the fast oracle, window and
+cipher must reproduce,
 inverse operations of the targets, and the clocked per-bit keystream
 that the stream cipher's tables must reproduce."""
 
@@ -108,6 +109,21 @@ def per_call_brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
     evaluation count and width check all come from BlackBoxMap.__call__."""
     return [x for x in (BitVec(v, F.in_width) for v in range(1 << F.in_width))
             if F(x).value == y.value]
+
+
+def per_call_generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
+    """The first M terms of the feedback sequence, calling F once per term:
+    the budget check, evaluation count and width checks all come from
+    BlackBoxMap.__call__."""
+    if M < 2:
+        raise ValueError("window length M must be >= 2")
+    if F.in_width != F.out_width:
+        raise ValueError("feedback iteration needs matching in/out widths")
+    x, terms = y, [y.value]
+    for _ in range(M - 1):
+        x = F(x)
+        terms.append(x.value)
+    return RecurrenceSequence(tuple(terms), y.width)
 
 
 def verify_sequence(seq: RecurrenceSequence, F: BlackBoxMap) -> bool:

@@ -17,8 +17,8 @@ from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
 
-from helpers import (concat, full_period_minpoly, rotl, times_x_mod,
-                     verify_sequence)
+from helpers import (concat, full_period_minpoly, per_call_generate, rotl,
+                     times_x_mod, verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -106,6 +106,93 @@ def test_generate_counts_and_contents():
     wide = BlackBoxMap(lambda x: concat(x, x), 3, 6)
     with pytest.raises(ValueError):
         generate(wide, BitVec(1, 3), 4)
+
+
+def _window_outcome(walk, F, y, M):
+    """(window terms, or the error's type and text; F.evals after)."""
+    try:
+        result = walk(F, y, M).terms
+    except (EvalBudgetExceeded, ValueError) as err:
+        result = (type(err), str(err))
+    return result, F.evals
+
+
+@given(width=st.integers(1, 6), seed=st.integers(0, 2**32),
+       M=st.integers(2, 40), spent=st.integers(0, 80))
+def test_generate_budget_matches_per_call_window(width, seed, M, spent):
+    """Every budget from 0 to one past the window: the same terms or the
+    same EvalBudgetExceeded, and the same F.evals, as one call per term."""
+    rng = random.Random(seed)
+    size = 1 << width
+    table = [rng.randrange(size) for _ in range(size)]
+    y = BitVec(rng.randrange(size), width)
+    need = spent + M - 1  # the smallest budget the whole window fits in
+    for budget in [None, *range(need + 2)]:
+        outcomes = []
+        for walk in (generate, per_call_generate):
+            F = table_map(table, width)
+            for v in range(spent):
+                F(BitVec(v % size, width))
+            F.max_evals = budget
+            outcomes.append(_window_outcome(walk, F, y, M))
+        assert outcomes[0] == outcomes[1]
+        result, evals = outcomes[0]
+        if budget is not None and budget < need:
+            assert result == (EvalBudgetExceeded,
+                              f"evaluation budget {budget} exhausted")
+            assert evals == max(spent, budget)
+        else:
+            assert len(result) == M and evals == need
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", ["raises", "wrong-width"])
+@given(width=st.integers(1, 6), data=st.data())
+def test_generate_counts_the_call_that_failed(fault, width, data):
+    """A map that raises, or returns the wrong width, on its k-th call
+    within the window leaves F.evals at before + k, as calling F once
+    per term does."""
+    M = data.draw(st.integers(2, 30))
+    k = data.draw(st.integers(1, M - 1))
+    spent = data.draw(st.integers(0, 5))
+    budget = data.draw(st.one_of(st.none(), st.integers(spent + k, 1 << 10)))
+    messages = []
+    for walk in (generate, per_call_generate):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            if len(calls) - spent != k:
+                return BitVec((x.value + 1) % (1 << width), width)
+            if fault == "raises":
+                raise Boom(k)
+            return BitVec(0, width + 1)
+
+        F = BlackBoxMap(fn, width)
+        for _ in range(spent):
+            F(BitVec(0, width))
+        F.max_evals = budget
+        with pytest.raises(Boom if fault == "raises" else ValueError) as info:
+            walk(F, BitVec(0, width), M)
+        assert F.evals == spent + k == len(calls)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    if fault == "wrong-width":
+        assert messages[0] == f"map produced width {width + 1}, declared {width}"
+
+
+def test_generate_checks_the_seed_width_like_a_call():
+    for budget in (None, 0):
+        outcomes = []
+        for walk in (generate, per_call_generate):
+            F = identity(4)
+            F.max_evals = budget
+            outcomes.append(_window_outcome(walk, F, BitVec(1, 5), 4))
+        assert outcomes[0] == outcomes[1] == (
+            (ValueError, "input width 5, map expects 4"), 0)
 
 
 def test_verify_catches_tampering():

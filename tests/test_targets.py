@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from bbi.embedding import invert_embedding
 from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import brute_force_invert
-from bbi.targets import arith, build_target, list_targets, load_target
+from bbi.targets import arith, build_target, ec, list_targets, load_target
 from bbi.targets.arith import (is_prime, is_primitive_poly, is_primitive_root,
                                prime_factors, reduce_exponent)
 from bbi.targets.basic import identity_map
@@ -566,12 +566,51 @@ def test_ecdlp_map(f17):
         assert point == ec_scalar_mul(f17, k, f17.base)
 
 
+def test_ecdlp_map_matches_scalar_multiplication_on_every_input(f17):
+    """The table lookup against double-and-add, on the shipped curve and
+    on one whose base order 135 = 27 * 5 sits in the hundreds."""
+    big = CurveParams(q=263, a=2, b=3, base=ECPoint(0, 23))
+    assert big.subgroup_order == 135
+    assert ec_scalar_mul(big, 135, big.base).is_infinity
+    assert not any(ec_scalar_mul(big, 135 // p, big.base).is_infinity
+                   for p in (3, 5))
+    for curve in (f17, big):
+        n_p = curve.subgroup_order
+        assert len(curve.multiples) == n_p - 1
+        F = ecdlp_map(curve)
+        assert F.in_width == n_p.bit_length()
+        for v in range(1 << F.in_width):
+            expect = ec_scalar_mul(curve, reduce_exponent(v, n_p), curve.base)
+            assert F(BitVec(v, F.in_width)) == encode_point(curve, expect), v
+        assert F.evals == 1 << F.in_width
+
+
 def test_ecdlp_map_rejects_tiny_subgroups():
     # (1, 0) has y = 0, so it is its own negative: order 2
     curve = CurveParams(q=5, a=1, b=3, base=ECPoint(1, 0))
     assert curve.subgroup_order == 2
-    with pytest.raises(ValueError):
+    assert curve.multiples == (encode_point(curve, curve.base).value,)
+    with pytest.raises(ValueError, match="^base point order must be at least 3$"):
         ecdlp_map(curve)
+
+
+def test_hasse_bound_stops_a_walk_that_never_closes(monkeypatch):
+    """A group law that never reaches the identity ends the walk after
+    q + 1 + 2 isqrt(q) additions, for subgroup_order and ecdlp_map alike."""
+    calls = []
+
+    def stuck(curve, p1, p2):
+        calls.append(p1)
+        return p1
+
+    monkeypatch.setattr(ec, "ec_add", stuck)
+    for build in (lambda c: c.subgroup_order, ecdlp_map):
+        calls.clear()
+        curve = CurveParams(q=17, a=2, b=2, base=ECPoint(5, 1))
+        with pytest.raises(ValueError,
+                           match="^base point order exceeds the Hasse bound$"):
+            build(curve)
+        assert len(calls) == 17 + 1 + 2 * 4
 
 
 # ------------------------------------------------------------------ registry
