@@ -1,6 +1,8 @@
 """Command-line front end: invert shipped or user-supplied targets, survey
 seeds for linear complexity, run the end-to-end demos, and query the
-brute-force oracle.
+brute-force oracle.  The demos invert from forward evaluations alone:
+no oracle tells them a period, so each doubles its window until one
+solves.
 
 Exit codes: 0 verified success, 1 usage or config error, 2 insufficient
 data (no verified solution, or an evaluation budget ran dry).  The
@@ -20,14 +22,13 @@ import random
 import sys
 from collections import Counter
 from functools import cache, partial
-from itertools import cycle, islice
 
 from .embedding import composed_map, invert_embedding, project
 from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
                      local_inversion)
 from .gf2 import BitVec
 from .oracle import brute_force_invert, orbit_profile
-from .targets import TargetInstance, _as_int, load_target
+from .targets import CONFIG_DIR, TargetInstance, _as_int, load_target
 from .targets.arith import reduce_exponent
 from .targets.ec import ec_scalar_mul, encode_point
 
@@ -171,24 +172,36 @@ def _key_note(x: int, key: int) -> str:
     return "the secret key itself" if x == key else "a key-equivalent preimage"
 
 
-def _orbit_windows(new_map, y: BitVec, name: str = "y", shown: int = 4):
-    """Walk the orbit of y once, print its shape and first `shown` terms,
-    and yield the inversion (map, y, M = 2N+2) when y is purely periodic."""
-    prof = orbit_profile(new_map(), y, store=shown > 0)
-    print(f"  orbit of {name}: preperiod {prof.preperiod}, period {prof.period}")
-    if prof.preperiod != 0:
-        print(f"  {name} is not purely periodic; no inverse on its orbit")
-        return
-    if shown:
-        terms = islice(cycle(prof.cycle), shown)
-        print(f"  window starts: {', '.join(t.hex() for t in terms)}, ...")
-    yield new_map(), y, 2 * prof.period + 2
+def _double_window(new_map, y: BitVec, M: int | None):
+    """Invert y from forward evaluations alone: solve on a fresh map from
+    new_map at M, 2M, 4M, ... (M None: 4n, n the input width) until a try
+    has M > 2^(n+1) + 2, which no orbit needs, as LC <= period <= 2^n.
+    Returns (report, window, M) of the first solved try, or None.  A
+    minimal polynomial with a zero constant term drops the attempt: the
+    orbit of y is not purely periodic, so it has no inverse there."""
+    F = new_map()
+    n = F.in_width
+    M = 4 * n if M is None else M
+    while True:
+        report, window = _solve(F, y, M)
+        if report.solved:
+            return report, window, M
+        mp = report.minpoly
+        if mp is not None and mp.constant_term == 0:
+            print(f"  {F.label} at {y.hex()}: the M = {M} minimal polynomial has "
+                  f"zero constant term; not purely periodic, no inverse on its orbit")
+            return None
+        if M > (1 << (n + 1)) + 2:
+            return None
+        M *= 2
+        F = new_map()
 
 
-# Each demo prints its header and returns (the inversions (map, y, M) to
-# try, verify).  new_map hands out a fresh map of the demo's target under
-# --max-evals.  verify(report, window, M) runs the demo's own domain check
-# on a solved report, prints the result lines and returns the verdict.
+# Each demo prints its header and returns (the attempts (new map, y, M)
+# to try, verify).  new_map hands out a fresh map of the demo's target
+# under --max-evals; M None is the default window 4n.  verify(report,
+# window, M) runs the demo's own domain check on a solved report, prints
+# the result lines and returns the verdict.
 
 def _demo_spn(target: TargetInstance, new_map, args):
     cipher, cfg = target.params, target.config
@@ -205,7 +218,7 @@ def _demo_spn(target: TargetInstance, new_map, args):
         print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
               f"E(x, P0) == y: {ok}")
         return ok
-    return _orbit_windows(new_map, y, shown=6), verify
+    return [(new_map, y, None)], verify
 
 
 def _demo_stream(target: TargetInstance, new_map, args):
@@ -217,11 +230,6 @@ def _demo_stream(target: TargetInstance, new_map, args):
           f"{n}-bit key, iv = {lfsr.iv:#x}, {count} keystream bits")
     print(f"  secret key {key:#06x} produced keystream y = {y.hex()}")
 
-    def windows():  # each window's square map, at its projected seed
-        for i in range(1, count - n + 2):
-            yield from _orbit_windows(lambda i=i: composed_map(new_map(), i),
-                                      project(y, n, i), f"y[window {i}]", shown=0)
-
     def verify(report, window, M):
         x = report.x
         ok = lfsr.keystream(x.value, count) == y.value
@@ -230,7 +238,9 @@ def _demo_stream(target: TargetInstance, new_map, args):
         print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
               f"keystream re-synthesis matches: {ok}")
         return ok
-    return windows(), verify
+    # each output window's square map, at its projected seed
+    return [(lambda i=i: composed_map(new_map(), i), project(y, n, i), None)
+            for i in range(1, count - n + 2)], verify
 
 
 def _demo_rsa_decrypt(target: TargetInstance, new_map, args):
@@ -244,7 +254,7 @@ def _demo_rsa_decrypt(target: TargetInstance, new_map, args):
         print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
         print(f"  recovered plaintext m = {m}; m^e mod n == y: {ok}")
         return ok
-    return _orbit_windows(new_map, y), verify
+    return [(new_map, y, None)], verify
 
 
 def _demo_rsa_cca(target: TargetInstance, new_map, args):
@@ -269,7 +279,7 @@ def _demo_rsa_cca(target: TargetInstance, new_map, args):
                 passed += pow(pow(t, x, n), e, n) == t
         print(f"  key-equivalence check (t^x)^e == t mod n: {passed}/20 random t")
         return passed == 20
-    return _orbit_windows(new_map, y, shown=0), verify
+    return [(new_map, y, None)], verify
 
 
 def _demo_dlp(target: TargetInstance, new_map, args):
@@ -283,7 +293,7 @@ def _demo_dlp(target: TargetInstance, new_map, args):
         print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
         print(f"  recovered x = {x}; a^x mod p == b: {ok}")
         return ok
-    return _orbit_windows(new_map, y, name="b"), verify
+    return [(new_map, y, None)], verify
 
 
 def _demo_ecdlp(target: TargetInstance, new_map, args):
@@ -304,7 +314,7 @@ def _demo_ecdlp(target: TargetInstance, new_map, args):
         print(f"  recovered multiplier {mult} (raw x = {report.x.hex()}); "
               f"[{mult}]P == Q: {ok}")
         return ok
-    return [(new_map(), y, 2 * n_p + 2)], verify
+    return [(new_map, y, 2 * n_p + 2)], verify  # n_P is public
 
 
 DEMOS = {  # demo name -> (shipped target, demo)
@@ -320,13 +330,13 @@ DEMOS = {  # demo name -> (shipped target, demo)
 def cmd_demo(args) -> int:
     """The first verified inversion ends the run; the demo's check judges it."""
     name, demo = DEMOS[args.name]
-    target = load_target(name)
+    target = load_target(str(CONFIG_DIR / f"{name}.json"))
     attempts, verify = demo(target, partial(_budget_map, target, args.max_evals),
                             args)
-    for F, y, M in attempts:
-        report, window = _solve(F, y, M)
-        if report.solved:
-            return 0 if verify(report, window, M) else 2
+    for new_map, y, M in attempts:
+        solved = _double_window(new_map, y, M)
+        if solved:
+            return 0 if verify(*solved) else 2
     print("  no window length yielded a verified x: insufficient data")
     return 2
 
@@ -361,7 +371,7 @@ def _max_evals(text: str) -> int:
 
 def _add_max_evals(p) -> None:
     p.add_argument("--max-evals", type=_max_evals, default=DEFAULT_MAX_EVALS,
-                   help="abort after this many map evaluations per phase")
+                   help="abort after this many evaluations of any one map")
 
 
 @cache  # parsing leaves the parser as it was, so every main() shares one

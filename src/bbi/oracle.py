@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the engine's linear
 algebra: preimages come from exhaustive scans and orbit shapes from
-cycle detection.
+cycle detection.  `bbi survey` and `bbi oracle` read them; no inversion
+path does, and the demos invert from forward evaluations alone.
 """
 
 from __future__ import annotations
@@ -17,21 +18,10 @@ BRUTE_FORCE_WIDTH_LIMIT = 24
 
 @dataclass(frozen=True)
 class OrbitProfile:
-    """Orbit shape of a seed: preperiod r, cycle length period.
-
-    orbit_terms, when kept, holds the first r + period terms, so
-    orbit_terms[r:] is exactly one trip around the cycle.
-    """
+    """Orbit shape of a seed: preperiod r, cycle length period."""
 
     preperiod: int
     period: int
-    orbit_terms: tuple[BitVec, ...] | None = None
-
-    @property
-    def cycle(self) -> tuple[BitVec, ...]:
-        if self.orbit_terms is None:
-            raise ValueError("orbit terms were not stored")
-        return self.orbit_terms[self.preperiod:]
 
 
 def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
@@ -70,16 +60,14 @@ def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
     return found
 
 
-def orbit_profile(F: BlackBoxMap, y: BitVec, store: bool = False) -> OrbitProfile:
+def orbit_profile(F: BlackBoxMap, y: BitVec) -> OrbitProfile:
     """Exact (preperiod, period) of y under iteration of F.
 
     Brent's cycle detection (BIT 20, 1980): the tortoise waits at term
     2^k - 1 while the hare runs up to 2^k terms ahead, so the first
     meeting gives the period.  A second walk with the hare one period
     ahead meets the tortoise at the cycle entry, which gives the
-    preperiod; its hare passes every term of the tail and of one cycle,
-    so `store` costs no extra evaluations.  Like every walk, it is
-    bounded by F.max_evals alone.
+    preperiod.  Like every walk, it is bounded by F.max_evals alone.
     """
     if F.in_width != F.out_width:
         raise ValueError("orbit iteration needs matching in/out widths")
@@ -94,18 +82,10 @@ def orbit_profile(F: BlackBoxMap, y: BitVec, store: bool = False) -> OrbitProfil
 
     # with the hare one period ahead, the two meet at the cycle entry
     tort = hare = y
-    terms = [y] if store else None
     for _ in range(period):
         hare = F(hare)
-        if store:
-            terms.append(hare)
     r = 0
     while tort.value != hare.value:
         tort, hare = F(tort), F(hare)
-        if store:
-            terms.append(hare)
         r += 1
-
-    if store:
-        terms = tuple(terms[:r + period])
-    return OrbitProfile(r, period, terms)
+    return OrbitProfile(r, period)

@@ -77,7 +77,7 @@ class CurveParams:
     def multiples(self) -> tuple[int, ...]:
         """Encodings x | y << coord_width of [1]P .. [n_P - 1]P, found by
         walking the multiples of the base point up to the identity."""
-        bound = self.q + 1 + 2 * isqrt(self.q)
+        bound = self.q + 1 + isqrt(4 * self.q)  # Hasse: floor(q + 1 + 2 sqrt(q))
         c = self.coord_width
         acc, encoded = self.base, []
         while not acc.is_infinity:

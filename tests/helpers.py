@@ -1,10 +1,10 @@
 """Code that only the tests need: BitVec and polynomial builders, a
 modular-integer type, small maps and checks over the engine's types, the
-closed-form full-period oracle, the per-call exhaustive scan and window
-walk and the rotate-per-round SPN that the fast oracle, window and
-cipher must reproduce,
-inverse operations of the targets, and the clocked per-bit keystream
-that the stream cipher's tables must reproduce."""
+orbit walk that keeps its terms and the closed-form full-period oracle,
+the per-call exhaustive scan and window walk and the rotate-per-round
+SPN that the fast oracle, window and cipher must reproduce, inverse
+operations of the targets, and the clocked per-bit keystream that the
+stream cipher's tables must reproduce."""
 
 from __future__ import annotations
 
@@ -138,6 +138,11 @@ def window_count(F: BlackBoxMap) -> int:
     return F.out_width - F.in_width + 1
 
 
+def table_map(table: list[int], width: int) -> BlackBoxMap:
+    """x -> table[x] on width bits."""
+    return BlackBoxMap(lambda x: BitVec(table[x.value], width), width)
+
+
 def not_map(width: int) -> BlackBoxMap:
     """Bitwise complement; an involution, so every orbit has period 2 or 1."""
     if width < 1:
@@ -158,6 +163,26 @@ def times_x_mod(P: Gf2Poly) -> BlackBoxMap:
     return BlackBoxMap(step, d)
 
 
+def stored_orbit(F: BlackBoxMap, y: BitVec) -> tuple[int, int, tuple[BitVec, ...]]:
+    """(preperiod r, period N, terms y, F(y), ..., F^(r+N-1)(y)) from one
+    orbit_profile walk, so terms[r:] is exactly one trip around the cycle.
+
+    The walk's first hare steps through F(y), F^2(y), ... and meets the
+    tortoise at or past term r + N, so recording the outputs of F costs
+    no evaluation beyond orbit_profile's own, and F's budget bounds it.
+    """
+    outputs = []
+
+    def record(x: BitVec) -> BitVec:
+        out = F(x)
+        outputs.append(out)
+        return out
+
+    prof = orbit_profile(BlackBoxMap(record, F.in_width), y)
+    r, N = prof.preperiod, prof.period
+    return r, N, (y, *outputs[:r + N - 1])
+
+
 def _periodic_component_minpoly(comp: int, N: int) -> Gf2Poly:
     """Minimal polynomial of the N-periodic scalar sequence with period
     block bits comp (bit t = s_t): reciprocal of (X^N+1)/gcd(s(X), X^N+1)."""
@@ -174,13 +199,11 @@ def full_period_minpoly(F: BlackBoxMap, y: BitVec) -> tuple[Gf2Poly, int]:
     the closed form above, then the lcm.  The result divides X^N + 1 by
     construction.  The all-zero orbit gets X+1, the engine's convention.
     """
-    prof = orbit_profile(F, y, store=True)
-    if prof.preperiod != 0:
-        raise ValueError(f"seed has preperiod {prof.preperiod}, not purely periodic")
-    N = prof.period
+    r, N, cycle = stored_orbit(F, y)
+    if r != 0:
+        raise ValueError(f"seed has preperiod {r}, not purely periodic")
     if N > FULL_PERIOD_LIMIT:
         raise ValueError(f"period {N} exceeds limit {FULL_PERIOD_LIMIT}")
-    cycle = prof.cycle
     n = y.width
     result = ONE
     for b in range(n):

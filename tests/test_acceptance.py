@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bbi.embedding import composed_map, invert_embedding, project
-from bbi.engine import (UNIQUE, BlackBoxMap, EvalBudgetExceeded,
+from bbi.engine import (UNIQUE, EvalBudgetExceeded,
                         RecurrenceSequence, bm_crosscheck, generate,
                         invert_from_minpoly, local_inversion,
                         minimal_polynomial)
@@ -30,16 +30,12 @@ from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, ecdlp_map,
                             encode_point)
 from bbi.targets.rsa import RsaParams, cca_map, enc_map
 
-from helpers import count_points, full_period_minpoly
+from helpers import count_points, full_period_minpoly, stored_orbit, table_map
 
 GOLDEN = Path(__file__).parent / "golden"
 
 CASE_COUNT = 1000
 CYCLE_CAP = 256  # keeps windows small enough for the 60 s budget
-
-
-def table_map(table, width):
-    return BlackBoxMap(lambda x: BitVec(table[x.value], width), width)
 
 
 # ------------------------------------------------------------ criteria 1 + 2
@@ -64,11 +60,12 @@ def periodic_suite():
         size = 1 << width
         table = tables.integers(0, size, size).tolist()
         start = BitVec(pick.randrange(size), width)
-        prof = orbit_profile(table_map(table, width), start, store=True)
-        if prof.period > CYCLE_CAP:
+        r, period, terms = stored_orbit(table_map(table, width), start)
+        if period > CYCLE_CAP:
             continue
-        seed = prof.cycle[0]
-        predecessor = prof.cycle[-1]
+        cycle = terms[r:]
+        seed = cycle[0]
+        predecessor = cycle[-1]
 
         cert = orbit_profile(table_map(table, width), seed)
         assert cert.preperiod == 0  # oracle-certified purely periodic
@@ -83,7 +80,7 @@ def periodic_suite():
 
         x = invert_from_minpoly(seq, mp)
         preimages = brute_force_invert(table_map(table, width), seed)
-        cycle_values = {t.value for t in prof.cycle}
+        cycle_values = {t.value for t in cycle}
         on_orbit = [v for v in preimages if v.value in cycle_values]
         assert on_orbit == [predecessor]                 # unique on the orbit
         assert x == predecessor                          # (c)
@@ -127,12 +124,11 @@ def test_c3_truncation_soundness():
         size = 1 << width
         table = [rng.randrange(size) for _ in range(size)]
         start = BitVec(rng.randrange(size), width)
-        prof = orbit_profile(table_map(table, width), start, store=True)
-        if prof.period > 128:
+        r, period, terms = stored_orbit(table_map(table, width), start)
+        if period > 128:
             continue
-        seed = prof.cycle[0]
-        full = local_inversion(table_map(table, width), seed,
-                               2 * prof.period + 2)
+        seed = terms[r]
+        full = local_inversion(table_map(table, width), seed, 2 * period + 2)
         if not full.solved or full.linear_complexity < 2:
             continue  # LC < 2 leaves no room below 2*LC
         M = rng.randrange(2, 2 * full.linear_complexity)

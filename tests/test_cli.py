@@ -1,6 +1,7 @@
 """Command-line interface, exercised through subprocesses, or in-process
 where a test counts map evaluations or patches the solver."""
 
+import ast
 import contextlib
 import io
 import json
@@ -13,14 +14,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from bbi import cli, engine
+from bbi import cli, engine, oracle
 from bbi.engine import INSUFFICIENT_DATA, InversionReport
 from bbi.gf2 import BitVec
 from bbi.targets import (CONFIG_DIR, TargetInstance, build_target,
                           list_targets, load_target)
 from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, encode_point)
 from bbi.targets.stream import FilteredLfsr
+
+from helpers import stored_orbit, table_map
 
 
 def run_cli(*args, seed_env=None, module="bbi.cli"):
@@ -195,9 +199,38 @@ def test_max_evals_bounds_every_map(argv, budget):
     assert all(F.evals <= budget for F in made), [F.evals for F in made]
 
 
-# The pattern by which bench/workloads.py finds a demo's claimed x.
-RECOVERED = re.compile(r"(?:raw x|recovered x|recovered plaintext m|"
-                       r"recovered exponent x) = (0x[0-9a-f]+|\d+)")
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def bench_recovered_pattern() -> re.Pattern:
+    """The pattern by which bench/workloads.py finds a demo's claimed x,
+    read from its source (`_RECOVERED = re.compile(...)`), never imported,
+    so this file writes nothing under bench/."""
+    for node in ast.parse(WORKLOADS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_RECOVERED" for t in node.targets):
+            return re.compile(ast.literal_eval(node.value.args[0]))
+    raise AssertionError("bench/workloads.py defines no _RECOVERED pattern")
+
+
+RECOVERED = bench_recovered_pattern()
+# What each demo recovers at the default budget, as the bench reads it.
+DEMO_X = {"dlp": "6", "ecdlp": "0x07", "rsa-cca": "373", "rsa-decrypt": "2",
+          "spn-kpa": "0x0073", "stream": "0x0036"}
+
+
+@pytest.mark.parametrize("name", sorted(cli.DEMOS))
+def test_demo_runs_its_shipped_config_and_names_x_in_the_bench_pattern(
+        name, tmp_path, monkeypatch):
+    """A file in the working directory named like the demo's target does
+    not replace its shipped config, and stdout names the recovered value
+    once, in the form the benchmark parses."""
+    monkeypatch.chdir(tmp_path)
+    decoy = {"family": "identity", "width": 4}
+    (tmp_path / cli.DEMOS[name][0]).write_text(json.dumps(decoy))
+    rc, out, err, _ = run_demo(name)
+    assert (rc, err) == (0, "")
+    assert RECOVERED.findall(out) == [DEMO_X[name]]
 
 
 @pytest.mark.parametrize("name", sorted(cli.DEMOS))
@@ -215,59 +248,120 @@ def test_demo_failure_paths(name, monkeypatch):
     assert len([l for l in out.splitlines() if "insufficient data" in l]) == 1
     assert not RECOVERED.search(out)
 
-    def wrong_x(F, y, M):
+    flipped = []
+
+    def wrong_x(F, y, M):  # the shorter windows of a doubling stay unsolved
         report, window = solve(F, y, M)
-        assert report.solved
+        if not report.solved:
+            return report, window
+        flipped.append(M)
         x = BitVec(report.x.value ^ 1, report.x.width)
         return replace(report, x=x), window
 
     monkeypatch.setattr(cli, "_solve", wrong_x)
     rc, out, err, _ = run_demo(name)
     verdict = out.splitlines()[-1]
-    assert rc == 2 and err == ""
+    assert rc == 2 and err == "" and len(flipped) == 1
     if name == "rsa-cca":
         assert "/20 random t" in verdict and "20/20" not in verdict
     else:
         assert verdict.endswith(": False")
 
 
-@pytest.mark.parametrize("name", ["dlp", "rsa-cca", "rsa-decrypt", "spn-kpa"])
-def test_demo_walks_the_orbit_once(name, monkeypatch):
-    """One map walks the orbit, and its window starts cost nothing more;
-    one map inverts, spending M-1 window terms and one check."""
-    seeds = []
-    profile = cli.orbit_profile
+# demo -> the window lengths M it tries, from 4n, doubling until one solves
+DOUBLING = {"dlp": [16], "rsa-cca": [44, 88], "rsa-decrypt": [16],
+            "spn-kpa": [64, 128, 256, 512]}
 
-    def spy(F, y, store=False):
-        seeds.append(y)
-        return profile(F, y, store)
 
-    monkeypatch.setattr(cli, "orbit_profile", spy)
+def spy_on_solve(monkeypatch) -> list:
+    """The list that (map, M) of every later cli._solve call goes to."""
+    calls = []
+    solve = cli._solve
+
+    def spy(F, y, M):
+        calls.append((F, M))
+        return solve(F, y, M)
+
+    monkeypatch.setattr(cli, "_solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLING))
+def test_demo_doubles_M_on_fresh_maps(name, monkeypatch):
+    """Each try inverts on its own fresh budgeted map at twice the last
+    M; an unsolved try spends its M - 1 window terms, the solved one one
+    more for its check."""
+    calls = spy_on_solve(monkeypatch)
     rc, _, _, made = run_main("demo", name)
-    assert rc == 0 and len(seeds) == 1
-    walk, inversion = made
-    G = load_target(cli.DEMOS[name][0]).fresh_map()
-    prof = profile(G, seeds[0])
-    assert walk.evals == G.evals
-    assert inversion.evals == 2 * prof.period + 2
+    Ms = DOUBLING[name]
+    assert rc == 0 and [M for _, M in calls] == Ms
+    assert [id(F) for F, _ in calls] == [id(F) for F in made]
+    assert [F.evals for F in made] == [M - 1 for M in Ms[:-1]] + [Ms[-1]]
+    assert {F.max_evals for F in made} == {cli.DEFAULT_MAX_EVALS}
 
 
-def test_stream_demo_inverts_only_the_periodic_window(monkeypatch):
-    """Window 1 is walked and rejected, never inverted; window 2 is
-    inverted once, from its own walk's M = 598."""
+def test_stream_demo_drops_window_1_and_solves_window_2(monkeypatch):
+    """Window 1 is tried once, at M = 64, and dropped on its minimal
+    polynomial's zero constant term; window 2 doubles from 64 to 1024,
+    one fresh map per try; windows 3-5 are never built."""
     windows = []
     compose = cli.composed_map
 
     def spy(F, i):
-        windows.append((i, F))
+        windows.append(i)
         return compose(F, i)
 
     monkeypatch.setattr(cli, "composed_map", spy)
-    rc, _, _, made = run_main("demo", "stream")
+    calls = spy_on_solve(monkeypatch)
+    rc, out, _, made = run_main("demo", "stream")
+    Ms = [64, 128, 256, 512, 1024]
     assert rc == 0
-    assert [i for i, _ in windows] == [1, 2, 2]
-    assert [id(F) for _, F in windows] == [id(F) for F in made]
-    assert windows[2][1].evals == 598
+    assert windows == [1] + [2] * len(Ms)
+    assert [M for _, M in calls] == [64] + Ms
+    assert [F.evals for F in made] == [63] + [M - 1 for M in Ms[:-1]] + [1024]
+    dropped = [l for l in out.splitlines() if "not purely periodic" in l]
+    assert len(dropped) == 1 and "[window 1]" in dropped[0]
+    assert "M = 64" in dropped[0]
+
+
+@pytest.mark.parametrize("name", sorted(cli.DEMOS))
+def test_demos_call_no_oracle(name, monkeypatch):
+    """A demo inverts from forward evaluations alone: neither brute-force
+    oracle runs, by any route."""
+    calls = []
+    for mod in (cli, oracle):
+        for fn in ("orbit_profile", "brute_force_invert"):
+            real = getattr(mod, fn)
+            monkeypatch.setattr(mod, fn, lambda *a, real=real, fn=fn:
+                                calls.append(fn) or real(*a))
+    assert run_main("demo", name)[0] == 0
+    assert calls == []
+
+
+@given(width=st.integers(1, 10), permutation=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_doubling_window_finds_the_x_of_the_oracle_window(width, permutation,
+                                                          seed):
+    """On a purely periodic seed of a random table map, the demos' loop
+    returns the x that local_inversion gives at M = 2N+2, with the period
+    N from the orbit oracle: the loop needs no N to find it."""
+    rng = random.Random(seed)
+    size = 1 << width
+    if permutation:  # long cycles
+        table = rng.sample(range(size), size)
+    else:
+        table = [rng.randrange(size) for _ in range(size)]
+    r, N, terms = stored_orbit(table_map(table, width),
+                               BitVec(rng.randrange(size), width))
+    y = terms[r]
+    expected = engine.local_inversion(table_map(table, width), y, 2 * N + 2)
+    assert expected.solved
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        found = cli._double_window(lambda: table_map(table, width), y, None)
+    assert found is not None, out.getvalue()
+    report, window, M = found
+    assert report.x == expected.x and window is None
+    assert M == report.terms_consumed
 
 
 def test_stream_maps_share_one_table_build(monkeypatch):
@@ -283,7 +377,7 @@ def test_stream_maps_share_one_table_build(monkeypatch):
 
     monkeypatch.setattr(FilteredLfsr, "_build_evaluator", spy)
     rc, _, _, made = run_main("demo", "stream")
-    assert rc == 0 and len(made) == 3 and builds == [20]
+    assert rc == 0 and len(made) == 6 and builds == [20]
 
     target = load_target("stream")
     F = target.fresh_map()

@@ -18,7 +18,7 @@ from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
 from bbi.gf2 import BitVec, Gf2Poly, order
 
 from helpers import (concat, full_period_minpoly, per_call_generate, rotl,
-                     times_x_mod, verify_sequence)
+                     table_map, times_x_mod, verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -512,10 +512,6 @@ def _minimal_polynomial_lowbit(seq: RecurrenceSequence) -> tuple:
 
     status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT
     return None, status, tuple(profile)
-
-
-def table_map(table, width) -> BlackBoxMap:
-    return BlackBoxMap(lambda x: BitVec(table[x.value], width), width)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 minimal polynomials."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,11 +10,11 @@ from hypothesis import given, strategies as st
 from bbi.engine import (BlackBoxMap, EvalBudgetExceeded, generate,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
-from bbi.oracle import brute_force_invert, orbit_profile
+from bbi.oracle import OrbitProfile, brute_force_invert, orbit_profile
 from bbi.targets.spn import ToySpn
 
 from helpers import (concat, full_period_minpoly, per_call_brute_force_invert,
-                     rotl)
+                     rotl, stored_orbit, table_map)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -62,26 +63,27 @@ def test_orbit_profile_fixed_point():
 
 
 def test_orbit_profile_two_cycle():
-    prof = orbit_profile(rsa15(), BitVec(8, 4), store=True)
+    prof = orbit_profile(rsa15(), BitVec(8, 4))
     assert (prof.preperiod, prof.period) == (0, 2)
-    assert prof.orbit_terms == (BitVec(8, 4), BitVec(2, 4))
-    assert prof.cycle == (BitVec(8, 4), BitVec(2, 4))
+    assert stored_orbit(rsa15(), BitVec(8, 4)) == (0, 2, (BitVec(8, 4), BitVec(2, 4)))
 
 
 def test_orbit_profile_with_tail():
-    prof = orbit_profile(or_one(), BitVec(0b00, 2), store=True)
+    prof = orbit_profile(or_one(), BitVec(0b00, 2))
     assert (prof.preperiod, prof.period) == (1, 1)
-    assert prof.orbit_terms == (BitVec(0, 2), BitVec(1, 2))
-    assert prof.cycle == (BitVec(1, 2),)
+    r, _, terms = stored_orbit(or_one(), BitVec(0b00, 2))
+    assert terms == (BitVec(0, 2), BitVec(1, 2))
+    assert terms[r:] == (BitVec(1, 2),)
     prof2 = orbit_profile(or_one(), BitVec(0b10, 2))
     assert (prof2.preperiod, prof2.period) == (1, 1)
 
 
-def test_orbit_profile_cycle_requires_store():
+def test_orbit_profile_is_only_its_shape():
+    """The oracle keeps no orbit terms; tests that need them take
+    stored_orbit from the helpers."""
     prof = orbit_profile(rsa15(), BitVec(8, 4))
-    assert prof.orbit_terms is None
-    with pytest.raises(ValueError):
-        prof.cycle
+    assert [f.name for f in fields(prof)] == ["preperiod", "period"]
+    assert prof == OrbitProfile(0, 2)
 
 
 def test_orbit_profile_budget():
@@ -111,9 +113,8 @@ def test_orbit_profile_matches_direct_walk():
             path.append(v)
             v = table[v]
         r, n = seen[v], len(path) - seen[v]
-        prof = orbit_profile(F, BitVec(start, 5), store=True)
-        assert (prof.preperiod, prof.period) == (r, n)
-        assert [t.value for t in prof.orbit_terms] == path
+        assert stored_orbit(F, BitVec(start, 5)) == (
+            r, n, tuple(BitVec(v, 5) for v in path))
 
 
 def test_full_period_minpoly_fixed_point():
@@ -225,29 +226,29 @@ def rho_tables(draw):
     return width, table, rng.randrange(size)
 
 
-def _table_map(table, width):
-    return BlackBoxMap(lambda x: BitVec(table[x.value], width), width)
+def _walk(F, y, store):
+    """(preperiod, period, terms): the helpers' stored walk, or
+    orbit_profile alone with terms None."""
+    if store:
+        return stored_orbit(F, y)
+    prof = orbit_profile(F, y)
+    return prof.preperiod, prof.period, None
 
 
 @given(rho_tables(), st.booleans())
 def test_orbit_profile_agrees_with_rho_walk(case, store):
     width, table, start = case
     r, n, path = _rho_walk(table, start)
-    prof = orbit_profile(_table_map(table, width), BitVec(start, width), store=store)
-    assert (prof.preperiod, prof.period) == (r, n)
-    if store:
-        assert prof.orbit_terms == tuple(BitVec(v, width) for v in path)
-    else:
-        assert prof.orbit_terms is None
+    terms = tuple(BitVec(v, width) for v in path) if store else None
+    assert _walk(table_map(table, width), BitVec(start, width), store) == (r, n, terms)
 
 
 @given(rho_tables(), st.booleans())
 def test_orbit_profile_never_costs_more_than_floyd(case, store):
     width, table, start = case
-    F, G = _table_map(table, width), _table_map(table, width)
-    prof = orbit_profile(F, BitVec(start, width), store=store)
-    r, n, terms = _floyd_profile(G, BitVec(start, width), store=store)
-    assert (prof.preperiod, prof.period, prof.orbit_terms) == (r, n, terms)
+    F, G = table_map(table, width), table_map(table, width)
+    walk = _walk(F, BitVec(start, width), store)
+    assert walk == _floyd_profile(G, BitVec(start, width), store=store)
     assert F.evals <= G.evals
 
 
@@ -255,21 +256,20 @@ def test_orbit_profile_never_costs_more_than_floyd(case, store):
 def test_orbit_profile_budget_is_exact(case, store, data):
     width, table, start = case
     y = BitVec(start, width)
-    F = _table_map(table, width)
-    orbit_profile(F, y, store=store)
+    F = table_map(table, width)
+    _walk(F, y, store)
     need = F.evals
     for budget in (need - 1, need, data.draw(st.integers(0, 2 * need))):
-        G = _table_map(table, width)
+        G = table_map(table, width)
         G.max_evals = budget
         if budget < need:
             with pytest.raises(EvalBudgetExceeded):
-                orbit_profile(G, y, store=store)
+                _walk(G, y, store)
             # the map refuses the first call past its budget
             assert G.evals == budget
         else:
-            prof = orbit_profile(G, y, store=store)
+            assert _walk(G, y, store)[1] == _rho_walk(table, start)[1]
             assert G.evals == need
-            assert prof.period == _rho_walk(table, start)[1]
 
 
 def _scan_outcome(scan, F, y):
@@ -292,7 +292,7 @@ def test_brute_force_budget_matches_per_call_scan(case, data):
                    data.draw(st.integers(0, 2 * need))):
         outcomes = []
         for scan in (brute_force_invert, per_call_brute_force_invert):
-            F = _table_map(table, width)
+            F = table_map(table, width)
             for v in range(spent):
                 F(BitVec(v % size, width))
             F.max_evals = budget
@@ -350,7 +350,7 @@ def test_brute_force_invert_is_exact_scan(case, data):
     width, table, _ = case
     size = 1 << width
     y = data.draw(st.one_of(st.sampled_from(table), st.integers(0, size - 1)))
-    F = _table_map(table, width)
+    F = table_map(table, width)
     found = brute_force_invert(F, BitVec(y, width))
     assert found == [BitVec(x, width) for x in range(size) if table[x] == y]
     assert F.evals == size

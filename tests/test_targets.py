@@ -1,11 +1,14 @@
 """Target families: cipher correctness, parameter validation, registry."""
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bbi import cli
 from bbi.embedding import invert_embedding
 from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import brute_force_invert
@@ -596,7 +599,7 @@ def test_ecdlp_map_rejects_tiny_subgroups():
 
 def test_hasse_bound_stops_a_walk_that_never_closes(monkeypatch):
     """A group law that never reaches the identity ends the walk after
-    q + 1 + 2 isqrt(q) additions, for subgroup_order and ecdlp_map alike."""
+    q + 1 + isqrt(4q) additions, for subgroup_order and ecdlp_map alike."""
     calls = []
 
     def stuck(curve, p1, p2):
@@ -611,6 +614,37 @@ def test_hasse_bound_stops_a_walk_that_never_closes(monkeypatch):
                            match="^base point order exceeds the Hasse bound$"):
             build(curve)
         assert len(calls) == 17 + 1 + 2 * 4
+
+
+# Curves whose base point order is the Hasse bound q + 1 + floor(2 sqrt(q))
+# itself: each curve is cyclic, with P a generator.
+HASSE_EDGE_CURVES = [  # (q, a, b, base, order)
+    (7, 0, 3, (1, 2), 13),
+    (13, 0, 4, (2, 5), 21),
+    (23, 1, 11, (1, 6), 33),
+]
+
+
+@pytest.mark.parametrize("q,a,b,base,n_p", HASSE_EDGE_CURVES,
+                         ids=[f"q{c[0]}" for c in HASSE_EDGE_CURVES])
+def test_base_order_at_the_hasse_bound_loads_and_inverts(q, a, b, base, n_p,
+                                                         tmp_path):
+    """A base point of order floor(q + 1 + 2 sqrt(q)) is valid: the curve
+    loads, and `bbi invert` recovers a multiplier of P from its encoding."""
+    cfg = {"family": "ecdlp", "q": q, "a": a, "b": b,
+           "base_x": base[0], "base_y": base[1]}
+    path = tmp_path / f"ec-q{q}.json"
+    path.write_text(json.dumps(cfg))
+    curve = load_target(str(path)).params
+    assert curve.subgroup_order == n_p == count_points(curve)
+    assert ec_scalar_mul(curve, n_p, curve.base).is_infinity
+    y = encode_point(curve, curve.base)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["invert", "--target", str(path), "--y", y.hex()])
+    doc = json.loads(out.getvalue())
+    assert rc == 0 and doc["outcome"] == "solution"
+    assert reduce_exponent(int(doc["x"], 16), n_p) == 1
 
 
 # ------------------------------------------------------------------ registry
