@@ -28,7 +28,7 @@ from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
                      local_inversion)
 from .gf2 import BitVec
 from .oracle import brute_force_invert, orbit_profile
-from .targets import CONFIG_DIR, TargetInstance, _as_int, load_target
+from .targets import TargetInstance, _as_int, load_target
 from .targets.arith import reduce_exponent
 from .targets.ec import ec_scalar_mul, encode_point
 
@@ -174,34 +174,32 @@ def _key_note(x: int, key: int) -> str:
 
 def _double_window(new_map, y: BitVec, M: int | None):
     """Invert y from forward evaluations alone: solve on a fresh map from
-    new_map at M, 2M, 4M, ... (M None: 4n, n the input width) until a try
-    has M > 2^(n+1) + 2, which no orbit needs, as LC <= period <= 2^n.
-    Returns (report, window, M) of the first solved try, or None.  A
-    minimal polynomial with a zero constant term drops the attempt: the
-    orbit of y is not purely periodic, so it has no inverse there."""
-    F = new_map()
-    n = F.in_width
-    M = 4 * n if M is None else M
+    new_map at M (None: the library default), then at twice the last
+    try's M, until a try has M > 2^(n+1) + 2, which no orbit needs, as
+    LC <= period <= 2^n (n the input width).  Returns (report, window)
+    of the first solved try, or None.  A minimal polynomial with a zero
+    constant term drops the attempt: the orbit of y is not purely
+    periodic, so it has no inverse there."""
     while True:
+        F = new_map()
         report, window = _solve(F, y, M)
         if report.solved:
-            return report, window, M
-        mp = report.minpoly
+            return report, window
+        M, mp = report.terms_consumed, report.minpoly
         if mp is not None and mp.constant_term == 0:
             print(f"  {F.label} at {y.hex()}: the M = {M} minimal polynomial has "
                   f"zero constant term; not purely periodic, no inverse on its orbit")
             return None
-        if M > (1 << (n + 1)) + 2:
+        if M > (1 << (F.in_width + 1)) + 2:
             return None
         M *= 2
-        F = new_map()
 
 
 # Each demo prints its header and returns (the attempts (new map, y, M)
 # to try, verify).  new_map hands out a fresh map of the demo's target
-# under --max-evals; M None is the default window 4n.  verify(report,
-# window, M) runs the demo's own domain check on a solved report, prints
-# the result lines and returns the verdict.
+# under --max-evals; M None is the library's default window.
+# verify(report, window) runs the demo's own domain check on a solved
+# report, prints the result lines and returns the verdict.
 
 def _demo_spn(target: TargetInstance, new_map, args):
     cipher, cfg = target.params, target.config
@@ -210,10 +208,10 @@ def _demo_spn(target: TargetInstance, new_map, args):
     print(f"SPN known-plaintext demo: P0 = {p0:#06x}, rounds = {cipher.rounds}")
     print(f"  secret key {key:#06x} produced the observed y = E(K, P0) = {y.hex()}")
 
-    def verify(report, window, M):
+    def verify(report, window):
         x = report.x
         ok = cipher.encrypt(x.value, p0) == y.value
-        print(f"  M = {M}, LC = {report.linear_complexity}, "
+        print(f"  M = {report.terms_consumed}, LC = {report.linear_complexity}, "
               f"minpoly degree {report.minpoly.degree}, evals = {report.map_evals}")
         print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
               f"E(x, P0) == y: {ok}")
@@ -230,10 +228,10 @@ def _demo_stream(target: TargetInstance, new_map, args):
           f"{n}-bit key, iv = {lfsr.iv:#x}, {count} keystream bits")
     print(f"  secret key {key:#06x} produced keystream y = {y.hex()}")
 
-    def verify(report, window, M):
+    def verify(report, window):
         x = report.x
         ok = lfsr.keystream(x.value, count) == y.value
-        print(f"  M = {M}, LC = {report.linear_complexity}, "
+        print(f"  M = {report.terms_consumed}, LC = {report.linear_complexity}, "
               f"evals = {report.map_evals}")
         print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
               f"keystream re-synthesis matches: {ok}")
@@ -248,10 +246,11 @@ def _demo_rsa_decrypt(target: TargetInstance, new_map, args):
     y = _parse_bits(target.config["demo_y"], target.params.width)
     print(f"RSA decryption demo: n = {n}, e = {e}, ciphertext y = {y.hex()}")
 
-    def verify(report, window, M):
+    def verify(report, window):
         m = report.x.value
         ok = pow(m, e, n) == y.value
-        print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
+        print(f"  M = {report.terms_consumed}, minpoly = {report.minpoly}, "
+              f"LC = {report.linear_complexity}")
         print(f"  recovered plaintext m = {m}; m^e mod n == y: {ok}")
         return ok
     return [(new_map, y, None)], verify
@@ -268,9 +267,10 @@ def _demo_rsa_cca(target: TargetInstance, new_map, args):
           f" equivalent exponent")
     y = BitVec(m, target.params.width)
 
-    def verify(report, window, M):
+    def verify(report, window):
         x = report.x.value
-        print(f"  M = {M}, LC = {report.linear_complexity}, recovered exponent x = {x}")
+        print(f"  M = {report.terms_consumed}, LC = {report.linear_complexity}, "
+              f"recovered exponent x = {x}")
         passed = total = 0
         while total < 20:
             t = rng.randrange(2, n)
@@ -287,10 +287,11 @@ def _demo_dlp(target: TargetInstance, new_map, args):
     y = _parse_bits(target.config["demo_b"], target.params.width)
     print(f"DLP demo: p = {p}, base a = {a}, target b = {y.value}")
 
-    def verify(report, window, M):
+    def verify(report, window):
         x = report.x.value
         ok = pow(a, reduce_exponent(x, p), p) == y.value
-        print(f"  M = {M}, minpoly = {report.minpoly}, LC = {report.linear_complexity}")
+        print(f"  M = {report.terms_consumed}, minpoly = {report.minpoly}, "
+              f"LC = {report.linear_complexity}")
         print(f"  recovered x = {x}; a^x mod p == b: {ok}")
         return ok
     return [(new_map, y, None)], verify
@@ -306,11 +307,11 @@ def _demo_ecdlp(target: TargetInstance, new_map, args):
           f"base P = {curve.base}, order n_P = {n_p}")
     print(f"  secret multiplier {k} produced Q = [k]P = {Q}, encoded y = {y.hex()}")
 
-    def verify(report, window, M):
+    def verify(report, window):
         mult = reduce_exponent(report.x.value, n_p)
         ok = ec_scalar_mul(curve, mult, curve.base) == Q
-        print(f"  winning window {window}: M = {M}, LC = {report.linear_complexity}, "
-              f"minpoly = {report.minpoly}")
+        print(f"  winning window {window}: M = {report.terms_consumed}, "
+              f"LC = {report.linear_complexity}, minpoly = {report.minpoly}")
         print(f"  recovered multiplier {mult} (raw x = {report.x.hex()}); "
               f"[{mult}]P == Q: {ok}")
         return ok
@@ -330,7 +331,7 @@ DEMOS = {  # demo name -> (shipped target, demo)
 def cmd_demo(args) -> int:
     """The first verified inversion ends the run; the demo's check judges it."""
     name, demo = DEMOS[args.name]
-    target = load_target(str(CONFIG_DIR / f"{name}.json"))
+    target = load_target(name)
     attempts, verify = demo(target, partial(_budget_map, target, args.max_evals),
                             args)
     for new_map, y, M in attempts:

@@ -56,9 +56,16 @@ class EvalBudgetExceeded(RuntimeError):
 class BlackBoxMap:
     """A map GF(2)^in_width -> GF(2)^out_width, used only by calling it.
 
-    `evals` counts every evaluation performed; reported counts elsewhere
-    come straight from it.  Setting `max_evals` makes the next call past
-    the budget raise EvalBudgetExceeded, which bounds runaway iteration.
+    Every evaluation goes through this class: one call, `F(x)`, or a
+    batch, `F.iterate(y, k)` and `F.preimages(y)`.  `evals` counts every
+    evaluation performed; reported counts elsewhere come straight from
+    it.  Setting `max_evals` makes the next evaluation past the budget
+    raise EvalBudgetExceeded, which bounds runaway iteration.
+
+    A batch checks the budget once, calls `fn` directly, checks each
+    output's width and adds every call that reached `fn` to `evals` (one
+    that raised included).  It stops at the same evaluation, with the
+    same exception and count, as calling the map once per input would.
     """
 
     def __init__(self, fn: Callable[[BitVec], BitVec], in_width: int,
@@ -75,31 +82,69 @@ class BlackBoxMap:
             raise ValueError(f"input width {x.width}, map expects {self.in_width}")
         evals, cap = self.evals, self.max_evals
         if cap is not None and evals >= cap:
-            raise self.budget_exceeded()
+            raise self._budget_exceeded()
         self.evals = evals + 1
         y = self.fn(x)
         if y.width != self.out_width:
-            raise self.width_error(y.width)
+            raise self._width_error(y.width)
         return y
 
-    def allowance(self, want: int) -> int:
-        """How many of `want` further evaluations the budget leaves.
+    def iterate(self, y: BitVec, k: int) -> list[int]:
+        """The values of y, F(y), ..., F^k(y): exactly k evaluations."""
+        n = self.in_width
+        if n != self.out_width:
+            raise ValueError("feedback iteration needs matching in/out widths")
+        if y.width != n:
+            raise ValueError(f"input width {y.width}, map expects {n}")
+        fn, limit = self.fn, self._allowance(k)
+        x, values = y, [y.value]
+        calls = 0
+        try:
+            for calls in range(1, limit + 1):
+                x = fn(x)
+                if x.width != n:
+                    raise self._width_error(x.width)
+                values.append(x.value)
+        finally:
+            self.evals += calls  # the call that raised reached fn too
+        if limit < k:
+            raise self._budget_exceeded()
+        return values
 
-        A loop that calls `fn` directly, instead of calling the map once
-        per input, keeps the per-call contract this way: it makes that
-        many calls, raises width_error on an output of the wrong width,
-        adds every call that reached `fn` to `evals` (one that raised
-        included), and raises budget_exceeded() if it fell short of
-        `want`.  It then stops at the same evaluation, with the same
-        exception and count, as calling the map would.
-        """
+    def preimages(self, y: BitVec) -> list[BitVec]:
+        """Every x with F(x) == y, in ascending order: one evaluation per
+        input, 2^in_width in all."""
+        n, out_width = self.in_width, self.out_width
+        if y.width != out_width:
+            raise ValueError("y width does not match the map output")
+        fn, size = self.fn, 1 << n
+        limit = self._allowance(size)
+        target = y.value  # widths are checked, so values suffice
+        found = []
+        v = -1
+        try:
+            for v in range(limit):
+                x = BitVec(v, n)
+                out = fn(x)
+                if out.width != out_width:
+                    raise self._width_error(out.width)
+                if out.value == target:
+                    found.append(x)
+        finally:
+            self.evals += v + 1  # input v reached fn, even if the call raised
+        if limit < size:
+            raise self._budget_exceeded()
+        return found
+
+    def _allowance(self, want: int) -> int:
+        """How many of `want` further evaluations the budget leaves."""
         cap = self.max_evals
         return want if cap is None else max(0, min(want, cap - self.evals))
 
-    def budget_exceeded(self) -> EvalBudgetExceeded:
+    def _budget_exceeded(self) -> EvalBudgetExceeded:
         return EvalBudgetExceeded(f"evaluation budget {self.max_evals} exhausted")
 
-    def width_error(self, width: int) -> ValueError:
+    def _width_error(self, width: int) -> ValueError:
         return ValueError(f"map produced width {width}, declared {self.out_width}")
 
 
@@ -197,34 +242,10 @@ class InversionReport:
 
 
 def generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
-    """First M terms of the feedback sequence: exactly M-1 evaluations.
-
-    The window checks F's budget once (F.allowance), not once per term:
-    it calls F.fn directly, checks each output's width and counts its
-    calls into F.evals in one step, so it raises and counts exactly as
-    calling F M-1 times would.
-    """
+    """First M terms of the feedback sequence: exactly M-1 evaluations."""
     if M < 2:
         raise ValueError("window length M must be >= 2")
-    n = F.in_width
-    if n != F.out_width:
-        raise ValueError("feedback iteration needs matching in/out widths")
-    if y.width != n:
-        raise ValueError(f"input width {y.width}, map expects {n}")
-    fn, limit = F.fn, F.allowance(M - 1)
-    x, terms = y, [y.value]
-    calls = 0
-    try:
-        for calls in range(1, limit + 1):
-            x = fn(x)
-            if x.width != n:
-                raise F.width_error(x.width)
-            terms.append(x.value)
-    finally:
-        F.evals += calls  # the call that raised reached fn too
-    if limit < M - 1:
-        raise F.budget_exceeded()
-    return RecurrenceSequence(tuple(terms), n)
+    return RecurrenceSequence(tuple(F.iterate(y, M - 1)), F.in_width)
 
 
 # 2^64 over the golden ratio: dense, irregular bits for _projections.

@@ -25,39 +25,11 @@ class OrbitProfile:
 
 
 def brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
-    """All preimages of y by exhaustive scan of the input space.
-
-    The scan checks F's budget once (F.allowance), evaluates F.fn directly
-    and adds its evaluations to F.evals in one step, so it counts, checks
-    widths and raises exactly as calling F on each input in turn would:
-    the inputs the budget leaves are evaluated, then EvalBudgetExceeded
-    names the cap.
-    """
-    n = F.in_width
-    if n > BRUTE_FORCE_WIDTH_LIMIT:
-        raise ValueError(f"input width {n} exceeds the exhaustive "
+    """All preimages of y by exhaustive scan of the input space."""
+    if F.in_width > BRUTE_FORCE_WIDTH_LIMIT:
+        raise ValueError(f"input width {F.in_width} exceeds the exhaustive "
                          f"scan limit {BRUTE_FORCE_WIDTH_LIMIT}")
-    out_width = F.out_width
-    if y.width != out_width:
-        raise ValueError("y width does not match the map output")
-    fn, size = F.fn, 1 << n
-    limit = F.allowance(size)
-    target = y.value  # widths are checked, so values suffice
-    found = []
-    v = -1
-    try:
-        for v in range(limit):
-            x = BitVec(v, n)
-            out = fn(x)
-            if out.width != out_width:
-                raise F.width_error(out.width)
-            if out.value == target:
-                found.append(x)
-    finally:
-        F.evals += v + 1  # input v reached fn, even if the call raised
-    if limit < size:
-        raise F.budget_exceeded()
-    return found
+    return F.preimages(y)
 
 
 def orbit_profile(F: BlackBoxMap, y: BitVec) -> OrbitProfile:

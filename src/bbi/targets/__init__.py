@@ -4,7 +4,8 @@ A config is a flat JSON object with a "family" key plus the family's
 parameters.  Numeric constants may be JSON integers or strings parsed
 with int(s, 0), so hex like "0x2711" reads naturally.  Shipped instances
 live in the configs/ directory next to this file; load_target accepts
-either a shipped name ("rsa-demo") or a path to a JSON file.
+either a shipped name ("rsa-demo"), which always loads the shipped
+config, or a path to a JSON file.
 
 Families and their required keys:
   identity  width
@@ -134,13 +135,14 @@ def list_targets() -> list[str]:
 
 
 def load_target(name_or_path: str) -> TargetInstance:
-    path = Path(name_or_path)
-    if not path.is_file():
-        shipped = CONFIG_DIR / f"{name_or_path}.json"
-        if not shipped.is_file():
+    """A bare name that names a shipped config loads that config, whatever
+    the working directory holds; anything else is a path ("./dlp-p11")."""
+    path = CONFIG_DIR / f"{name_or_path}.json"
+    if Path(name_or_path).name != name_or_path or not path.is_file():
+        path = Path(name_or_path)
+        if not path.is_file():
             raise ValueError(f"no target named {name_or_path!r}; "
                              f"shipped targets: {', '.join(list_targets())}")
-        path = shipped
     with open(path, encoding="utf-8") as fh:
         try:
             config = json.load(fh)

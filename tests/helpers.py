@@ -1,10 +1,11 @@
 """Code that only the tests need: BitVec and polynomial builders, a
 modular-integer type, small maps and checks over the engine's types, the
 orbit walk that keeps its terms and the closed-form full-period oracle,
-the per-call exhaustive scan and window walk and the rotate-per-round
-SPN that the fast oracle, window and cipher must reproduce, inverse
-operations of the targets, and the clocked per-bit keystream that the
-stream cipher's tables must reproduce."""
+Massey's Berlekamp-Massey written out with its discrepancy, the per-call
+exhaustive scan and window walk and the rotate-per-round SPN that the
+fast oracle, window and cipher must reproduce, inverse operations of the
+targets, and the clocked per-bit keystream that the stream cipher's
+tables must reproduce."""
 
 from __future__ import annotations
 
@@ -216,6 +217,45 @@ def full_period_minpoly(F: BlackBoxMap, y: BitVec) -> tuple[Gf2Poly, int]:
     if result.degree < 1:
         return Gf2Poly(0b11), N
     return result, N
+
+
+def massey_scalar(s: list[int]) -> tuple[list[int], int]:
+    """Berlekamp-Massey as Massey (1969) states it, on bits s_0 .. s_{N-1}:
+    the connection polynomial C as its coefficients c_0 = 1, c_1, ...,
+    and the linear complexity L, so that s_t = sum c_i s_{t-i}, i = 1..L,
+    for every t >= L."""
+    C, B = [1], [1]  # B: C before the last length change
+    L, m = 0, 1      # m: steps since that change
+    for t, s_t in enumerate(s):
+        d = s_t  # the discrepancy between s_t and C's prediction of it
+        for i in range(1, L + 1):
+            d ^= C[i] & s[t - i]
+        if d == 0:
+            m += 1
+            continue
+        T = C[:]
+        C += [0] * (len(B) + m - len(C))
+        for i, b in enumerate(B):  # C(X) -= X^m B(X)
+            C[i + m] ^= b
+        if 2 * L <= t:
+            L, B, m = t + 1 - L, T, 1
+        else:
+            m += 1
+    return (C + [0] * (L + 1))[:L + 1], L
+
+
+def massey_minpoly(terms, width: int) -> Gf2Poly:
+    """Minimal polynomial of a window of `width`-bit ints: X^L C(1/X) from
+    massey_scalar per bit component, then their lcm.  Zero components
+    contribute nothing; the all-zero window gets X+1, the engine's
+    convention."""
+    result = ONE
+    for b in range(width):
+        comp = [(v >> b) & 1 for v in terms]
+        if any(comp):
+            C, L = massey_scalar(comp)
+            result = lcm(result, Gf2Poly(sum(c << (L - i) for i, c in enumerate(C))))
+    return Gf2Poly(0b11) if result.degree < 1 else result
 
 
 def rotl16(v: int, k: int) -> int:

@@ -233,13 +233,36 @@ def test_demo_runs_its_shipped_config_and_names_x_in_the_bench_pattern(
     assert RECOVERED.findall(out) == [DEMO_X[name]]
 
 
+def test_a_shipped_name_beats_a_local_file_and_a_path_reaches_it(
+        tmp_path, monkeypatch):
+    """--target dlp-p11 loads the shipped config even beside a file named
+    dlp-p11, in invert, survey and oracle; ./dlp-p11 reads that file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dlp-p11").write_text(json.dumps({"family": "identity",
+                                                  "width": 4}))
+    shipped = build_target(json.loads((CONFIG_DIR / "dlp-p11.json").read_text()))
+    label = shipped.fresh_map().label
+    assert label != "identity4"
+
+    def target_of(*argv):
+        rc, out, err, _ = run_main(*argv)
+        assert rc in (0, 2) and err == ""
+        return json.loads(out[out.index("{"):])["target"]
+
+    for argv in (("invert", "--y", "0x9"), ("oracle", "invert", "--y", "0x9"),
+                 ("oracle", "orbit", "--y", "0x9"), ("survey", "--samples", "2")):
+        assert target_of(*argv, "--target", "dlp-p11") == label
+        assert target_of(*argv, "--target", "./dlp-p11") == "identity4"
+
+
 @pytest.mark.parametrize("name", sorted(cli.DEMOS))
 def test_demo_failure_paths(name, monkeypatch):
     """Neither path is reachable with the shipped configs: an unsolved
     inversion, and a "solved" x that the demo's own check must reject."""
     solve = cli._solve
 
-    def unsolved(F, y, M):
+    def unsolved(F, y, M):  # reports the window it was given, as _solve does
+        M = 4 * F.in_width if M is None else M
         return InversionReport(INSUFFICIENT_DATA, None, None, M, 0), None
 
     monkeypatch.setattr(cli, "_solve", unsolved)
@@ -274,13 +297,15 @@ DOUBLING = {"dlp": [16], "rsa-cca": [44, 88], "rsa-decrypt": [16],
 
 
 def spy_on_solve(monkeypatch) -> list:
-    """The list that (map, M) of every later cli._solve call goes to."""
+    """The list that (map, M) of every later cli._solve call goes to, M
+    being the window length the call used."""
     calls = []
     solve = cli._solve
 
     def spy(F, y, M):
-        calls.append((F, M))
-        return solve(F, y, M)
+        report, window = solve(F, y, M)
+        calls.append((F, report.terms_consumed))
+        return report, window
 
     monkeypatch.setattr(cli, "_solve", spy)
     return calls
@@ -359,9 +384,8 @@ def test_doubling_window_finds_the_x_of_the_oracle_window(width, permutation,
     with contextlib.redirect_stdout(io.StringIO()) as out:
         found = cli._double_window(lambda: table_map(table, width), y, None)
     assert found is not None, out.getvalue()
-    report, window, M = found
+    report, window = found
     assert report.x == expected.x and window is None
-    assert M == report.terms_consumed
 
 
 def test_stream_maps_share_one_table_build(monkeypatch):

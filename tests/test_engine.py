@@ -1,9 +1,11 @@
 """Recurrence windows, minimal polynomials, and verified local inversion."""
 
+import ast
 import copy
 import pickle
 import random
 from bisect import bisect_left, insort
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,9 @@ from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
 
-from helpers import (concat, full_period_minpoly, per_call_generate, rotl,
-                     table_map, times_x_mod, verify_sequence)
+from helpers import (concat, full_period_minpoly, massey_minpoly,
+                     per_call_generate, rotl, table_map, times_x_mod,
+                     verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -193,6 +196,21 @@ def test_generate_checks_the_seed_width_like_a_call():
             outcomes.append(_window_outcome(walk, F, BitVec(1, 5), 4))
         assert outcomes[0] == outcomes[1] == (
             (ValueError, "input width 5, map expects 4"), 0)
+
+
+def test_only_blackboxmap_evaluates_a_map():
+    """Every evaluation goes through BlackBoxMap: no module of bbi but
+    engine.py touches a map's fn or the budget helpers, and the class
+    keeps those helpers private."""
+    src = Path(engine.__file__).parent
+    private = {"fn", "_allowance", "_budget_exceeded", "_width_error"}
+    uses = [f"{path.relative_to(src)}:{node.lineno} .{node.attr}"
+            for path in sorted(src.rglob("*.py")) if path.name != "engine.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in private]
+    assert uses == []
+    assert not [name for name in ("allowance", "budget_exceeded", "width_error")
+                if hasattr(BlackBoxMap, name)]
 
 
 def test_verify_catches_tampering():
@@ -595,9 +613,11 @@ def test_minpoly_matches_lowbit_scan_at_widths_9_to_64(seq):
 @given(windows())
 def test_bm_crosscheck_on_any_window(seq):
     # solved or not, the per-bit lcm annihilates the window, and it is
-    # minimal_polynomial's polynomial whenever that one solves
+    # minimal_polynomial's polynomial whenever that one solves; Massey's
+    # own form, which shares no code with the engine, gives the same lcm
     mp = bm_crosscheck(seq)
     assert annihilates(mp, seq)
+    assert massey_minpoly(seq.terms, seq.width) == mp
     res = minimal_polynomial(seq)
     if res.status == UNIQUE:
         assert mp == res.minpoly
@@ -613,7 +633,7 @@ def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():
     res = minimal_polynomial(s)
     assert res.status == UNIQUE
     assert measured(res) == _minimal_polynomial_lowbit(s)
-    assert res.minpoly == bm_crosscheck(s)
+    assert res.minpoly == bm_crosscheck(s) == massey_minpoly(s.terms, 16)
     assert invert_from_minpoly(s, res.minpoly) == BitVec(cycle[-1], 16)
 
 
