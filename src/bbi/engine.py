@@ -18,7 +18,9 @@ GF(2)^n (Wiedemann, IEEE Trans. IT 32(1), 1986); Berlekamp-Massey
 each scalar sequence <u, y(t)>.  Their lcm is returned once it has
 degree <= M/2 and annihilates the whole window; a projection or an lcm
 of degree past M/2 proves that no annihilator of degree <= M/2 exists.
-One of the two always happens (see minimal_polynomial).
+One of the two always happens (see minimal_polynomial).  The
+annihilation check rejects on window 0 first, which is sound because
+only the check of every window can accept.
 
 The Hankel scan supplies rank evidence only: rank H(k) for k = 1 ..
 M/2.  minimal_polynomial never runs it; a MinPolyResult runs it once,
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from itertools import compress
+from operator import xor
 from typing import Callable
 
 from .gf2 import BitVec, Gf2Poly, ONE, lcm, order
@@ -270,9 +274,28 @@ def _projections(n: int) -> tuple[int, ...]:
     return tuple(((key << (i + 1)) | (1 << i)) & mask for i in range(n))
 
 
-def _annihilates(packed: int, poly: int, n: int, M: int) -> bool:
+# bytes.translate table: ASCII "0"/"1" to the bytes 0/1 that compress reads
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _combine(terms: tuple[int, ...], mask: int) -> int:
+    """XOR of terms[i] over the set bits i of mask, all in C: the bits
+    of mask, lowest first, select the terms that reduce XORs."""
+    selectors = format(mask, "b")[::-1].encode().translate(_BIT_SELECTORS)
+    return reduce(xor, compress(terms, selectors), 0)
+
+
+def _annihilates(seq: RecurrenceSequence, packed: int, poly: int) -> bool:
     """Does the polynomial with coefficient i at bit i of `poly` annihilate
-    every window of the packed data, M terms of n bits?"""
+    every window of seq?  `packed` is seq.packed().
+
+    Window 0 is tested first, with one _combine: a dense lcm that fails
+    there costs no pass over the packed data.  Only the packed check,
+    one shift and XOR of the whole window per set bit, returns True.
+    """
+    if _combine(seq.terms, poly):
+        return False
+    n, M = seq.width, len(seq.terms)
     acc = 0
     b = poly
     while b:
@@ -330,7 +353,7 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
             mp = lcm(found, mp)
         if 2 * mp.degree > M:
             break
-        if mp != found and _annihilates(packed, mp.bits, n, M):
+        if mp != found and _annihilates(seq, packed, mp.bits):
             return MinPolyResult(mp, seq)
         found = mp
     return MinPolyResult(None, seq)
@@ -381,11 +404,8 @@ def invert_from_minpoly(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
                          "a purely periodic orbit")
     if len(seq.terms) < m:
         raise ValueError("window shorter than the annihilator degree")
-    v = seq.terms[m - 1]
-    for i in range(1, m):
-        if mp.coeff(i):
-            v ^= seq.terms[i - 1]
-    return BitVec(v, seq.width)
+    # bit i-1 of mp.bits >> 1 is a_i, and a_m = 1 selects terms[m-1]
+    return BitVec(_combine(seq.terms, mp.bits >> 1), seq.width)
 
 
 def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> InversionReport:
@@ -418,18 +438,15 @@ def _bm_scalar(s: int, M: int) -> Gf2Poly:
     """
     C, B = 1, 1
     L, gap = 0, 1
-    for t in range(M):
-        window = s >> (M - 1 - t)  # bit i = s_{t-i}
-        d = (C & window).bit_count() & 1
-        if d == 0:
-            gap += 1
-        elif 2 * L <= t:
-            C, B = C ^ (B << gap), C
-            L = t + 1 - L
-            gap = 1
-        else:
-            C ^= B << gap
-            gap += 1
+    for t, k in enumerate(range(M - 1, -1, -1)):
+        if (C & (s >> k)).bit_count() & 1:  # bit i of s >> k is s_{t-i}
+            if 2 * L <= t:
+                C, B = C ^ (B << gap), C
+                L = t + 1 - L
+                gap = 0
+            else:
+                C ^= B << gap
+        gap += 1
     return Gf2Poly(int(format(C & ((1 << (L + 1)) - 1), f"0{L + 1}b")[::-1], 2))
 
 

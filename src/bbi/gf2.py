@@ -54,6 +54,8 @@ class BitVec:
         return BitVec, (self.value, self.width)
 
     def __xor__(self, other: "BitVec") -> "BitVec":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if self.width != other.width:
             raise ValueError("width mismatch")
         return BitVec(self.value ^ other.value, self.width)
@@ -83,7 +85,8 @@ _set_width = BitVec.width.__set__
 
 @dataclass(frozen=True)
 class Gf2Poly:
-    """Polynomial over GF(2); bit i of `bits` is the coefficient of X^i."""
+    """Polynomial over GF(2); bit i of `bits` is the coefficient of X^i.
+    Arithmetic with a non-Gf2Poly operand raises TypeError."""
 
     bits: int
 
@@ -108,12 +111,19 @@ class Gf2Poly:
         return (self.bits >> i) & 1
 
     def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
+        if not isinstance(other, Gf2Poly):
+            return NotImplemented
         return Gf2Poly(self.bits ^ other.bits)
 
     __sub__ = __add__
 
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
+        """Shift-and-XOR, one step per bit of the shorter operand."""
+        if not isinstance(other, Gf2Poly):
+            return NotImplemented
         a, b, acc = self.bits, other.bits, 0
+        if a.bit_length() > b.bit_length():
+            a, b = b, a
         while a:
             if a & 1:
                 acc ^= b
@@ -122,15 +132,21 @@ class Gf2Poly:
         return Gf2Poly(acc)
 
     def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
+        if not isinstance(other, Gf2Poly):
+            return NotImplemented
         if other.bits == 0:
             raise ZeroDivisionError("division by zero polynomial")
         q, r = _divmod_bits(self.bits, other.bits)
         return Gf2Poly(q), Gf2Poly(r)
 
     def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
+        if not isinstance(other, Gf2Poly):
+            return NotImplemented
         return divmod(self, other)[1]
 
     def __floordiv__(self, other: "Gf2Poly") -> "Gf2Poly":
+        if not isinstance(other, Gf2Poly):
+            return NotImplemented
         return divmod(self, other)[0]
 
     def __str__(self) -> str:
@@ -171,12 +187,13 @@ def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
 
 
 def lcm(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """Monic lcm; lcm(0, 0) is rejected, lcm with one zero argument is 0."""
+    """Monic lcm; lcm(0, 0) is rejected, lcm with one zero argument is 0.
+    a times the cofactor b / gcd: a * b is never built."""
     if a.is_zero and b.is_zero:
         raise ValueError("lcm(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         return ZERO
-    return (a * b) // gcd(a, b)
+    return a * (b // gcd(a, b))
 
 
 def powmod(a: Gf2Poly, e: int, mod: Gf2Poly) -> Gf2Poly:

@@ -1,7 +1,8 @@
 """Code that only the tests need: BitVec and polynomial builders, a
 modular-integer type, small maps and checks over the engine's types, the
 orbit walk that keeps its terms and the closed-form full-period oracle,
-Massey's Berlekamp-Massey written out with its discrepancy, the per-call
+Massey's Berlekamp-Massey written out with its discrepancy, the
+inversion formula one coefficient at a time, the per-call
 exhaustive scan and window walk and the rotate-per-round SPN that the
 fast oracle, window and cipher must reproduce, inverse operations of the
 targets, and the clocked per-bit keystream that the stream cipher's
@@ -125,6 +126,17 @@ def per_call_generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
         x = F(x)
         terms.append(x.value)
     return RecurrenceSequence(tuple(terms), y.width)
+
+
+def per_coefficient_invert(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
+    """The inversion formula read one coefficient a_i of mp at a time:
+    terms[m-1] plus terms[i-1] for each i in 1..m-1 with a_i = 1."""
+    m = mp.degree
+    v = seq.terms[m - 1]
+    for i in range(1, m):
+        if mp.coeff(i):
+            v ^= seq.terms[i - 1]
+    return BitVec(v, seq.width)
 
 
 def verify_sequence(seq: RecurrenceSequence, F: BlackBoxMap) -> bool:

@@ -20,8 +20,8 @@ from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
 from bbi.gf2 import BitVec, Gf2Poly, order
 
 from helpers import (concat, full_period_minpoly, massey_minpoly,
-                     per_call_generate, rotl, table_map, times_x_mod,
-                     verify_sequence)
+                     per_call_generate, per_coefficient_invert, rotl,
+                     table_map, times_x_mod, verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -300,15 +300,74 @@ def test_invert_from_minpoly_formula():
 
 def test_invert_from_minpoly_rejects_bad_inputs():
     s = seq_of([8, 2, 8, 2], 4)
-    with pytest.raises(ValueError):
-        invert_from_minpoly(s, Gf2Poly(0b10))   # constant term 0
-    with pytest.raises(ValueError):
+    degree = "annihilator must have degree >= 1"
+    constant = "constant term is zero: the window does not certify"
+    length = "window shorter than the annihilator degree"
+    with pytest.raises(ValueError, match=constant):
+        invert_from_minpoly(s, Gf2Poly(0b10))
+    with pytest.raises(ValueError, match=constant):
         invert_from_minpoly(s, Gf2Poly(0b110))
-    with pytest.raises(ValueError):
-        invert_from_minpoly(s, Gf2Poly(1))      # degree 0
+    with pytest.raises(ValueError, match=degree):
+        invert_from_minpoly(s, Gf2Poly(1))
+    with pytest.raises(ValueError, match=degree):
+        invert_from_minpoly(s, Gf2Poly(0))
     short = seq_of([8, 2], 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=length):
         invert_from_minpoly(short, Gf2Poly(0b10011))
+    # the checks run in this order: degree, constant term, length
+    with pytest.raises(ValueError, match=constant):
+        invert_from_minpoly(short, Gf2Poly(0b10010))
+
+
+@given(width=st.integers(1, 64), data=st.data())
+def test_invert_from_minpoly_matches_per_coefficient_formula(width, data):
+    # any mp with mp(0) = 1 and degree 1 .. M, degree M half the time
+    M = data.draw(st.integers(1, 200))
+    d = M if data.draw(st.booleans()) else data.draw(st.integers(1, M))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    s = seq_of([rng.getrandbits(width) for _ in range(M)], width)
+    mp = Gf2Poly(rng.getrandbits(d) | (1 << d) | 1)
+    assert invert_from_minpoly(s, mp) == per_coefficient_invert(s, mp)
+
+
+@st.composite
+def annihilator_cases(draw):
+    """A window of width 1..64 and M = 2..200 terms, and P of degree
+    <= M/2.  Half the windows follow P from random first terms, with at
+    most one bit of one term flipped; the rest are arbitrary."""
+    n = draw(st.integers(1, 64))
+    M = draw(st.integers(2, 200))
+    d = draw(st.integers(0, M // 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    P = rng.getrandbits(d) | (1 << d)
+    terms = [rng.getrandbits(n) for _ in range(M)]
+    if draw(st.booleans()):
+        for t in range(d, M):  # y(t) = sum of p_i y(t-d+i), i < d
+            terms[t] = 0
+            for i in range(d):
+                if P >> i & 1:
+                    terms[t] ^= terms[t - d + i]
+        flip = draw(st.integers(-1, M - 1))
+        if flip >= 0:
+            terms[flip] ^= 1 << draw(st.integers(0, n - 1))
+    return seq_of(terms, n), Gf2Poly(P)
+
+
+@settings(max_examples=300)
+@given(annihilator_cases())
+def test_annihilates_matches_per_window_check(case):
+    s, P = case
+    assert engine._annihilates(s, s.packed(), P.bits) == annihilates(P, s)
+
+
+def test_annihilates_needs_every_window_not_only_the_first():
+    # 1, 2, 3, 1, 2, 3, 1 follow X^2 + X + 1; the last term breaks it
+    P = Gf2Poly(0b111)
+    s = seq_of([1, 2, 3, 1, 2, 3, 1, 2 ^ 8], 4)
+    assert s.terms[0] ^ s.terms[1] ^ s.terms[2] == 0  # window 0 vanishes
+    assert not annihilates(P, s)
+    assert not engine._annihilates(s, s.packed(), P.bits)
+    assert minimal_polynomial(s).minpoly != P
 
 
 def test_local_inversion_fixed_point():

@@ -75,6 +75,29 @@ def test_bitvec_xor_and_width_check():
         a ^ BitVec(1, 5)
 
 
+@pytest.mark.parametrize("op", [
+    lambda: BitVec(1, 4) ^ 3,
+    lambda: 3 ^ BitVec(1, 4),
+    lambda: Gf2Poly(3) + 2,
+    lambda: 2 + Gf2Poly(3),
+    lambda: Gf2Poly(3) - 2,
+    lambda: 2 - Gf2Poly(3),
+    lambda: Gf2Poly(3) * 2,
+    lambda: 2 * Gf2Poly(3),
+    lambda: divmod(Gf2Poly(3), 2),
+    lambda: divmod(2, Gf2Poly(3)),
+    lambda: Gf2Poly(3) % 2,
+    lambda: 2 % Gf2Poly(3),
+    lambda: Gf2Poly(3) // 2,
+    lambda: 2 // Gf2Poly(3),
+    lambda: BitVec(3, 2) ^ Gf2Poly(3),
+    lambda: Gf2Poly(3) * BitVec(3, 2),
+])
+def test_foreign_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
 def test_bitvec_bit_indexing_is_little_endian():
     v = BitVec(0b0110, 4)
     assert v.bit(0) == 0 and v.bit(1) == 1 and v.bit(2) == 1 and v.bit(3) == 0
@@ -180,6 +203,49 @@ def test_gcd_lcm_product_property():
         assert g * l == a * b
         assert a % g == ZERO and b % g == ZERO
         assert l % a == ZERO and l % b == ZERO
+
+
+def schoolbook(a: int, b: int) -> int:
+    """Carry-less product of coefficient masks, one row per bit of a."""
+    acc = 0
+    for i in range(a.bit_length()):
+        if (a >> i) & 1:
+            acc ^= b << i
+    return acc
+
+
+def dense_poly(rng: random.Random, lo: int, hi: int) -> int:
+    d = rng.randint(lo, hi)
+    return rng.getrandbits(d) | (1 << d) | 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lcm_at_solver_degrees(seed):
+    # degrees 300 .. 1100 with a shared factor, as the solver's lcms have
+    rng = random.Random(seed)
+    g = dense_poly(rng, 1, 400)
+    a = Gf2Poly(schoolbook(g, dense_poly(rng, 300, 700)))
+    b = Gf2Poly(schoolbook(g, dense_poly(rng, 300, 700)))
+    l = lcm(a, b)
+    assert l == lcm(b, a)
+    assert l == Gf2Poly(schoolbook(a.bits, b.bits)) // gcd(a, b)
+    assert l % a == ZERO and l % b == ZERO
+    f = Gf2Poly(dense_poly(rng, 300, 400))
+    af = Gf2Poly(schoolbook(a.bits, f.bits))
+    assert lcm(a, af) == af
+    assert lcm(af, a) == af
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mul_loops_over_either_operand(seed):
+    rng = random.Random(seed)
+    big = Gf2Poly(rng.getrandbits(999) | (1 << 999))
+    assert big.bits.bit_length() == 1000
+    assert ONE * big == big * ONE == big
+    for short in (X, Gf2Poly(dense_poly(rng, 2, 60)), Gf2Poly(dense_poly(rng, 300, 1100))):
+        want = Gf2Poly(schoolbook(short.bits, big.bits))
+        assert short * big == want
+        assert big * short == want
 
 
 def test_powmod():
