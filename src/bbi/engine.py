@@ -43,7 +43,7 @@ from itertools import compress
 from operator import xor
 from typing import Callable
 
-from .gf2 import BitVec, Gf2Poly, ONE, lcm, order
+from .gf2 import BitVec, Gf2Poly, ONE, _set_value, _set_width, lcm, order
 
 UNIQUE = "unique"
 SATURATED = "saturated"
@@ -58,7 +58,8 @@ class EvalBudgetExceeded(RuntimeError):
 
 
 class BlackBoxMap:
-    """A map GF(2)^in_width -> GF(2)^out_width, used only by calling it.
+    """A map GF(2)^in_width -> GF(2)^out_width, used only by calling it;
+    both widths are at least 1.
 
     Every evaluation goes through this class: one call, `F(x)`, or a
     batch, `F.iterate(y, k)` and `F.preimages(y)`.  `evals` counts every
@@ -74,9 +75,14 @@ class BlackBoxMap:
 
     def __init__(self, fn: Callable[[BitVec], BitVec], in_width: int,
                  out_width: int | None = None, label: str = ""):
+        if out_width is None:
+            out_width = in_width
+        if in_width < 1 or out_width < 1:
+            raise ValueError(f"map widths {in_width} -> {out_width}: "
+                             "each must be >= 1")
         self.fn = fn
         self.in_width = in_width
-        self.out_width = in_width if out_width is None else out_width
+        self.out_width = out_width
         self.label = label
         self.evals = 0
         self.max_evals: int | None = None
@@ -95,6 +101,8 @@ class BlackBoxMap:
 
     def iterate(self, y: BitVec, k: int) -> list[int]:
         """The values of y, F(y), ..., F^k(y): exactly k evaluations."""
+        if k < 0:
+            raise ValueError(f"cannot iterate {k} times")
         n = self.in_width
         if n != self.out_width:
             raise ValueError("feedback iteration needs matching in/out widths")
@@ -121,14 +129,22 @@ class BlackBoxMap:
         n, out_width = self.in_width, self.out_width
         if y.width != out_width:
             raise ValueError("y width does not match the map output")
+        if n < 1:
+            raise ValueError("width must be >= 1")
         fn, size = self.fn, 1 << n
         limit = self._allowance(size)
         target = y.value  # widths are checked, so values suffice
         found = []
+        new, bitvec = object.__new__, BitVec
+        set_value, set_width = _set_value, _set_width
         v = -1
         try:
             for v in range(limit):
-                x = BitVec(v, n)
+                # BitVec(v, n) without its checks: n >= 1 was checked above
+                # and 0 <= v < limit <= 2^n, so every input fits its width
+                x = new(bitvec)
+                set_value(x, v)
+                set_width(x, n)
                 out = fn(x)
                 if out.width != out_width:
                     raise self._width_error(out.width)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbi import engine
+from bbi import engine, gf2
 from bbi.embedding import invert_embedding
 from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
                         SOLUTION, UNIQUE, BlackBoxMap, EvalBudgetExceeded,
@@ -79,6 +79,25 @@ def test_blackboxmap_eval_budget():
     with pytest.raises(EvalBudgetExceeded):
         F(y)
     assert F.evals == 3  # the rejected call is not counted
+
+
+@pytest.mark.parametrize("widths", [(0, None), (-2, None), (0, 3), (3, 0), (4, -1)])
+def test_blackboxmap_rejects_widths_below_one(widths):
+    """A map of width 0 or less can never be called; it is refused at
+    construction, in either width."""
+    with pytest.raises(ValueError, match="each must be >= 1"):
+        BlackBoxMap(lambda x: x, *widths)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 5])
+def test_iterate_rejects_negative_k_before_any_evaluation(budget):
+    F = identity(4)
+    F.max_evals = budget
+    for k in (-1, -7):
+        with pytest.raises(ValueError, match=f"cannot iterate {k} times"):
+            F.iterate(BitVec(1, 4), k)
+    assert F.evals == 0
+    assert F.iterate(BitVec(1, 4), 0) == [1] and F.evals == 0
 
 
 def test_sequence_validation():
@@ -211,6 +230,23 @@ def test_only_blackboxmap_evaluates_a_map():
     assert uses == []
     assert not [name for name in ("allowance", "budget_exceeded", "width_error")
                 if hasattr(BlackBoxMap, name)]
+
+
+def test_only_gf2_and_the_scan_build_bitvecs_unchecked():
+    """gf2's slot setters build a BitVec without its width and range
+    checks.  Outside gf2.py only engine.py, whose exhaustive scan bounds
+    every value it stores, may name them."""
+    src = Path(engine.__file__).parent
+    setters = {"_set_value", "_set_width"}
+    assert all(hasattr(gf2, name) for name in setters)
+    uses = [f"{path.relative_to(src)}:{node.lineno}"
+            for path in sorted(src.rglob("*.py"))
+            if path.name not in ("gf2.py", "engine.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Name) and node.id in setters
+                or isinstance(node, ast.Attribute) and node.attr in setters
+                or isinstance(node, ast.alias) and node.name in setters)]
+    assert uses == []
 
 
 def test_verify_catches_tampering():

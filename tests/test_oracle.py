@@ -1,8 +1,10 @@
 """Ground-truth oracle: exhaustive preimages, orbit shapes, closed-form
 minimal polynomials."""
 
+import copy
+import pickle
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -354,3 +356,46 @@ def test_brute_force_invert_is_exact_scan(case, data):
     found = brute_force_invert(F, BitVec(y, width))
     assert found == [BitVec(x, width) for x in range(size) if table[x] == y]
     assert F.evals == size
+
+
+@given(rho_tables(), st.data())
+def test_scan_inputs_are_real_bitvecs(case, data):
+    """The scan builds its inputs without BitVec's checks; each one, and
+    each preimage returned, is still a BitVec like BitVec(v, n)."""
+    width, table, _ = case
+    size = 1 << width
+    y = data.draw(st.sampled_from(table))
+    received = []
+
+    def fn(x):
+        received.append(x)
+        return BitVec(table[x.value], width)
+
+    F = BlackBoxMap(fn, width)
+    found = F.preimages(BitVec(y, width))
+    assert [x.value for x in received] == list(range(size))
+    # the preimages are the very inputs fn received
+    assert list(map(id, found)) == [id(x) for x in received if table[x.value] == y]
+    for v, x in enumerate(received):
+        ref = BitVec(v, width)
+        assert type(x) is BitVec
+        assert x == ref and hash(x) == hash(ref) and repr(x) == repr(ref)
+        for twin in (copy.copy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is BitVec and twin == ref
+        for name in ("value", "width"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, name, 0)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 10])
+def test_scan_rejects_width_zero_before_any_evaluation(budget):
+    """The scan's width check runs once, before its loop: a map whose
+    in_width was set to 0 after construction spends nothing."""
+    calls = []
+    F = BlackBoxMap(lambda x: calls.append(x) or BitVec(0, 3), 2, 3)
+    F(BitVec(1, 2))
+    F.in_width = 0
+    F.max_evals = budget
+    with pytest.raises(ValueError, match="^width must be >= 1$"):
+        F.preimages(BitVec(0, 3))
+    assert F.evals == len(calls) == 1

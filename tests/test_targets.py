@@ -101,7 +101,7 @@ def test_identity_and_not_maps():
     assert G.label == "not3"
     assert G(BitVec(0b101, 3)) == BitVec(0b010, 3)
     assert G(G(BitVec(6, 3))) == BitVec(6, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^width must be positive$"):
         identity_map(0)
     with pytest.raises(ValueError):
         not_map(0)
