@@ -1,8 +1,9 @@
 """Command-line front end: invert shipped or user-supplied targets, survey
 seeds for linear complexity, run the end-to-end demos, and query the
 brute-force oracle.  The demos invert from forward evaluations alone:
-no oracle tells them a period, so each doubles its window until one
-solves.
+no oracle tells them a period, so each attempt grows one window on one
+map, by max(n, ceil(M/16)) terms at a time, until a solve verifies.
+--max-evals bounds each map, so in a demo it bounds a whole attempt.
 
 Exit codes: 0 verified success, 1 usage or config error, 2 insufficient
 data (no verified solution, or an evaluation budget ran dry).  The
@@ -21,10 +22,12 @@ import os
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from functools import cache, partial
 
 from .embedding import composed_map, invert_embedding, project
-from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
+from .engine import (BlackBoxMap, EvalBudgetExceeded, GrowingWindow,
+                     InversionReport, generate, invert_window,
                      local_inversion)
 from .gf2 import BitVec
 from .oracle import brute_force_invert, orbit_profile
@@ -86,24 +89,16 @@ def _report_doc(report: InversionReport) -> dict:
     }
 
 
-def _solve(F: BlackBoxMap, y: BitVec,
-           M: int | None) -> tuple[InversionReport, int | None]:
-    """Invert F at y from a window of M terms.  A map wider on output than
-    on input goes through its projection windows, and window is the one
-    that won (None if none did); for a regular map window is None."""
-    if F.out_width > F.in_width:
-        return invert_embedding(F, y, M)
-    return local_inversion(F, y, M), None
-
-
 def cmd_invert(args) -> int:
     target = load_target(args.target)
     F = _budget_map(target, args.max_evals)
     y = _parse_bits(args.y, F.out_width)
-    report, window = _solve(F, y, args.M)
-    doc = {"target": F.label, **_report_doc(report)}
     if F.out_width > F.in_width:  # an embedding names its window, null if none won
-        doc["window"] = window
+        report, window = invert_embedding(F, y, args.M)
+        doc = {"target": F.label, **_report_doc(report), "window": window}
+    else:
+        report = local_inversion(F, y, args.M)
+        doc = {"target": F.label, **_report_doc(report)}
     print(json.dumps(doc, indent=2))
     return 0 if report.solved else 2
 
@@ -172,34 +167,43 @@ def _key_note(x: int, key: int) -> str:
     return "the secret key itself" if x == key else "a key-equivalent preimage"
 
 
-def _double_window(new_map, y: BitVec, M: int | None):
-    """Invert y from forward evaluations alone: solve on a fresh map from
-    new_map at M (None: the library default), then at twice the last
-    try's M, until a try has M > 2^(n+1) + 2, which no orbit needs, as
-    LC <= period <= 2^n (n the input width).  Returns (report, window)
-    of the first solved try, or None.  A minimal polynomial with a zero
-    constant term drops the attempt: the orbit of y is not purely
-    periodic, so it has no inverse there."""
+def _grow_window(F: BlackBoxMap, y: BitVec, M: int | None):
+    """Invert y on F from forward evaluations alone, in one window that
+    grows: solve at M terms (None: the library default 4n, n the input
+    width), then extend the window by max(n, ceil(M/16)) further terms
+    and solve again, until a solve verifies or the window has passed
+    2^(n+1) + 2 terms, which no orbit needs, as LC <= period <= 2^n.
+    Each window term is evaluated once, and each solve resumes the last
+    one's Berlekamp-Massey state.  An embedding scans its output windows
+    once, at M.  Returns (report, window) of the solved try, or None.  A
+    minimal polynomial with a zero constant term drops the attempt: the
+    orbit of y is not purely periodic, so it has no inverse there."""
+    if F.out_width > F.in_width:
+        report, window = invert_embedding(F, y, M)
+        return (report, window) if report.solved else None
+    n, before = F.in_width, F.evals
+    grown = GrowingWindow(generate(F, y, 4 * n if M is None else M))
     while True:
-        F = new_map()
-        report, window = _solve(F, y, M)
+        seq = grown.seq
+        report = invert_window(F, y, seq, grown.solve().minpoly, before)
         if report.solved:
-            return report, window
-        M, mp = report.terms_consumed, report.minpoly
+            return report, None
+        M, mp = len(seq.terms), report.minpoly
         if mp is not None and mp.constant_term == 0:
             print(f"  {F.label} at {y.hex()}: the M = {M} minimal polynomial has "
                   f"zero constant term; not purely periodic, no inverse on its orbit")
             return None
-        if M > (1 << (F.in_width + 1)) + 2:
+        if M > (1 << (n + 1)) + 2:
             return None
-        M *= 2
+        grown.extend(F.iterate(BitVec(seq.terms[-1], n), max(n, -(-M // 16)))[1:])
 
 
 # Each demo prints its header and returns (the attempts (new map, y, M)
 # to try, verify).  new_map hands out a fresh map of the demo's target
 # under --max-evals; M None is the library's default window.
 # verify(report, window) runs the demo's own domain check on a solved
-# report, prints the result lines and returns the verdict.
+# report, whose map_evals counts every attempt's, prints the result
+# lines and returns the verdict.
 
 def _demo_spn(target: TargetInstance, new_map, args):
     cipher, cfg = target.params, target.config
@@ -329,15 +333,20 @@ DEMOS = {  # demo name -> (shipped target, demo)
 
 
 def cmd_demo(args) -> int:
-    """The first verified inversion ends the run; the demo's check judges it."""
+    """Each attempt grows its window on one map; the first verified
+    inversion ends the run, and the demo's check judges it."""
     name, demo = DEMOS[args.name]
     target = load_target(name)
     attempts, verify = demo(target, partial(_budget_map, target, args.max_evals),
                             args)
+    spent = 0
     for new_map, y, M in attempts:
-        solved = _double_window(new_map, y, M)
+        F = new_map()
+        solved = _grow_window(F, y, M)
+        spent += F.evals
         if solved:
-            return 0 if verify(*solved) else 2
+            report, window = solved
+            return 0 if verify(replace(report, map_evals=spent), window) else 2
     print("  no window length yielded a verified x: insufficient data")
     return 2
 
@@ -372,7 +381,8 @@ def _max_evals(text: str) -> int:
 
 def _add_max_evals(p) -> None:
     p.add_argument("--max-evals", type=_max_evals, default=DEFAULT_MAX_EVALS,
-                   help="abort after this many evaluations of any one map")
+                   help="abort after this many evaluations of any one map "
+                   "(in a demo, of one attempt's growing window and its check)")
 
 
 @cache  # parsing leaves the parser as it was, so every main() shares one

@@ -18,7 +18,7 @@ GF(2)^n (Wiedemann, IEEE Trans. IT 32(1), 1986); Berlekamp-Massey
 each scalar sequence <u, y(t)>.  Their lcm is returned once it has
 degree <= M/2 and annihilates the whole window; a projection or an lcm
 of degree past M/2 proves that no annihilator of degree <= M/2 exists.
-One of the two always happens (see minimal_polynomial).  The
+One of the two always happens (see GrowingWindow).  The
 annihilation check rejects on window 0 first, which is sound because
 only the check of every window can accept.
 
@@ -301,16 +301,18 @@ def _combine(terms: tuple[int, ...], mask: int) -> int:
     return reduce(xor, compress(terms, selectors), 0)
 
 
-def _annihilates(seq: RecurrenceSequence, packed: int, poly: int) -> bool:
+def _annihilates(seq: RecurrenceSequence, poly: int) -> bool:
     """Does the polynomial with coefficient i at bit i of `poly` annihilate
-    every window of seq?  `packed` is seq.packed().
+    every window of seq?
 
     Window 0 is tested first, with one _combine: a dense lcm that fails
-    there costs no pass over the packed data.  Only the packed check,
-    one shift and XOR of the whole window per set bit, returns True.
+    there costs neither packing the window nor a pass over it.  Only the
+    packed check, one shift and XOR of the whole window per set bit,
+    returns True.
     """
     if _combine(seq.terms, poly):
         return False
+    packed = seq.packed()
     n, M = seq.width, len(seq.terms)
     acc = 0
     b = poly
@@ -323,8 +325,16 @@ def _annihilates(seq: RecurrenceSequence, packed: int, poly: int) -> bool:
 
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     """Least-degree monic annihilator of degree <= M/2 of the window, or
-    None when there is none.  This only decides: no Hankel scan runs
-    here, and the result measures status and rank_profile when read.
+    None when there is none: a GrowingWindow of seq, solved once.  This
+    only decides: no Hankel scan runs here, and the result measures
+    status and rank_profile when read.
+    """
+    return GrowingWindow(seq).solve()
+
+
+class GrowingWindow:
+    """A window that grows at its end and is decided again after each
+    growth, each decision exactly minimal_polynomial's on the terms so far.
 
     Projected Berlekamp-Massey decides every window.  For each u of the
     fixed schedule, the minimal polynomial m_u of the scalar sequence
@@ -348,31 +358,84 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     in, an lcm still at or below M/2 annihilates every coordinate.  The
     loop reads the next vector only when the lcm failed that check.
 
+    Each projection a solve reads keeps its bits <u, y(t)> and its
+    Berlekamp-Massey state, so after `extend` a solve pays only the
+    join and the Berlekamp-Massey steps of the terms added since that
+    projection was last read.  A projection the loop no longer reaches
+    stays where it was until a later solve needs it again.
+
     The all-zero window gets X+1: every polynomial annihilates it, and
     X+1 is the least-degree one with an invertible constant term, which
     inverts to x = y = 0.
     """
-    M = len(seq.terms)
-    if M < 2:
-        raise ValueError("need at least 2 terms")
-    n = seq.width
-    packed = seq.packed()
-    if not packed:
-        return MinPolyResult(Gf2Poly(0b11), seq)
-    found = ONE
-    for u in _projections(n):
-        # s_t = <u, y(t)> at bit M-1-t, the order _bm_scalar reads
-        s = int("".join(["1" if (v & u).bit_count() & 1 else "0"
-                         for v in seq.terms]), 2)
-        mp = _bm_scalar(s, M)
-        if found != ONE and 2 * mp.degree <= M:
-            mp = lcm(found, mp)
-        if 2 * mp.degree > M:
-            break
-        if mp != found and _annihilates(seq, packed, mp.bits):
-            return MinPolyResult(mp, seq)
-        found = mp
-    return MinPolyResult(None, seq)
+
+    def __init__(self, seq: RecurrenceSequence):
+        self.seq = seq
+        # per projection read so far: [terms read, s, C, B, L, gap]
+        self._read: list[list[int]] = []
+
+    def extend(self, values) -> None:
+        """Append terms, each the int value of a `width`-bit vector."""
+        seq = self.seq
+        self.seq = RecurrenceSequence(seq.terms + tuple(values), seq.width)
+
+    def solve(self) -> MinPolyResult:
+        seq = self.seq
+        M = len(seq.terms)
+        if M < 2:
+            raise ValueError("need at least 2 terms")
+        if not any(seq.terms):
+            return MinPolyResult(Gf2Poly(0b11), seq)
+        found = ONE
+        for i, u in enumerate(_projections(seq.width)):
+            mp = self._project(i, u)
+            if 2 * mp.degree > M:
+                break
+            if found != ONE:
+                mp = _lcm_within(found, mp, M)
+                if mp is None:
+                    break
+            if mp != found and _annihilates(seq, mp.bits):
+                return MinPolyResult(mp, seq)
+            found = mp
+        return MinPolyResult(None, seq)
+
+    def _project(self, i: int, u: int) -> Gf2Poly:
+        """m_u of the window for projection i of the schedule, u; the
+        solve reads projections in order, so i is at most one past the
+        last one read."""
+        if i == len(self._read):
+            self._read.append([0, 0, 1, 1, 0, 1])
+        state = self._read[i]
+        read, s, C, B, L, gap = state
+        terms = self.seq.terms
+        M = len(terms)
+        if read < M:
+            # s_t = <u, y(t)> at bit M-1-t, the order _bm_steps reads
+            s = (s << (M - read)) | int("".join(
+                ["1" if (v & u).bit_count() & 1 else "0" for v in terms[read:]]), 2)
+            C, B, L, gap = _bm_steps(s, read, M, C, B, L, gap)
+            state[:] = M, s, C, B, L, gap
+        return _bm_poly(C, L)
+
+
+def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:
+    """lcm(a, b) if its degree is at most M/2, else None; a and b have
+    degree <= M/2.
+
+    When one more degree than the larger, a, would pass M/2, the lcm
+    stays within only by being a, that is, when b divides a: one
+    remainder decides, where the gcd of two polynomials of degree about
+    M/2 would take a division per step of Euclid's algorithm.  Two
+    different polynomials of one degree fail at once.
+    """
+    if a.degree < b.degree:
+        a, b = b, a
+    d = a.degree
+    if 2 * d + 2 > M:
+        return a if a == b or (d > b.degree and not (a % b).bits) else None
+    mp = lcm(a, b)
+    return mp if 2 * mp.degree <= M else None
 
 
 def _hankel_scan(seq: RecurrenceSequence) -> tuple[tuple[int, int], ...]:
@@ -436,25 +499,36 @@ def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> Inversio
         M = 4 * F.in_width
     before = F.evals
     seq = generate(F, y, M)
-    res = minimal_polynomial(seq)
-    if res.minpoly is not None and res.minpoly.constant_term == 1:
-        x = invert_from_minpoly(seq, res.minpoly)
+    return invert_window(F, y, seq, minimal_polynomial(seq).minpoly, before)
+
+
+def invert_window(F: BlackBoxMap, y: BitVec, seq: RecurrenceSequence,
+                  mp: Gf2Poly | None, before: int) -> InversionReport:
+    """The report on window seq of F from y, decided as mp: the
+    inversion formula, when mp has constant term 1, and the check
+    F(x) == y on one fresh evaluation.  map_evals counts F's
+    evaluations since it had made `before`."""
+    M = len(seq.terms)
+    if mp is not None and mp.constant_term == 1:
+        x = invert_from_minpoly(seq, mp)
         if F(x) == y:
-            return InversionReport(SOLUTION, x, res.minpoly, M, F.evals - before)
-    return InversionReport(INSUFFICIENT_DATA, None, res.minpoly, M,
-                           F.evals - before)
+            return InversionReport(SOLUTION, x, mp, M, F.evals - before)
+    return InversionReport(INSUFFICIENT_DATA, None, mp, M, F.evals - before)
 
 
-def _bm_scalar(s: int, M: int) -> Gf2Poly:
-    """Berlekamp-Massey over GF(2) on s_t at bit M-1-t, t = 0 .. M-1.
+def _bm_steps(s: int, t: int, M: int, C: int, B: int, L: int,
+              gap: int) -> tuple[int, int, int, int]:
+    """Berlekamp-Massey over GF(2) on s_t at bit M-1-t: steps t .. M-1
+    from the state (C, B, L, gap) that steps 0 .. t-1 left, returning
+    the state after step M-1.
 
-    Returns the minimal polynomial X^L C(1/X) of the sequence, L being
-    its linear complexity and C the connection polynomial (bit i = c_i,
-    c_0 = 1) with s_t = sum c_i s_{t-i} for t >= L.
+    C is the connection polynomial (bit i = c_i, c_0 = 1), with
+    s_t = sum c_i s_{t-i} for L <= t < M, B is C before the last change
+    of L, and gap the number of steps since that change.  Steps 0 .. M-1
+    from (1, 1, 0, 1) are the whole algorithm; a sequence that grows at
+    its end shifts s left by the new terms and resumes at t.
     """
-    C, B = 1, 1
-    L, gap = 0, 1
-    for t, k in enumerate(range(M - 1, -1, -1)):
+    for t, k in enumerate(range(M - 1 - t, -1, -1), t):
         if (C & (s >> k)).bit_count() & 1:  # bit i of s >> k is s_{t-i}
             if 2 * L <= t:
                 C, B = C ^ (B << gap), C
@@ -463,7 +537,20 @@ def _bm_scalar(s: int, M: int) -> Gf2Poly:
             else:
                 C ^= B << gap
         gap += 1
+    return C, B, L, gap
+
+
+def _bm_poly(C: int, L: int) -> Gf2Poly:
+    """The minimal polynomial X^L C(1/X) of a Berlekamp-Massey state."""
     return Gf2Poly(int(format(C & ((1 << (L + 1)) - 1), f"0{L + 1}b")[::-1], 2))
+
+
+def _bm_scalar(s: int, M: int) -> Gf2Poly:
+    """Berlekamp-Massey over GF(2) on s_t at bit M-1-t, t = 0 .. M-1: the
+    minimal polynomial X^L C(1/X) of the sequence, L being its linear
+    complexity."""
+    C, _, L, _ = _bm_steps(s, 0, M, 1, 1, 0, 1)
+    return _bm_poly(C, L)
 
 
 def bm_crosscheck(seq: RecurrenceSequence) -> Gf2Poly:

@@ -98,9 +98,10 @@ def test_c1_periodic_orbit_inversion(periodic_suite):
 
 
 def test_c2_hankel_bm_agreement(periodic_suite):
-    # bm_crosscheck shares _bm_scalar with the solver, so the rank is the
-    # independent check: rank H(d) = d means no nonzero polynomial of
-    # degree < d annihilates the window, so nothing below mp does
+    # bm_crosscheck shares the kernel _bm_steps with the solver, so the
+    # rank is the independent check: rank H(d) = d means no nonzero
+    # polynomial of degree < d annihilates the window, so nothing below
+    # mp does
     cases = periodic_suite["cases"]
     for seq, res in cases:
         mp = res.minpoly

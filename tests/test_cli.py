@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bbi import cli, engine, oracle
-from bbi.engine import INSUFFICIENT_DATA, InversionReport
 from bbi.gf2 import BitVec
 from bbi.targets import (CONFIG_DIR, TargetInstance, build_target,
                           list_targets, load_target)
@@ -151,24 +150,24 @@ def test_demos_match_golden_jsonl():
 
 
 def test_invert_and_demos_run_no_scan(monkeypatch):
-    """`bbi invert` on every golden case and every demo, in-process:
-    minimal_polynomial decides every window, solved or not, and nothing
+    """`bbi invert` on every golden case and every demo, in-process: a
+    GrowingWindow solve decides every window, solved or not, and nothing
     on those paths reads the rank evidence, so the Hankel scan never
     runs."""
     scans, unsolved = [], []
-    solve, scan = engine.minimal_polynomial, engine._hankel_scan
+    solve, scan = engine.GrowingWindow.solve, engine._hankel_scan
 
     def counted_scan(seq):
         scans.append(seq)
         return scan(seq)
 
-    def counted_solve(seq):
-        res = solve(seq)
+    def counted_solve(window):
+        res = solve(window)
         unsolved.append(res.minpoly is None)
         return res
 
     monkeypatch.setattr(engine, "_hankel_scan", counted_scan)
-    monkeypatch.setattr(engine, "minimal_polynomial", counted_solve)
+    monkeypatch.setattr(engine.GrowingWindow, "solve", counted_solve)
     for line in INVERT_GOLDEN.read_text().splitlines():
         case = json.loads(line)
         rc, out, _, _ = run_main("invert", "--target", case["target"],
@@ -255,33 +254,72 @@ def test_a_shipped_name_beats_a_local_file_and_a_path_reaches_it(
         assert target_of(*argv, "--target", "./dlp-p11") == "identity4"
 
 
+def growth_schedule(M0: int, n: int, last: int) -> list[int]:
+    """The window lengths a demo attempt solves at, from M0 to last: each
+    grows the one before by max(n, ceil(M/16)) terms."""
+    Ms = [M0]
+    while Ms[-1] < last:
+        Ms.append(Ms[-1] + max(n, -(-Ms[-1] // 16)))
+    assert Ms[-1] == last
+    return Ms
+
+
+def run_spied(name: str, unsolved: bool = False) -> tuple[int, str, str, list, list]:
+    """`bbi demo name` in-process with every GrowingWindow solve spied on:
+    the exit code, stdout, stderr, the maps handed out, and per solve
+    (window length, evaluations so far of the newest map).  With
+    unsolved, each solve reports no minimal polynomial instead of
+    deciding."""
+    calls = []
+    solve = engine.GrowingWindow.solve
+
+    def spy(window):
+        calls.append((len(window.seq.terms), made[-1].evals))
+        return engine.MinPolyResult(None, window.seq) if unsolved else solve(window)
+
+    with pytest.MonkeyPatch.context() as mp, counted_maps() as made:
+        mp.setattr(engine.GrowingWindow, "solve", spy)
+        rc, out, err, _ = run_main("demo", name)
+    return rc, out, err, made, calls
+
+
 @pytest.mark.parametrize("name", sorted(cli.DEMOS))
 def test_demo_failure_paths(name, monkeypatch):
     """Neither path is reachable with the shipped configs: an unsolved
-    inversion, and a "solved" x that the demo's own check must reject."""
-    solve = cli._solve
+    inversion, and a "solved" x that the demo's own check must reject.
 
-    def unsolved(F, y, M):  # reports the window it was given, as _solve does
-        M = 4 * F.in_width if M is None else M
-        return InversionReport(INSUFFICIENT_DATA, None, None, M, 0), None
-
-    monkeypatch.setattr(cli, "_solve", unsolved)
-    rc, out, err, _ = run_demo(name)
+    Unsolved, each attempt's one map grows its window until it has passed
+    2^(n+1) + 2 terms, evaluating every term once (an embedding scans
+    its windows once, at its M0)."""
+    rc, out, err, made, calls = run_spied(name, unsolved=True)
     assert rc == 2 and err == ""
     assert len([l for l in out.splitlines() if "insufficient data" in l]) == 1
     assert not RECOVERED.search(out)
+    n = made[0].in_width
+    if name == "ecdlp":  # one scan of the output windows at 2 n_P + 2 = 40
+        assert len(made) == 1
+        assert [M for M, _ in calls] == [40] * (made[0].out_width - n + 1)
+    else:
+        Ms = [M for M, _ in calls]
+        attempts = 5 if name == "stream" else 1
+        assert len(made) == attempts
+        assert Ms == growth_schedule(4 * n, n, Ms[-1]) * attempts
+        assert Ms[-2] <= (1 << (n + 1)) + 2 < Ms[-1]
+        assert [evals for _, evals in calls] == [M - 1 for M in Ms]
+        assert [F.evals for F in made] == [Ms[-1] - 1] * attempts
 
     flipped = []
 
-    def wrong_x(F, y, M):  # the shorter windows of a doubling stay unsolved
-        report, window = solve(F, y, M)
-        if not report.solved:
-            return report, window
-        flipped.append(M)
-        x = BitVec(report.x.value ^ 1, report.x.width)
-        return replace(report, x=x), window
+    def flip(report):
+        if report.solved:
+            flipped.append(report.terms_consumed)
+            report = replace(report, x=BitVec(report.x.value ^ 1, report.x.width))
+        return report
 
-    monkeypatch.setattr(cli, "_solve", wrong_x)
+    invert_window, invert_embedding = cli.invert_window, cli.invert_embedding
+    monkeypatch.setattr(cli, "invert_window", lambda *a: flip(invert_window(*a)))
+    monkeypatch.setattr(cli, "invert_embedding", lambda *a: (
+        lambda report, window: (flip(report), window))(*invert_embedding(*a)))
     rc, out, err, _ = run_demo(name)
     verdict = out.splitlines()[-1]
     assert rc == 2 and err == "" and len(flipped) == 1
@@ -291,44 +329,33 @@ def test_demo_failure_paths(name, monkeypatch):
         assert verdict.endswith(": False")
 
 
-# demo -> the window lengths M it tries, from 4n, doubling until one solves
-DOUBLING = {"dlp": [16], "rsa-cca": [44, 88], "rsa-decrypt": [16],
-            "spn-kpa": [64, 128, 256, 512]}
+# demo -> (its first window, 4n, and the one that solves)
+GROWTH = {"dlp": (16, 16), "rsa-cca": (44, 77), "rsa-decrypt": (16, 16),
+          "spn-kpa": (64, 475)}
 
 
-def spy_on_solve(monkeypatch) -> list:
-    """The list that (map, M) of every later cli._solve call goes to, M
-    being the window length the call used."""
-    calls = []
-    solve = cli._solve
-
-    def spy(F, y, M):
-        report, window = solve(F, y, M)
-        calls.append((F, report.terms_consumed))
-        return report, window
-
-    monkeypatch.setattr(cli, "_solve", spy)
-    return calls
-
-
-@pytest.mark.parametrize("name", sorted(DOUBLING))
-def test_demo_doubles_M_on_fresh_maps(name, monkeypatch):
-    """Each try inverts on its own fresh budgeted map at twice the last
-    M; an unsolved try spends its M - 1 window terms, the solved one one
-    more for its check."""
-    calls = spy_on_solve(monkeypatch)
-    rc, _, _, made = run_main("demo", name)
-    Ms = DOUBLING[name]
-    assert rc == 0 and [M for _, M in calls] == Ms
-    assert [id(F) for F, _ in calls] == [id(F) for F in made]
-    assert [F.evals for F in made] == [M - 1 for M in Ms[:-1]] + [Ms[-1]]
-    assert {F.max_evals for F in made} == {cli.DEFAULT_MAX_EVALS}
+@pytest.mark.parametrize("name", sorted(GROWTH))
+def test_demo_grows_one_window_on_one_map(name):
+    """The attempt solves at 4n, then at each longer window of the growth
+    schedule, all on one budgeted map: each solve sees every term the map
+    has evaluated, none twice, and the solved try spends one more for its
+    check.  The demo prints all it spent."""
+    rc, out, _, made, calls = run_spied(name)
+    M0, M = GROWTH[name]
+    Ms = growth_schedule(M0, made[0].in_width, M)
+    assert rc == 0 and len(made) == 1
+    assert calls == [(m, m - 1) for m in Ms]
+    assert made[0].evals == M and made[0].max_evals == cli.DEFAULT_MAX_EVALS
+    assert f"M = {M}," in out
+    if name == "spn-kpa":
+        assert f"evals = {M}\n" in out
 
 
 def test_stream_demo_drops_window_1_and_solves_window_2(monkeypatch):
-    """Window 1 is tried once, at M = 64, and dropped on its minimal
-    polynomial's zero constant term; window 2 doubles from 64 to 1024,
-    one fresh map per try; windows 3-5 are never built."""
+    """Window 1 is solved once, at M = 64, and dropped on its minimal
+    polynomial's zero constant term; window 2 grows one window on one
+    map from 64 to 607; windows 3-5 are never built.  The result line
+    counts both maps' evaluations."""
     windows = []
     compose = cli.composed_map
 
@@ -337,16 +364,32 @@ def test_stream_demo_drops_window_1_and_solves_window_2(monkeypatch):
         return compose(F, i)
 
     monkeypatch.setattr(cli, "composed_map", spy)
-    calls = spy_on_solve(monkeypatch)
-    rc, out, _, made = run_main("demo", "stream")
-    Ms = [64, 128, 256, 512, 1024]
-    assert rc == 0
-    assert windows == [1] + [2] * len(Ms)
-    assert [M for _, M in calls] == [64] + Ms
-    assert [F.evals for F in made] == [63] + [M - 1 for M in Ms[:-1]] + [1024]
+    rc, out, _, made, calls = run_spied("stream")
+    Ms = growth_schedule(64, 16, 607)
+    assert rc == 0 and windows == [1, 2] and len(made) == 2
+    assert calls == [(m, m - 1) for m in [64] + Ms]
+    assert [F.evals for F in made] == [63, 607]
     dropped = [l for l in out.splitlines() if "not purely periodic" in l]
     assert len(dropped) == 1 and "[window 1]" in dropped[0]
     assert "M = 64" in dropped[0]
+    assert "M = 607, LC = 298, evals = 670\n" in out
+
+
+# `bbi demo spn-kpa` at the budget edge: its 475 evaluations, and one fewer
+DEMO_EDGE = {
+    474: (2, "insufficient data: evaluation budget 474 exhausted\n"),
+    475: (0, ""),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(DEMO_EDGE))
+def test_demo_at_the_budget_edge(budget):
+    """One budget bounds the whole attempt's map: the growing window
+    spends it exactly, and only the last evaluation, the check, is cut."""
+    rc, out, err, made = run_main("demo", "spn-kpa", "--max-evals", str(budget))
+    assert (rc, err) == DEMO_EDGE[budget]
+    assert [F.evals for F in made] == [budget]
+    assert bool(RECOVERED.findall(out)) == (rc == 0)
 
 
 @pytest.mark.parametrize("name", sorted(cli.DEMOS))
@@ -365,11 +408,12 @@ def test_demos_call_no_oracle(name, monkeypatch):
 
 @given(width=st.integers(1, 10), permutation=st.booleans(),
        seed=st.integers(0, 2**32))
-def test_doubling_window_finds_the_x_of_the_oracle_window(width, permutation,
-                                                          seed):
+def test_growing_window_finds_the_x_of_the_oracle_window(width, permutation,
+                                                         seed):
     """On a purely periodic seed of a random table map, the demos' loop
     returns the x that local_inversion gives at M = 2N+2, with the period
-    N from the orbit oracle: the loop needs no N to find it."""
+    N from the orbit oracle: the loop needs no N to find it, and it
+    evaluates no term twice."""
     rng = random.Random(seed)
     size = 1 << width
     if permutation:  # long cycles
@@ -381,17 +425,19 @@ def test_doubling_window_finds_the_x_of_the_oracle_window(width, permutation,
     y = terms[r]
     expected = engine.local_inversion(table_map(table, width), y, 2 * N + 2)
     assert expected.solved
+    F = table_map(table, width)
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        found = cli._double_window(lambda: table_map(table, width), y, None)
+        found = cli._grow_window(F, y, None)
     assert found is not None, out.getvalue()
     report, window = found
     assert report.x == expected.x and window is None
+    assert F.evals == report.map_evals == report.terms_consumed
 
 
 def test_stream_maps_share_one_table_build(monkeypatch):
-    """The demo's keystream, its window maps and its re-synthesis check
-    all evaluate through one table build, and so do the five window maps
-    of one loaded target."""
+    """The demo's keystream, its two window maps and its re-synthesis
+    check all evaluate through one table build, and so do the five
+    window maps of one loaded target."""
     builds = []
     build = FilteredLfsr._build_evaluator
 
@@ -401,7 +447,7 @@ def test_stream_maps_share_one_table_build(monkeypatch):
 
     monkeypatch.setattr(FilteredLfsr, "_build_evaluator", spy)
     rc, _, _, made = run_main("demo", "stream")
-    assert rc == 0 and len(made) == 6 and builds == [20]
+    assert rc == 0 and len(made) == 2 and builds == [20]
 
     target = load_target("stream")
     F = target.fresh_map()

@@ -14,7 +14,8 @@ from bbi import engine, gf2
 from bbi.embedding import invert_embedding
 from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
                         SOLUTION, UNIQUE, BlackBoxMap, EvalBudgetExceeded,
-                        MinPolyResult, RecurrenceSequence, bm_crosscheck,
+                        GrowingWindow, MinPolyResult, RecurrenceSequence,
+                        bm_crosscheck,
                         generate, invert_from_minpoly, local_inversion,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
@@ -393,7 +394,7 @@ def annihilator_cases(draw):
 @given(annihilator_cases())
 def test_annihilates_matches_per_window_check(case):
     s, P = case
-    assert engine._annihilates(s, s.packed(), P.bits) == annihilates(P, s)
+    assert engine._annihilates(s, P.bits) == annihilates(P, s)
 
 
 def test_annihilates_needs_every_window_not_only_the_first():
@@ -402,7 +403,7 @@ def test_annihilates_needs_every_window_not_only_the_first():
     s = seq_of([1, 2, 3, 1, 2, 3, 1, 2 ^ 8], 4)
     assert s.terms[0] ^ s.terms[1] ^ s.terms[2] == 0  # window 0 vanishes
     assert not annihilates(P, s)
-    assert not engine._annihilates(s, s.packed(), P.bits)
+    assert not engine._annihilates(s, P.bits)
     assert minimal_polynomial(s).minpoly != P
 
 
@@ -716,6 +717,85 @@ def test_bm_crosscheck_on_any_window(seq):
     res = minimal_polynomial(seq)
     if res.status == UNIQUE:
         assert mp == res.minpoly
+
+
+@st.composite
+def growing_windows(draw):
+    """(width, terms, checkpoints): a window of width 1..4 and 2..64 or
+    1,025..1,600 terms, and the window lengths a GrowingWindow is solved
+    at when it is fed in chunks of 1..400 terms, the last one M.
+
+    The terms repeat a cycle of up to 12 values, so L stays small, and
+    half the windows flip one bit in their last 100 terms: a late jump
+    of L to about the flip's position."""
+    n = draw(st.integers(1, 4))
+    M = draw(st.integers(2, 64) | st.integers(1025, 1600))
+    cycle = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    terms = [cycle[t % len(cycle)] for t in range(M)]
+    if draw(st.booleans()):
+        terms[draw(st.integers(max(0, M - 100), M - 1))] ^= 1 << draw(
+            st.integers(0, n - 1))
+    checkpoints = [min(M, draw(st.integers(2, 400)))]
+    while checkpoints[-1] < M:
+        checkpoints.append(min(M, checkpoints[-1] + draw(st.integers(1, 400))))
+    return n, terms, checkpoints
+
+
+@settings(max_examples=100, deadline=None)
+@given(growing_windows())
+def test_growing_window_matches_one_shot_and_massey_at_every_checkpoint(case):
+    """Fed in chunks, a window decides each prefix as minimal_polynomial
+    does on the whole prefix, and as Massey's own form, which shares no code
+    with the engine: the same polynomial when it solves, and a per-bit
+    lcm past M/2 when it does not."""
+    n, terms, checkpoints = case
+    grown = GrowingWindow(seq_of(terms[:checkpoints[0]], n))
+    for M in checkpoints:
+        grown.extend(terms[len(grown.seq.terms):M])
+        mp = grown.solve().minpoly
+        prefix = seq_of(terms[:M], n)
+        assert grown.seq == prefix
+        assert mp == minimal_polynomial(prefix).minpoly
+        massey = massey_minpoly(prefix.terms, n)
+        if mp is None:
+            assert 2 * massey.degree > M
+        else:
+            assert mp == massey
+
+
+def test_growing_window_leaves_a_projection_it_no_longer_needs():
+    """At 2 terms the first projection of 3, 3 is all zero, so the solve
+    reads the second; at 14 terms of the cycle 3, 3, 2 the first alone
+    decides, and the second keeps the state of its 2 terms."""
+    terms = ([3, 3, 2] * 5)[:14]
+    grown = GrowingWindow(seq_of(terms[:2], 2))
+    assert grown.solve().minpoly == Gf2Poly(0b11)  # X + 1
+    assert [read[0] for read in grown._read] == [2, 2]
+    grown.extend(terms[2:])
+    assert grown.solve().minpoly == Gf2Poly(0b1001)  # X^3 + 1
+    assert [read[0] for read in grown._read] == [14, 2]
+    assert minimal_polynomial(seq_of(terms, 2)).minpoly == Gf2Poly(0b1001)
+    assert massey_minpoly(terms, 2) == Gf2Poly(0b1001)
+
+
+def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
+    """On random windows two projections of degree about M/2 are common.
+    When one degree more than the larger would pass M/2, a remainder
+    decides their join, so every gcd the solve takes has room to grow."""
+    joins, lcms = [], []
+    join = engine._lcm_within
+    monkeypatch.setattr(engine, "_lcm_within", lambda a, b, M: joins.append(
+        2 * max(a.degree, b.degree) + 2 > M) or join(a, b, M))
+    monkeypatch.setattr(engine, "lcm", lambda a, b: lcms.append(
+        max(a.degree, b.degree)) or gf2.lcm(a, b))
+    rng = random.Random(7)
+    for M in range(4, 200, 3):
+        for n in (4, 16):
+            lcms.clear()
+            s = seq_of([rng.getrandbits(n) for _ in range(M)], n)
+            assert minimal_polynomial(s).minpoly == _minimal_polynomial_lowbit(s)[0]
+            assert all(2 * d + 2 <= M for d in lcms)
+    assert True in joins
 
 
 def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():
