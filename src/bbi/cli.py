@@ -1,9 +1,10 @@
 """Command-line front end: invert shipped or user-supplied targets, survey
 seeds for linear complexity, run the end-to-end demos, and query the
 brute-force oracle.  The demos invert from forward evaluations alone:
-no oracle tells them a period, so each attempt grows one window on one
-map, by max(n, ceil(M/16)) terms at a time, until a solve verifies.
---max-evals bounds each map, so in a demo it bounds a whole attempt.
+no oracle tells them a period, so each square map (an embedding's every
+output window) grows one window, by max(n, ceil(M/16)) terms at a time,
+until a solve verifies.  --max-evals bounds each map, and a demo uses
+one, so it bounds the whole demo.
 
 Exit codes: 0 verified success, 1 usage or config error, 2 insufficient
 data (no verified solution, or an evaluation budget ran dry).  The
@@ -22,10 +23,9 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 
-from .embedding import composed_map, invert_embedding, project
+from .embedding import invert_embedding
 from .engine import (BlackBoxMap, EvalBudgetExceeded, GrowingWindow,
                      InversionReport, generate, invert_window,
                      local_inversion)
@@ -89,16 +89,24 @@ def _report_doc(report: InversionReport) -> dict:
     }
 
 
+def _invert(F: BlackBoxMap, y: BitVec, M: int | None,
+            invert) -> tuple[InversionReport, int | None]:
+    """(report, window) of F at y: an embedding scans its output windows,
+    each inverted by invert(window map, y's window, M); a square map is
+    inverted whole, with window None."""
+    if F.out_width > F.in_width:
+        return invert_embedding(F, y, M, invert)
+    return invert(F, y, M), None
+
+
 def cmd_invert(args) -> int:
     target = load_target(args.target)
     F = _budget_map(target, args.max_evals)
     y = _parse_bits(args.y, F.out_width)
+    report, window = _invert(F, y, args.M, local_inversion)
+    doc = {"target": F.label, **_report_doc(report)}
     if F.out_width > F.in_width:  # an embedding names its window, null if none won
-        report, window = invert_embedding(F, y, args.M)
-        doc = {"target": F.label, **_report_doc(report), "window": window}
-    else:
-        report = local_inversion(F, y, args.M)
-        doc = {"target": F.label, **_report_doc(report)}
+        doc["window"] = window
     print(json.dumps(doc, indent=2))
     return 0 if report.solved else 2
 
@@ -167,45 +175,38 @@ def _key_note(x: int, key: int) -> str:
     return "the secret key itself" if x == key else "a key-equivalent preimage"
 
 
-def _grow_window(F: BlackBoxMap, y: BitVec, M: int | None):
-    """Invert y on F from forward evaluations alone, in one window that
-    grows: solve at M terms (None: the library default 4n, n the input
-    width), then extend the window by max(n, ceil(M/16)) further terms
-    and solve again, until a solve verifies or the window has passed
-    2^(n+1) + 2 terms, which no orbit needs, as LC <= period <= 2^n.
-    Each window term is evaluated once, and each solve resumes the last
-    one's Berlekamp-Massey state.  An embedding scans its output windows
-    once, at M.  Returns (report, window) of the solved try, or None.  A
-    minimal polynomial with a zero constant term drops the attempt: the
-    orbit of y is not purely periodic, so it has no inverse there."""
-    if F.out_width > F.in_width:
-        report, window = invert_embedding(F, y, M)
-        return (report, window) if report.solved else None
+def _grow_window(F: BlackBoxMap, y: BitVec, M: int | None) -> InversionReport:
+    """Invert y on the square map F from forward evaluations alone, in
+    one window that grows: solve at M terms (None: the library default
+    4n, n the input width), then extend the window by max(n, ceil(M/16))
+    further terms and solve again, until a solve verifies or the window
+    has passed 2^(n+1) + 2 terms, which no orbit needs, as
+    LC <= period <= 2^n.  Each window term is evaluated once, and each
+    solve resumes the last one's Berlekamp-Massey state.  Returns the
+    last solve's report.  A minimal polynomial with a zero constant term
+    ends the growth unsolved: the orbit of y is not purely periodic, so
+    it has no inverse there."""
     n, before = F.in_width, F.evals
     grown = GrowingWindow(generate(F, y, 4 * n if M is None else M))
     while True:
         seq = grown.seq
         report = invert_window(F, y, seq, grown.solve().minpoly, before)
-        if report.solved:
-            return report, None
         M, mp = len(seq.terms), report.minpoly
-        if mp is not None and mp.constant_term == 0:
+        if mp is not None and mp.constant_term == 0:  # never on a solved report
             print(f"  {F.label} at {y.hex()}: the M = {M} minimal polynomial has "
                   f"zero constant term; not purely periodic, no inverse on its orbit")
-            return None
-        if M > (1 << (n + 1)) + 2:
-            return None
+            return report
+        if report.solved or M > (1 << (n + 1)) + 2:
+            return report
         grown.extend(F.iterate(BitVec(seq.terms[-1], n), max(n, -(-M // 16)))[1:])
 
 
-# Each demo prints its header and returns (the attempts (new map, y, M)
-# to try, verify).  new_map hands out a fresh map of the demo's target
-# under --max-evals; M None is the library's default window.
-# verify(report, window) runs the demo's own domain check on a solved
-# report, whose map_evals counts every attempt's, prints the result
-# lines and returns the verdict.
+# Each demo prints its header and returns (y, verify).  verify(report,
+# window) runs the demo's own domain check on a solved report, whose
+# map_evals counts every evaluation of the demo's one map, prints the
+# result lines and returns the verdict.
 
-def _demo_spn(target: TargetInstance, new_map, args):
+def _demo_spn(target: TargetInstance, args):
     cipher, cfg = target.params, target.config
     key, p0 = _as_int(cfg["demo_key"]), _as_int(cfg["plaintext"])
     y = BitVec(cipher.encrypt(key, p0), 16)
@@ -220,16 +221,15 @@ def _demo_spn(target: TargetInstance, new_map, args):
         print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
               f"E(x, P0) == y: {ok}")
         return ok
-    return [(new_map, y, None)], verify
+    return y, verify
 
 
-def _demo_stream(target: TargetInstance, new_map, args):
+def _demo_stream(target: TargetInstance, args):
     lfsr, cfg = target.params, target.config
     key, count = _as_int(cfg["demo_key"]), _as_int(cfg["count"])
     y = BitVec(lfsr.keystream(key, count), count)
-    n = lfsr.key_width
     print(f"filtered-LFSR demo: degree {lfsr.degree} register, "
-          f"{n}-bit key, iv = {lfsr.iv:#x}, {count} keystream bits")
+          f"{lfsr.key_width}-bit key, iv = {lfsr.iv:#x}, {count} keystream bits")
     print(f"  secret key {key:#06x} produced keystream y = {y.hex()}")
 
     def verify(report, window):
@@ -240,12 +240,10 @@ def _demo_stream(target: TargetInstance, new_map, args):
         print(f"  recovered x = {x.hex()} ({_key_note(x.value, key)}); "
               f"keystream re-synthesis matches: {ok}")
         return ok
-    # each output window's square map, at its projected seed
-    return [(lambda i=i: composed_map(new_map(), i), project(y, n, i), None)
-            for i in range(1, count - n + 2)], verify
+    return y, verify
 
 
-def _demo_rsa_decrypt(target: TargetInstance, new_map, args):
+def _demo_rsa_decrypt(target: TargetInstance, args):
     n, e = target.params.n, target.params.e
     y = _parse_bits(target.config["demo_y"], target.params.width)
     print(f"RSA decryption demo: n = {n}, e = {e}, ciphertext y = {y.hex()}")
@@ -257,10 +255,10 @@ def _demo_rsa_decrypt(target: TargetInstance, new_map, args):
               f"LC = {report.linear_complexity}")
         print(f"  recovered plaintext m = {m}; m^e mod n == y: {ok}")
         return ok
-    return [(new_map, y, None)], verify
+    return y, verify
 
 
-def _demo_rsa_cca(target: TargetInstance, new_map, args):
+def _demo_rsa_cca(target: TargetInstance, args):
     rng = random.Random(_rng_seed(args))
     n, e = target.params.n, target.params.e
     c = _as_int(target.config["c"])
@@ -283,10 +281,10 @@ def _demo_rsa_cca(target: TargetInstance, new_map, args):
                 passed += pow(pow(t, x, n), e, n) == t
         print(f"  key-equivalence check (t^x)^e == t mod n: {passed}/20 random t")
         return passed == 20
-    return [(new_map, y, None)], verify
+    return y, verify
 
 
-def _demo_dlp(target: TargetInstance, new_map, args):
+def _demo_dlp(target: TargetInstance, args):
     p, a = target.params.p, target.params.base
     y = _parse_bits(target.config["demo_b"], target.params.width)
     print(f"DLP demo: p = {p}, base a = {a}, target b = {y.value}")
@@ -298,10 +296,10 @@ def _demo_dlp(target: TargetInstance, new_map, args):
               f"LC = {report.linear_complexity}")
         print(f"  recovered x = {x}; a^x mod p == b: {ok}")
         return ok
-    return [(new_map, y, None)], verify
+    return y, verify
 
 
-def _demo_ecdlp(target: TargetInstance, new_map, args):
+def _demo_ecdlp(target: TargetInstance, args):
     curve = target.params
     n_p = curve.subgroup_order
     k = _as_int(target.config["demo_k"])
@@ -319,7 +317,7 @@ def _demo_ecdlp(target: TargetInstance, new_map, args):
         print(f"  recovered multiplier {mult} (raw x = {report.x.hex()}); "
               f"[{mult}]P == Q: {ok}")
         return ok
-    return [(new_map, y, 2 * n_p + 2)], verify  # n_P is public
+    return y, verify
 
 
 DEMOS = {  # demo name -> (shipped target, demo)
@@ -333,20 +331,15 @@ DEMOS = {  # demo name -> (shipped target, demo)
 
 
 def cmd_demo(args) -> int:
-    """Each attempt grows its window on one map; the first verified
-    inversion ends the run, and the demo's check judges it."""
+    """One inversion on one budgeted map, each window grown; the demo's
+    check judges a verified x."""
     name, demo = DEMOS[args.name]
     target = load_target(name)
-    attempts, verify = demo(target, partial(_budget_map, target, args.max_evals),
-                            args)
-    spent = 0
-    for new_map, y, M in attempts:
-        F = new_map()
-        solved = _grow_window(F, y, M)
-        spent += F.evals
-        if solved:
-            report, window = solved
-            return 0 if verify(replace(report, map_evals=spent), window) else 2
+    y, verify = demo(target, args)
+    report, window = _invert(_budget_map(target, args.max_evals), y, None,
+                             _grow_window)
+    if report.solved:
+        return 0 if verify(report, window) else 2
     print("  no window length yielded a verified x: insufficient data")
     return 2
 
@@ -382,7 +375,7 @@ def _max_evals(text: str) -> int:
 def _add_max_evals(p) -> None:
     p.add_argument("--max-evals", type=_max_evals, default=DEFAULT_MAX_EVALS,
                    help="abort after this many evaluations of any one map "
-                   "(in a demo, of one attempt's growing window and its check)")
+                   "(a demo uses one map)")
 
 
 @cache  # parsing leaves the parser as it was, so every main() shares one

@@ -36,14 +36,15 @@ def composed_map(F: BlackBoxMap, i: int) -> BlackBoxMap:
                        label=f"{F.label}[window {i}]")
 
 
-def invert_embedding(F: BlackBoxMap, y: BitVec,
-                     M: int | None = None) -> tuple[InversionReport, int | None]:
+def invert_embedding(F: BlackBoxMap, y: BitVec, M: int | None = None,
+                     invert=local_inversion) -> tuple[InversionReport, int | None]:
     """Scan the windows of F and return (report, winning window index).
 
-    Each window runs the square-map inversion on its own projected seed;
-    a window's candidate is accepted only if the full equation
-    F(x) == y holds on a fresh evaluation.  map_evals in the report
-    counts every evaluation of F across all windows.
+    Each window runs invert(window map, projected seed, M), local_inversion
+    unless a caller brings its own square-map inversion; a window's
+    candidate is accepted only if the full equation F(x) == y holds on a
+    fresh evaluation.  map_evals in the report counts every evaluation
+    of F across all windows.
     """
     if F.out_width <= F.in_width:
         raise ValueError("embedding inversion needs out_width > in_width")
@@ -52,7 +53,7 @@ def invert_embedding(F: BlackBoxMap, y: BitVec,
     n = F.in_width
     before = F.evals
     for i in range(1, F.out_width - n + 2):
-        report = local_inversion(composed_map(F, i), project(y, n, i), M)
+        report = invert(composed_map(F, i), project(y, n, i), M)
         if report.solved and F(report.x) == y:
             return replace(report, map_evals=F.evals - before), i
     return (InversionReport(INSUFFICIENT_DATA, None, None,

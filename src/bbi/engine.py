@@ -545,14 +545,6 @@ def _bm_poly(C: int, L: int) -> Gf2Poly:
     return Gf2Poly(int(format(C & ((1 << (L + 1)) - 1), f"0{L + 1}b")[::-1], 2))
 
 
-def _bm_scalar(s: int, M: int) -> Gf2Poly:
-    """Berlekamp-Massey over GF(2) on s_t at bit M-1-t, t = 0 .. M-1: the
-    minimal polynomial X^L C(1/X) of the sequence, L being its linear
-    complexity."""
-    C, _, L, _ = _bm_steps(s, 0, M, 1, 1, 0, 1)
-    return _bm_poly(C, L)
-
-
 def bm_crosscheck(seq: RecurrenceSequence) -> Gf2Poly:
     """Minimal polynomial by an independent route: scalar Berlekamp-Massey
     per bit component, then the lcm of the component polynomials.
@@ -563,13 +555,14 @@ def bm_crosscheck(seq: RecurrenceSequence) -> Gf2Poly:
     n = seq.width
     M = len(seq.terms)
     # Character t*n + b is bit b of term t, so component b is bits[b::n]
-    # and its int has s_t at bit M-1-t, the order _bm_scalar reads.
+    # and its int has s_t at bit M-1-t, the order _bm_steps reads.
     bits = "".join(format(t, f"0{n}b")[::-1] for t in seq.terms)
     result = ONE
     for b in range(n):
         comp = int(bits[b::n], 2)
-        if comp:
-            result = lcm(result, _bm_scalar(comp, M))
+        if comp:  # all M steps of Berlekamp-Massey from the initial state
+            C, _, L, _ = _bm_steps(comp, 0, M, 1, 1, 0, 1)
+            result = lcm(result, _bm_poly(C, L))
     if result.degree < 1:
         return Gf2Poly(0b11)
     return result

@@ -107,9 +107,6 @@ class Gf2Poly:
     def constant_term(self) -> int:
         return self.bits & 1
 
-    def coeff(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
     def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
         if not isinstance(other, Gf2Poly):
             return NotImplemented

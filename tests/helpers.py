@@ -134,7 +134,7 @@ def per_coefficient_invert(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
     m = mp.degree
     v = seq.terms[m - 1]
     for i in range(1, m):
-        if mp.coeff(i):
+        if (mp.bits >> i) & 1:
             v ^= seq.terms[i - 1]
     return BitVec(v, seq.width)
 

@@ -282,7 +282,7 @@ def test_c6_dlp_exhaustive_orbits():
                 assert mp_j == mp
 
             deg = mp.degree
-            taps = [i for i in range(1, deg) if mp.coeff(i)]
+            taps = [i for i in range(1, deg) if (mp.bits >> i) & 1]
             for j, b in enumerate(cyc):
                 x = cyc[(j + deg - 1) % N]
                 for i in taps:

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from bbi import cli, engine, oracle
+from bbi import cli, embedding, engine, oracle
+from bbi.embedding import composed_map, project
 from bbi.gf2 import BitVec
 from bbi.targets import (CONFIG_DIR, TargetInstance, build_target,
                           list_targets, load_target)
@@ -255,8 +256,8 @@ def test_a_shipped_name_beats_a_local_file_and_a_path_reaches_it(
 
 
 def growth_schedule(M0: int, n: int, last: int) -> list[int]:
-    """The window lengths a demo attempt solves at, from M0 to last: each
-    grows the one before by max(n, ceil(M/16)) terms."""
+    """The window lengths a demo solves one square map at, from M0 to
+    last: each grows the one before by max(n, ceil(M/16)) terms."""
     Ms = [M0]
     while Ms[-1] < last:
         Ms.append(Ms[-1] + max(n, -(-Ms[-1] // 16)))
@@ -288,25 +289,23 @@ def test_demo_failure_paths(name, monkeypatch):
     """Neither path is reachable with the shipped configs: an unsolved
     inversion, and a "solved" x that the demo's own check must reject.
 
-    Unsolved, each attempt's one map grows its window until it has passed
-    2^(n+1) + 2 terms, evaluating every term once (an embedding scans
-    its windows once, at its M0)."""
+    Unsolved, the demo's one map grows each window (its only one, if the
+    map is square) on the growth schedule from 4n until it has passed
+    2^(n+1) + 2 terms, evaluating every term once."""
     rc, out, err, made, calls = run_spied(name, unsolved=True)
-    assert rc == 2 and err == ""
+    assert rc == 2 and err == "" and len(made) == 1
     assert len([l for l in out.splitlines() if "insufficient data" in l]) == 1
     assert not RECOVERED.search(out)
-    n = made[0].in_width
-    if name == "ecdlp":  # one scan of the output windows at 2 n_P + 2 = 40
-        assert len(made) == 1
-        assert [M for M, _ in calls] == [40] * (made[0].out_width - n + 1)
-    else:
-        Ms = [M for M, _ in calls]
-        attempts = 5 if name == "stream" else 1
-        assert len(made) == attempts
-        assert Ms == growth_schedule(4 * n, n, Ms[-1]) * attempts
-        assert Ms[-2] <= (1 << (n + 1)) + 2 < Ms[-1]
-        assert [evals for _, evals in calls] == [M - 1 for M in Ms]
-        assert [F.evals for F in made] == [Ms[-1] - 1] * attempts
+    F = made[0]
+    n = F.in_width
+    windows = F.out_width - n + 1
+    assert (windows > 1) == (name in ("ecdlp", "stream"))
+    schedule = growth_schedule(4 * n, n, calls[-1][0])
+    assert schedule[-2] <= (1 << (n + 1)) + 2 < schedule[-1]
+    spent = schedule[-1] - 1  # per window: every term but its seed, no check
+    assert calls == [(M, w * spent + M - 1)
+                     for w in range(windows) for M in schedule]
+    assert F.evals == windows * spent
 
     flipped = []
 
@@ -316,10 +315,16 @@ def test_demo_failure_paths(name, monkeypatch):
             report = replace(report, x=BitVec(report.x.value ^ 1, report.x.width))
         return report
 
-    invert_window, invert_embedding = cli.invert_window, cli.invert_embedding
-    monkeypatch.setattr(cli, "invert_window", lambda *a: flip(invert_window(*a)))
-    monkeypatch.setattr(cli, "invert_embedding", lambda *a: (
-        lambda report, window: (flip(report), window))(*invert_embedding(*a)))
+    # The engine's full check F(x) == y rejects a flipped window x, so an
+    # embedding's x is flipped after its scan, a square map's after its solve.
+    if windows > 1:
+        invert_embedding = cli.invert_embedding
+        monkeypatch.setattr(cli, "invert_embedding", lambda *a: (
+            lambda report, window: (flip(report), window))(*invert_embedding(*a)))
+    else:
+        invert_window = cli.invert_window
+        monkeypatch.setattr(cli, "invert_window",
+                            lambda *a: flip(invert_window(*a)))
     rc, out, err, _ = run_demo(name)
     verdict = out.splitlines()[-1]
     assert rc == 2 and err == "" and len(flipped) == 1
@@ -336,7 +341,7 @@ GROWTH = {"dlp": (16, 16), "rsa-cca": (44, 77), "rsa-decrypt": (16, 16),
 
 @pytest.mark.parametrize("name", sorted(GROWTH))
 def test_demo_grows_one_window_on_one_map(name):
-    """The attempt solves at 4n, then at each longer window of the growth
+    """The demo solves at 4n, then at each longer window of the growth
     schedule, all on one budgeted map: each solve sees every term the map
     has evaluated, none twice, and the solved try spends one more for its
     check.  The demo prints all it spent."""
@@ -352,42 +357,67 @@ def test_demo_grows_one_window_on_one_map(name):
 
 
 def test_stream_demo_drops_window_1_and_solves_window_2(monkeypatch):
-    """Window 1 is solved once, at M = 64, and dropped on its minimal
-    polynomial's zero constant term; window 2 grows one window on one
-    map from 64 to 607; windows 3-5 are never built.  The result line
-    counts both maps' evaluations."""
+    """On the demo's one map, window 1 is solved once, at M = 64, and
+    dropped on its minimal polynomial's zero constant term; window 2
+    grows from 64 to 607, and its x passes the full check F(x) == y;
+    windows 3-5 are never built.  The result line counts all
+    63 + 607 + 1 evaluations."""
     windows = []
-    compose = cli.composed_map
+    compose = embedding.composed_map
 
     def spy(F, i):
         windows.append(i)
         return compose(F, i)
 
-    monkeypatch.setattr(cli, "composed_map", spy)
+    monkeypatch.setattr(embedding, "composed_map", spy)
     rc, out, _, made, calls = run_spied("stream")
     Ms = growth_schedule(64, 16, 607)
-    assert rc == 0 and windows == [1, 2] and len(made) == 2
-    assert calls == [(m, m - 1) for m in [64] + Ms]
-    assert [F.evals for F in made] == [63, 607]
+    assert rc == 0 and windows == [1, 2] and len(made) == 1
+    assert calls == [(64, 63)] + [(m, 63 + m - 1) for m in Ms]
+    assert made[0].evals == 63 + 607 + 1
     dropped = [l for l in out.splitlines() if "not purely periodic" in l]
     assert len(dropped) == 1 and "[window 1]" in dropped[0]
     assert "M = 64" in dropped[0]
-    assert "M = 607, LC = 298, evals = 670\n" in out
+    assert "M = 607, LC = 298, evals = 671\n" in out
 
 
-# `bbi demo spn-kpa` at the budget edge: its 475 evaluations, and one fewer
+def test_demo_path_reports_no_x_that_only_its_window_checks():
+    """A 2 -> 3 bit embedding whose window 1 inverts y's window to an x
+    with window_1(F(x)) == window_1(y) but F(x) != y: the demos'
+    dispatch scans on to window 2, whose x passes F(x) == y."""
+    table = [0b001, 0b000, 0b101, 0b011]  # window 1: 0 <-> 1 a cycle, 2 -> 1
+
+    def embedding_map():
+        return engine.BlackBoxMap(lambda x: BitVec(table[x.value], 3), 2, 3)
+
+    y = BitVec(table[2], 3)
+    wrong = cli._grow_window(composed_map(embedding_map(), 1), project(y, 2, 1),
+                             None)
+    assert wrong.solved and wrong.x == BitVec(0, 2) and table[0] != y.value
+    F = embedding_map()
+    report, window = cli._invert(F, y, None, cli._grow_window)
+    assert report.solved and window == 2 and report.x == BitVec(2, 2)
+    # each window: 7 terms and its own check at M = 8, then one full check
+    assert report.map_evals == F.evals == 2 * (7 + 1 + 1)
+
+
+# `bbi demo` at the budget edge: spn-kpa's 475 evaluations and stream's
+# 671, and one fewer each
 DEMO_EDGE = {
-    474: (2, "insufficient data: evaluation budget 474 exhausted\n"),
-    475: (0, ""),
+    474: ("spn-kpa", 2, "insufficient data: evaluation budget 474 exhausted\n"),
+    475: ("spn-kpa", 0, ""),
+    670: ("stream", 2, "insufficient data: evaluation budget 670 exhausted\n"),
+    671: ("stream", 0, ""),
 }
 
 
 @pytest.mark.parametrize("budget", sorted(DEMO_EDGE))
 def test_demo_at_the_budget_edge(budget):
-    """One budget bounds the whole attempt's map: the growing window
-    spends it exactly, and only the last evaluation, the check, is cut."""
-    rc, out, err, made = run_main("demo", "spn-kpa", "--max-evals", str(budget))
-    assert (rc, err) == DEMO_EDGE[budget]
+    """One budget bounds the demo's one map: the growing windows spend it
+    exactly, and only the last evaluation, the check, is cut."""
+    name, *expected = DEMO_EDGE[budget]
+    rc, out, err, made = run_main("demo", name, "--max-evals", str(budget))
+    assert [rc, err] == expected
     assert [F.evals for F in made] == [budget]
     assert bool(RECOVERED.findall(out)) == (rc == 0)
 
@@ -410,9 +440,9 @@ def test_demos_call_no_oracle(name, monkeypatch):
        seed=st.integers(0, 2**32))
 def test_growing_window_finds_the_x_of_the_oracle_window(width, permutation,
                                                          seed):
-    """On a purely periodic seed of a random table map, the demos' loop
-    returns the x that local_inversion gives at M = 2N+2, with the period
-    N from the orbit oracle: the loop needs no N to find it, and it
+    """On a purely periodic seed of a random table map, the demos' growing
+    window returns the x that local_inversion gives at M = 2N+2, with the
+    period N from the orbit oracle: it needs no N to find it, and it
     evaluates no term twice."""
     rng = random.Random(seed)
     size = 1 << width
@@ -427,17 +457,16 @@ def test_growing_window_finds_the_x_of_the_oracle_window(width, permutation,
     assert expected.solved
     F = table_map(table, width)
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        found = cli._grow_window(F, y, None)
-    assert found is not None, out.getvalue()
-    report, window = found
-    assert report.x == expected.x and window is None
+        report = cli._grow_window(F, y, None)
+    assert report.solved, out.getvalue()
+    assert report.x == expected.x
     assert F.evals == report.map_evals == report.terms_consumed
 
 
 def test_stream_maps_share_one_table_build(monkeypatch):
-    """The demo's keystream, its two window maps and its re-synthesis
-    check all evaluate through one table build, and so do the five
-    window maps of one loaded target."""
+    """The demo's keystream, its one map (evaluated through two window
+    maps) and its re-synthesis check all evaluate through one table
+    build, and so do the five window maps of one loaded target."""
     builds = []
     build = FilteredLfsr._build_evaluator
 
@@ -447,11 +476,11 @@ def test_stream_maps_share_one_table_build(monkeypatch):
 
     monkeypatch.setattr(FilteredLfsr, "_build_evaluator", spy)
     rc, _, _, made = run_main("demo", "stream")
-    assert rc == 0 and len(made) == 2 and builds == [20]
+    assert rc == 0 and len(made) == 1 and builds == [20]
 
     target = load_target("stream")
     F = target.fresh_map()
-    windows = [cli.composed_map(target.fresh_map(), i)
+    windows = [composed_map(target.fresh_map(), i)
                for i in range(1, F.out_width - F.in_width + 2)]
     for G in windows:
         G(BitVec(0x36, 16))

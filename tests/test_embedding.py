@@ -1,7 +1,11 @@
 """Window projection and inversion of output-wider-than-input maps."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from bbi import embedding
 from bbi.embedding import composed_map, invert_embedding, project
 from bbi.engine import BlackBoxMap, local_inversion
 from bbi.gf2 import BitVec
@@ -50,6 +54,21 @@ def test_composed_map_windows():
         composed_map(F, 5)
     with pytest.raises(ValueError):
         composed_map(F, 0)
+
+
+def test_only_embedding_scans_windows():
+    """An embedding's output windows are scanned in one place: no module
+    of bbi but embedding.py names composed_map or project, so
+    `bbi invert` and the demos reach the scan through invert_embedding."""
+    src = Path(embedding.__file__).parent
+    scan = {"composed_map", "project"}
+    uses = [f"{path.relative_to(src)}:{node.lineno}"
+            for path in sorted(src.rglob("*.py")) if path.name != "embedding.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Name) and node.id in scan
+                or isinstance(node, ast.Attribute) and node.attr in scan
+                or isinstance(node, ast.alias) and node.name in scan)]
+    assert uses == []
 
 
 def test_invert_embedding_guards():

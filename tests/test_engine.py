@@ -51,7 +51,7 @@ def annihilates(p: Gf2Poly, seq: RecurrenceSequence) -> bool:
     for t in range(len(seq.terms) - m):
         acc = 0
         for i in range(m + 1):
-            if p.coeff(i):
+            if (p.bits >> i) & 1:
                 acc ^= seq.terms[t + i]
         if acc:
             return False
