@@ -14,13 +14,19 @@ that equation has been re-checked against a fresh evaluation of F.
 The minimal polynomial comes from projected Berlekamp-Massey alone.  The
 window is projected onto a fixed schedule of vectors u that spans
 GF(2)^n (Wiedemann, IEEE Trans. IT 32(1), 1986); Berlekamp-Massey
-(Massey, IEEE Trans. IT 15(1), 1969) gives the minimal polynomial of
-each scalar sequence <u, y(t)>.  Their lcm is returned once it has
-degree <= M/2 and annihilates the whole window; a projection or an lcm
-of degree past M/2 proves that no annihilator of degree <= M/2 exists.
-One of the two always happens (see GrowingWindow).  The
-annihilation check rejects on window 0 first, which is sound because
-only the check of every window can accept.
+(Massey, IEEE Trans. IT 15(1), 1969) gives the minimal polynomial m_u of
+each scalar sequence <u, y(t)>.  The first m_u other than 1 is returned
+when it annihilates the whole window, and a degree past M/2 proves that
+no annihilator of degree <= M/2 exists.  Otherwise the factor it lacks
+comes from the residual, the sum of y(t + i) over the terms X^i of m_u,
+whose prefixes of 2, 4, 8, .. terms the rest of the schedule decides;
+each new answer Q is tried as m_u Q on the whole window.  A product that
+passes is the least annihilator, and a None is a proof (see
+GrowingWindow).  When residual windows as long as deg m_u leave it
+undecided, the next projection is read and joined by lcm, and the lcm is
+completed in turn.  The annihilation check rejects on the first window
+not known to hold first, which is sound because only the check of every
+window can accept.
 
 The Hankel scan supplies rank evidence only: rank H(k) for k = 1 ..
 M/2.  minimal_polynomial never runs it; a MinPolyResult runs it once,
@@ -294,33 +300,41 @@ def _projections(n: int) -> tuple[int, ...]:
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _selectors(mask: int) -> bytes:
+    """The bits of mask, lowest first, as the 0/1 bytes compress reads."""
+    return format(mask, "b")[::-1].encode().translate(_BIT_SELECTORS)
+
+
 def _combine(terms: tuple[int, ...], mask: int) -> int:
     """XOR of terms[i] over the set bits i of mask, all in C: the bits
     of mask, lowest first, select the terms that reduce XORs."""
-    selectors = format(mask, "b")[::-1].encode().translate(_BIT_SELECTORS)
-    return reduce(xor, compress(terms, selectors), 0)
+    return reduce(xor, compress(terms, _selectors(mask)), 0)
 
 
-def _annihilates(seq: RecurrenceSequence, poly: int) -> bool:
-    """Does the polynomial with coefficient i at bit i of `poly` annihilate
-    every window of seq?
+def _annihilated(seq: RecurrenceSequence, poly: int, start: int = 0) -> int:
+    """How many windows of seq, from window 0 on, the polynomial with
+    coefficient i at bit i of `poly` annihilates before the first one it
+    does not: all M - deg of them when it annihilates seq.  The caller
+    knows that the windows before `start` hold.
 
-    Window 0 is tested first, with one _combine: a dense lcm that fails
-    there costs neither packing the window nor a pass over it.  Only the
-    packed check, one shift and XOR of the whole window per set bit,
-    returns True.
+    Window `start` is tested first, with one _combine: a candidate that
+    fails there costs neither packing the window nor a pass over it.
+    Past it, one shift and XOR of the whole window per set bit leaves
+    window t's sum at bits t*n .. t*n + n-1, so the lowest set bit
+    counts.
     """
-    if _combine(seq.terms, poly):
-        return False
+    if _combine(seq.terms[start:start + poly.bit_length()], poly):
+        return start
     packed = seq.packed()
-    n, M = seq.width, len(seq.terms)
+    n, windows = seq.width, len(seq.terms) - poly.bit_length() + 1
     acc = 0
     b = poly
     while b:
         i = (b & -b).bit_length() - 1
         acc ^= packed >> (i * n)
         b &= b - 1
-    return acc & ((1 << ((M - poly.bit_length() + 1) * n)) - 1) == 0
+    acc &= (1 << (windows * n)) - 1
+    return ((acc & -acc).bit_length() - 1) // n if acc else windows
 
 
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
@@ -352,17 +366,49 @@ class GrowingWindow:
       k + deg Q >= L_u + deg Q terms, so each m_u, and the lcm, would
       divide Q.  So it is the one solution of the stacked Hankel system
       H(k) a = h(k+1).
-    One of the two happens before the schedule runs out.  Each m_u
-    annihilates <u, y(t)> on the window, and so does any multiple of
-    degree <= M/2, so once the n vectors of the spanning schedule are
-    in, an lcm still at or below M/2 annihilates every coordinate.  The
-    loop reads the next vector only when the lcm failed that check.
+    The lcm loop decides each window it runs on: each m_u annihilates
+    <u, y(t)> on the window, and so does any multiple of degree <= M/2,
+    so once the vectors of the spanning schedule are in, an lcm still at
+    or below M/2 annihilates every coordinate.  It reads the next vector
+    only when the lcm failed that check.
+
+    A solve completes each lcm mp that fails the window from its
+    residual before it reads the next projection.  mp divides the least
+    annihilator A* if there is one, so A* = mp Q* with Q* other than 1
+    and of degree at most room = floor(M/2) - deg mp.  Q* annihilates
+    the residual r(t) = sum of y(t + i) over the terms X^i of mp on all
+    its M - deg mp terms, and the projections read for mp vanish on r,
+    so the rest of the schedule spans what r holds.  The loop decides the first
+    K = 2, 4, 8, .. terms of r, up to 2 room, and each new answer Q, the
+    least annihilator of the prefix or X+1 for a zero one, is tried as
+    mp Q on the whole window.  Let `held` count the leading windows of y
+    that mp, and then the last product tried, annihilates; Q then
+    annihilates the first held + deg Q terms of r (with Q = 1 for mp).
+    - A product that annihilates the window is A*: its degree is at most
+      M/2, so A* divides it, and A*/mp divides Q.  A*/mp annihilates the
+      prefix, whose least annihilator is Q, so A*/mp = Q.  For a zero
+      prefix, Q = X+1 and A*/mp, which is not 1, is X+1 as well.
+    - Once held >= room there is no A*: Q and Q* both annihilate the
+      first held + deg Q >= deg Q + deg Q* terms of r, so they agree on
+      all of r, and the product would annihilate the window.  With
+      Q = 1 this is the rule for mp itself, and it covers room < 1.
+    - At K = 2 room there is no A* either: a prefix with no annihilator
+      of degree <= room has no Q*, and a Q of it has degree <= room, so
+      its product holds at least 2 room - deg Q >= room windows.
+    Residual windows stop growing once K reaches deg mp, and the solve
+    reads the next projection instead.  A missing factor of small
+    degree turns up long before, while a residual that is noise would
+    take 2 room terms to prove anything, where one more projection of
+    the whole window usually shows 2 L_u > M at once.  So a window whose
+    first projection misses only a small factor is decided by that one
+    projection of the whole window.
 
     Each projection a solve reads keeps its bits <u, y(t)> and its
     Berlekamp-Massey state, so after `extend` a solve pays only the
     join and the Berlekamp-Massey steps of the terms added since that
-    projection was last read.  A projection the loop no longer reaches
-    stays where it was until a later solve needs it again.
+    projection was last read.  A projection the solve no longer reaches
+    stays where it was until a later solve needs it again.  Residual
+    windows are built afresh by each solve, as mp may change.
 
     The all-zero window gets X+1: every polynomial annihilates it, and
     X+1 is the least-degree one with an invertible constant term, which
@@ -381,24 +427,71 @@ class GrowingWindow:
 
     def solve(self) -> MinPolyResult:
         seq = self.seq
-        M = len(seq.terms)
-        if M < 2:
+        if len(seq.terms) < 2:
             raise ValueError("need at least 2 terms")
+        return MinPolyResult(self._decide(_projections(seq.width), True), seq)
+
+    def _decide(self, schedule: tuple[int, ...],
+                complete: bool) -> Gf2Poly | None:
+        """The least annihilator of degree <= M/2 of the window, or None,
+        from its projections onto `schedule`, read in order; every vector
+        of the full schedule before `schedule` vanishes on the window.
+        An lcm that fails the window leads to the next projection, joined
+        by lcm; with `complete`, only when its residual leaves it
+        undecided."""
+        seq = self.seq
+        M = len(seq.terms)
         if not any(seq.terms):
-            return MinPolyResult(Gf2Poly(0b11), seq)
+            return Gf2Poly(0b11)
         found = ONE
-        for i, u in enumerate(_projections(seq.width)):
+        for i, u in enumerate(schedule):
             mp = self._project(i, u)
             if 2 * mp.degree > M:
-                break
+                return None
             if found != ONE:
                 mp = _lcm_within(found, mp, M)
                 if mp is None:
-                    break
-            if mp != found and _annihilates(seq, mp.bits):
-                return MinPolyResult(mp, seq)
+                    return None
+            if mp != found:
+                held = _annihilated(seq, mp.bits)
+                if held == M - mp.degree:
+                    return mp
+                if complete:
+                    decided, p = self._complete(mp, schedule[i + 1:], held)
+                    if decided:
+                        return p
             found = mp
-        return MinPolyResult(None, seq)
+        return None
+
+    def _complete(self, mp: Gf2Poly, schedule: tuple[int, ...],
+                  held: int) -> tuple[bool, Gf2Poly | None]:
+        """(True, mp Q), Q the least annihilator of the residual of mp,
+        (True, None) when there is none, or (False, None) when residual
+        windows as long as deg mp leave it undecided (see GrowingWindow).
+        mp fails the window after annihilating its first `held` windows,
+        and `schedule` is what follows the projections read for mp."""
+        terms = self.seq.terms
+        M = len(terms)
+        room = M // 2 - mp.degree
+        if held >= room:
+            return True, None
+        selectors = _selectors(mp.bits)
+        residual = GrowingWindow(RecurrenceSequence(
+            _residual(terms, selectors, 0, 2), self.seq.width))
+        last = None
+        while True:
+            K = len(residual.seq.terms)
+            q = residual._decide(schedule, False)
+            if q is not None and q != last:
+                last, p = q, mp * q
+                held = _annihilated(self.seq, p.bits, K - q.degree)
+                if held == M - p.degree:
+                    return True, p
+            if held >= room or K == 2 * room:
+                return True, None
+            if K >= mp.degree:
+                return False, None
+            residual.extend(_residual(terms, selectors, K, min(2 * K, 2 * room)))
 
     def _project(self, i: int, u: int) -> Gf2Poly:
         """m_u of the window for projection i of the schedule, u; the
@@ -417,6 +510,16 @@ class GrowingWindow:
             C, B, L, gap = _bm_steps(s, read, M, C, B, L, gap)
             state[:] = M, s, C, B, L, gap
         return _bm_poly(C, L)
+
+
+def _residual(terms: tuple[int, ...], selectors: bytes, start: int,
+              stop: int) -> tuple[int, ...]:
+    """Terms start .. stop-1 of the residual of the window under the
+    polynomial whose _selectors are `selectors`: term t is the _combine
+    of the terms from t on."""
+    width = len(selectors)
+    return tuple(reduce(xor, compress(terms[t:t + width], selectors), 0)
+                 for t in range(start, stop))
 
 
 def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:

@@ -394,7 +394,7 @@ def annihilator_cases(draw):
 @given(annihilator_cases())
 def test_annihilates_matches_per_window_check(case):
     s, P = case
-    assert engine._annihilates(s, P.bits) == annihilates(P, s)
+    assert (engine._annihilated(s, P.bits) == len(s.terms) - P.degree) == annihilates(P, s)
 
 
 def test_annihilates_needs_every_window_not_only_the_first():
@@ -403,7 +403,7 @@ def test_annihilates_needs_every_window_not_only_the_first():
     s = seq_of([1, 2, 3, 1, 2, 3, 1, 2 ^ 8], 4)
     assert s.terms[0] ^ s.terms[1] ^ s.terms[2] == 0  # window 0 vanishes
     assert not annihilates(P, s)
-    assert not engine._annihilates(s, P.bits)
+    assert engine._annihilated(s, P.bits) < len(s.terms) - P.degree
     assert minimal_polynomial(s).minpoly != P
 
 
@@ -763,6 +763,34 @@ def test_growing_window_matches_one_shot_and_massey_at_every_checkpoint(case):
             assert mp == massey
 
 
+def test_growing_window_refuses_one_term_and_solves_again_unchanged():
+    """A window of one term has no recurrence to read; a window solved
+    again without new terms reads no further term and answers the same."""
+    with pytest.raises(ValueError, match="need at least 2 terms"):
+        GrowingWindow(seq_of([1], 1)).solve()
+    with pytest.raises(ValueError, match="need at least 2 terms"):
+        minimal_polynomial(seq_of([5], 3))
+    s = hidden_cycle_window(16, 100, seed=0)
+    grown = GrowingWindow(s)
+    first = grown.solve().minpoly
+    assert grown.solve().minpoly == first == massey_minpoly(s.terms, 16)
+    assert [read[0] for read in grown._read] == [len(s.terms)]
+
+
+def test_lcm_within_is_the_lcm_when_it_fits_half_the_window():
+    """_lcm_within(a, b, M) against gf2.lcm for every pair of polynomials
+    of degree 1..4 and every M that leaves both within M/2: the lcm when
+    its degree is at most M/2, None otherwise, on both of its routes (a
+    remainder when one more degree than the larger would pass M/2)."""
+    polys = [Gf2Poly(bits) for bits in range(2, 32)]
+    for a in polys:
+        for b in polys:
+            joined = gf2.lcm(a, b)
+            for M in range(2 * max(a.degree, b.degree), 13):
+                expected = joined if 2 * joined.degree <= M else None
+                assert engine._lcm_within(a, b, M) == expected, (a, b, M)
+
+
 def test_growing_window_leaves_a_projection_it_no_longer_needs():
     """At 2 terms the first projection of 3, 3 is all zero, so the solve
     reads the second; at 14 terms of the cycle 3, 3, 2 the first alone
@@ -778,24 +806,154 @@ def test_growing_window_leaves_a_projection_it_no_longer_needs():
     assert massey_minpoly(terms, 2) == Gf2Poly(0b1001)
 
 
+def late_jump_window(n: int, M: int, p: int,
+                     rng: random.Random) -> RecurrenceSequence:
+    """M terms of a cycle of p random values of width n, with one bit
+    flipped in the last 100 terms: L jumps late, to about the flip."""
+    cycle = [rng.getrandbits(n) for _ in range(p)]
+    terms = [cycle[t % p] for t in range(M)]
+    terms[rng.randint(max(0, M - 100), M - 1)] ^= 1 << rng.randrange(n)
+    return seq_of(terms, n)
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Route GrowingWindow._decide, the whole window's decision and each
+    residual window's, through a call counter."""
+    calls = []
+    decide = GrowingWindow._decide
+
+    def counting(self, schedule, complete):
+        calls.append(complete)
+        return decide(self, schedule, complete)
+
+    monkeypatch.setattr(GrowingWindow, "_decide", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, N, seed", [(16, 100, 0), (64, 129, 1)])
+def test_a_factor_the_first_projection_misses_comes_from_the_residual(
+        n, N, seed):
+    """The first projection of these hidden cycles lacks only X + 1 of the
+    minimal polynomial.  The residual supplies it, so the solve reads one
+    projection of the whole window where the lcm of two was needed."""
+    s = hidden_cycle_window(n, N, seed)
+    expected = massey_minpoly(s.terms, n)
+    first = GrowingWindow(s)._project(0, engine._projections(n)[0])
+    assert first * Gf2Poly(0b11) == expected
+    grown = GrowingWindow(s)
+    res = grown.solve()
+    assert res.minpoly == expected
+    assert len(grown._read) == 1
+    assert measured(res) == _minimal_polynomial_lowbit(s)
+
+
+def test_a_first_projection_at_half_the_window_that_fails_proves_none(
+        decisions):
+    """Projection 0 of this window has degree 3 = M/2 and fails it.  Every
+    annihilator of degree <= M/2 would be a proper multiple of it, so none
+    fits: None after one projection, with no residual to decide."""
+    s = seq_of([3, 9, 8, 2, 5, 14], 4)
+    first = GrowingWindow(s)._project(0, engine._projections(4)[0])
+    assert first.degree == 3
+    assert engine._annihilated(s, first.bits) < 6 - 3
+    grown = GrowingWindow(s)
+    assert grown.solve().minpoly is None
+    assert len(grown._read) == 1 and decisions == [True]
+    assert 2 * massey_minpoly(s.terms, 4).degree > 6
+    assert measured(minimal_polynomial(s)) == _minimal_polynomial_lowbit(s)
+
+
+@pytest.mark.parametrize("n, cycle, M, flip, bit, reads, residuals", [
+    # the first 258 windows hold, past room = 158: no residual is read
+    (8, [143, 219, 236, 199, 119, 115, 130, 218], 332, 256, 2, 1, False),
+    # a residual Q whose product holds past room before K = 2 room
+    (8, [169, 21], 242, 225, 4, 1, True),
+    # the residual at K = 2 room: a Q whose product fails, and none
+    (3, [3, 4, 3, 5, 1, 6, 2, 5], 58, 22, 0, 1, True),
+    (3, [7, 0, 1, 1, 3, 4, 5], 65, 35, 0, 1, True),
+    # residual windows as long as deg mp leave it undecided: projection 1
+    # of the window, then its lcm's residual, whose first windows hold
+    # past room
+    (8, [92, 1, 248, 193, 125, 19], 240, 141, 7, 2, True),
+], ids=["held-at-start", "held-by-a-product", "product-at-2room",
+        "none-at-2room", "undecided-then-projection-1"])
+def test_late_jump_windows_are_proved_unsolvable(
+        decisions, n, cycle, M, flip, bit, reads, residuals):
+    """A cycle with one bit flipped at `flip`, which projection 0 does not
+    see: its polynomial fails the window, and each way the residual can
+    end proves that no annihilator of degree <= M/2 exists, or hands the
+    window to the next projection."""
+    terms = [cycle[t % len(cycle)] for t in range(M)]
+    terms[flip] ^= 1 << bit
+    s = seq_of(terms, n)
+    grown = GrowingWindow(s)
+    assert grown.solve().minpoly is None
+    assert len(grown._read) == reads
+    assert (len(decisions) > 1) == residuals
+    assert 2 * massey_minpoly(terms, n).degree > M
+    assert measured(minimal_polynomial(s)) == _minimal_polynomial_lowbit(s)
+
+
+@st.composite
+def structured_windows(draw):
+    """A window of width 1..64 and 2..600 terms: a cycle of up to 40
+    random values, the orbit of a random recurrence of order up to 40 on
+    random vectors, or a late jump (see late_jump_window).  M and the
+    order come from the seeded rng, evenly spread, as hypothesis would
+    draw mostly short windows."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["cycle", "recurrence", "late-jump"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    M, p = rng.randint(2, 600), rng.randint(1, 40)
+    if kind == "late-jump":
+        return late_jump_window(n, M, p, rng)
+    terms = [rng.getrandbits(n) for _ in range(p)]
+    taps = rng.getrandbits(p) | 1 if kind == "recurrence" else 1
+    while len(terms) < M:
+        v = 0
+        for i in range(p):
+            if taps >> i & 1:
+                v ^= terms[-p + i]
+        terms.append(v)
+    return seq_of(terms[:M], n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structured_windows())
+def test_minpoly_matches_massey_and_lowbit_on_structured_windows(seq):
+    res = minimal_polynomial(seq)
+    massey = massey_minpoly(seq.terms, seq.width)
+    if res.minpoly is None:
+        assert 2 * massey.degree > len(seq.terms)
+    else:
+        assert res.minpoly == massey
+    assert measured(res) == _minimal_polynomial_lowbit(seq)
+
+
 def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
-    """On random windows two projections of degree about M/2 are common.
-    When one degree more than the larger would pass M/2, a remainder
-    decides their join, so every gcd the solve takes has room to grow."""
+    """Only residual windows join projections.  On the residuals of
+    random windows two projections of degree about half the residual
+    window are common, and late-jump windows (a short cycle with one bit
+    flipped in the last 100 terms) take both kinds of join.  When one
+    degree more than the larger would pass half the window joined, a
+    remainder decides their join, so every gcd the solve takes has room
+    to grow."""
     joins, lcms = [], []
     join = engine._lcm_within
     monkeypatch.setattr(engine, "_lcm_within", lambda a, b, M: joins.append(
-        2 * max(a.degree, b.degree) + 2 > M) or join(a, b, M))
+        (max(a.degree, b.degree), M)) or join(a, b, M))
     monkeypatch.setattr(engine, "lcm", lambda a, b: lcms.append(
-        max(a.degree, b.degree)) or gf2.lcm(a, b))
+        (max(a.degree, b.degree), joins[-1][1])) or gf2.lcm(a, b))
     rng = random.Random(7)
     for M in range(4, 200, 3):
         for n in (4, 16):
-            lcms.clear()
             s = seq_of([rng.getrandbits(n) for _ in range(M)], n)
             assert minimal_polynomial(s).minpoly == _minimal_polynomial_lowbit(s)[0]
-            assert all(2 * d + 2 <= M for d in lcms)
-    assert True in joins
+            s = late_jump_window(n, M, rng.randint(1, 12), rng)
+            assert minimal_polynomial(s).minpoly == _minimal_polynomial_lowbit(s)[0]
+    assert lcms and all(2 * d + 2 <= M for d, M in lcms)
+    assert any(2 * d + 2 > M for d, M in joins)
 
 
 def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():
