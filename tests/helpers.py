@@ -270,6 +270,27 @@ def massey_minpoly(terms, width: int) -> Gf2Poly:
     return Gf2Poly(0b11) if result.degree < 1 else result
 
 
+def structured_terms(kind: str, n: int, M: int, p: int, rng) -> list[int]:
+    """M terms of width n drawn from rng: "random" ones, a "cycle" of p
+    random values, the orbit of a random "recurrence" of order p on
+    random vectors, or a "late-jump": the cycle with one bit flipped in
+    its last 100 terms, so that L jumps late, to about the flip."""
+    if kind == "random":
+        return [rng.getrandbits(n) for _ in range(M)]
+    terms = [rng.getrandbits(n) for _ in range(p)]
+    taps = rng.getrandbits(p) | 1 if kind == "recurrence" else 1
+    while len(terms) < M:
+        v = 0
+        for i in range(p):
+            if taps >> i & 1:
+                v ^= terms[-p + i]
+        terms.append(v)
+    terms = terms[:M]
+    if kind == "late-jump":
+        terms[rng.randint(max(0, M - 100), M - 1)] ^= 1 << rng.randrange(n)
+    return terms
+
+
 def rotl16(v: int, k: int) -> int:
     """v rotated left by k within 16 bits, by shifting both ways."""
     k %= 16

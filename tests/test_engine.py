@@ -22,7 +22,8 @@ from bbi.gf2 import BitVec, Gf2Poly, order
 
 from helpers import (concat, full_period_minpoly, massey_minpoly,
                      per_call_generate, per_coefficient_invert, rotl,
-                     table_map, times_x_mod, verify_sequence)
+                     structured_terms, table_map, times_x_mod,
+                     verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -806,16 +807,6 @@ def test_growing_window_leaves_a_projection_it_no_longer_needs():
     assert massey_minpoly(terms, 2) == Gf2Poly(0b1001)
 
 
-def late_jump_window(n: int, M: int, p: int,
-                     rng: random.Random) -> RecurrenceSequence:
-    """M terms of a cycle of p random values of width n, with one bit
-    flipped in the last 100 terms: L jumps late, to about the flip."""
-    cycle = [rng.getrandbits(n) for _ in range(p)]
-    terms = [cycle[t % p] for t in range(M)]
-    terms[rng.randint(max(0, M - 100), M - 1)] ^= 1 << rng.randrange(n)
-    return seq_of(terms, n)
-
-
 @pytest.fixture
 def decisions(monkeypatch):
     """Route GrowingWindow._decide, the whole window's decision and each
@@ -899,24 +890,14 @@ def test_late_jump_windows_are_proved_unsolvable(
 def structured_windows(draw):
     """A window of width 1..64 and 2..600 terms: a cycle of up to 40
     random values, the orbit of a random recurrence of order up to 40 on
-    random vectors, or a late jump (see late_jump_window).  M and the
+    random vectors, or a late jump (see structured_terms).  M and the
     order come from the seeded rng, evenly spread, as hypothesis would
     draw mostly short windows."""
     n = draw(st.integers(1, 64))
     kind = draw(st.sampled_from(["cycle", "recurrence", "late-jump"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     M, p = rng.randint(2, 600), rng.randint(1, 40)
-    if kind == "late-jump":
-        return late_jump_window(n, M, p, rng)
-    terms = [rng.getrandbits(n) for _ in range(p)]
-    taps = rng.getrandbits(p) | 1 if kind == "recurrence" else 1
-    while len(terms) < M:
-        v = 0
-        for i in range(p):
-            if taps >> i & 1:
-                v ^= terms[-p + i]
-        terms.append(v)
-    return seq_of(terms[:M], n)
+    return seq_of(structured_terms(kind, n, M, p, rng), n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -950,7 +931,8 @@ def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
         for n in (4, 16):
             s = seq_of([rng.getrandbits(n) for _ in range(M)], n)
             assert minimal_polynomial(s).minpoly == _minimal_polynomial_lowbit(s)[0]
-            s = late_jump_window(n, M, rng.randint(1, 12), rng)
+            p = rng.randint(1, 12)
+            s = seq_of(structured_terms("late-jump", n, M, p, rng), n)
             assert minimal_polynomial(s).minpoly == _minimal_polynomial_lowbit(s)[0]
     assert lcms and all(2 * d + 2 <= M for d, M in lcms)
     assert any(2 * d + 2 > M for d, M in joins)

@@ -8,28 +8,31 @@ Each mutant changes one token of the module's syntax tree:
 - `and` becomes `or`, and `or` becomes `and`.
 
 The mutant is written, by `ast.unparse`, into a temporary copy of `src`
-and `tests`, and `pytest -x -q tests/test_engine.py` runs there.  A
+and `tests`, and `pytest -x -q` runs there on the engine's tests and on
+the oracle, target and embedding tests, which drive `BlackBoxMap`.  A
 mutant that passes every test survives; one that fails a test, or runs
-past the timeout, is killed.  The unmutated module goes through the same
-unparse first and must pass, or the sweep stops.
+past TIMEOUT seconds, is killed.  The unmutated module goes through the
+same unparse first and must pass, or the sweep stops.
 
 Each survivor is then run on a fixed set of windows (random, cycle,
-recurrence and late-jump, widths 1..64, up to 300 terms), deciding each
-with `minimal_polynomial` and inverting it with `invert_from_minpoly`.
-`same` means that every answer equals the unmutated module's, so the
-mutant changes no output there; `DIFFERS` marks a test gap.
+recurrence and late-jump, from the tests' `structured_terms`, widths
+1..64, up to 300 terms), deciding each with `minimal_polynomial` and
+inverting it with `invert_from_minpoly`.  `same` means that every answer
+equals the unmutated module's, so the mutant changes no output there;
+`DIFFERS` marks a test gap.  A survivor whose number and line
+`tools/mutant_survivors.txt` does not list is marked `NEW`: a gap, or a
+list gone stale with an edit of the module.
 
 The script only reports: a line per mutant on stderr as it ends (pass,
 fail or timeout), then one line per survivor on stdout, and exits 0.
+It runs JOBS mutants at once.
 
-    python tools/mutants.py                # every mutant, 2 at a time
-    python tools/mutants.py --list         # the mutants, none run
-    python tools/mutants.py --only 17 42   # these mutants
+    python tools/mutants.py          # every mutant
+    python tools/mutants.py 17 42    # these mutants
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -41,7 +44,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULE = Path("src/bbi/engine.py")
-TESTS = "tests/test_engine.py"
+TESTS = ("tests/test_engine.py", "tests/test_oracle.py", "tests/test_targets.py",
+         "tests/test_embedding.py")
+SURVIVORS = ROOT / "tools/mutant_survivors.txt"
+JOBS = 2
+TIMEOUT = 60
 
 NEGATION = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
             ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot,
@@ -56,25 +63,12 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
 DIFFERENTIAL = r"""
 import random
 from bbi.engine import RecurrenceSequence, invert_from_minpoly, minimal_polynomial
+from helpers import structured_terms
 rng = random.Random(2024)
 for k in range(3000):
     n, M, p = rng.randint(1, 64), rng.randint(2, 300), rng.randint(1, 40)
-    kind = k % 4
-    if kind == 0:
-        terms = [rng.getrandbits(n) for _ in range(M)]
-    else:
-        terms = [rng.getrandbits(n) for _ in range(p)]
-        taps = rng.getrandbits(p) | 1 if kind == 2 else 1
-        while len(terms) < M:
-            v = 0
-            for i in range(p):
-                if taps >> i & 1:
-                    v ^= terms[-p + i]
-            terms.append(v)
-        terms = terms[:M]
-        if kind == 3:
-            terms[rng.randint(max(0, M - 100), M - 1)] ^= 1 << rng.randrange(n)
-    seq = RecurrenceSequence(tuple(terms), n)
+    kind = ("random", "cycle", "recurrence", "late-jump")[k % 4]
+    seq = RecurrenceSequence(tuple(structured_terms(kind, n, M, p, rng)), n)
     mp = minimal_polynomial(seq).minpoly
     x = None
     if mp is not None and mp.constant_term:
@@ -127,69 +121,57 @@ def copy_tree(dest: Path, module_text: str) -> None:
     (dest / MODULE).write_text(module_text)
 
 
-def run(module_text: str, command: list[str], timeout: float) -> tuple[str, str]:
+def run(module_text: str, command: list[str]) -> tuple[str, str]:
     """('pass' | 'fail' | 'timeout', stdout) of command in a copy of the
-    repository whose module is module_text."""
+    repository whose module is module_text, with src and tests on the
+    path."""
     with tempfile.TemporaryDirectory(prefix="bbi-mutant-") as tmp:
         copy_tree(Path(tmp), module_text)
-        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
+        path = os.pathsep.join(str(Path(tmp) / part) for part in ("src", "tests"))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
         try:
-            done = subprocess.run(command, cwd=tmp, env=env, timeout=timeout,
+            done = subprocess.run(command, cwd=tmp, env=env, timeout=TIMEOUT,
                                   capture_output=True, text=True)
         except subprocess.TimeoutExpired:
             return "timeout", ""
         return ("pass" if done.returncode == 0 else "fail"), done.stdout
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--list", action="store_true",
-                        help="list the mutants and run none")
-    parser.add_argument("--only", type=int, nargs="+", metavar="N",
-                        help="run only these mutant numbers")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="mutants run at once (default 2)")
-    parser.add_argument("--timeout", type=float, default=60,
-                        help="seconds before a test run counts as killed")
-    args = parser.parse_args(argv)
-
+def main(argv: list[str]) -> int:
     source = (ROOT / MODULE).read_text()
     mutants = sites(ast.parse(source))
-    chosen = args.only or range(len(mutants))
-    if args.list:
-        for number in chosen:
-            *site, description = mutants[number]
-            print(f"{number:4d}  line {mutate(source, *site)[1]:4d}  {description}")
-        return 0
+    chosen = [int(a) for a in argv] or range(len(mutants))
+    listed = {tuple(line.split()[:2]) for line in SURVIVORS.read_text().splitlines()
+              if line[:1] != "#"}
 
     pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-              TESTS]
+              *TESTS]
     control = ast.unparse(ast.parse(source))
-    if run(control, pytest, args.timeout)[0] != "pass":
+    if run(control, pytest)[0] != "pass":
         print("the unmutated module fails its tests after unparsing; "
               "no mutant was run", file=sys.stderr)
         return 0
-    reference = run(control, [sys.executable, "-c", DIFFERENTIAL], args.timeout)[1]
+    reference = run(control, [sys.executable, "-c", DIFFERENTIAL])[1]
 
     def one(number: int) -> str | None:
         *site, description = mutants[number]
         text, line = mutate(source, *site)
-        verdict = run(text, pytest, args.timeout)[0]
+        verdict = run(text, pytest)[0]
         print(f"mutant {number}: {verdict}", file=sys.stderr, flush=True)
         if verdict != "pass":
             return None
-        status, out = run(text, [sys.executable, "-c", DIFFERENTIAL], args.timeout)
+        status, out = run(text, [sys.executable, "-c", DIFFERENTIAL])
         same = "same" if status == "pass" and out == reference else "DIFFERS"
-        return f"{number:4d}  {MODULE}:{line}  {description}  [{same}]"
+        new = "" if (str(number), str(line)) in listed else "  NEW"
+        return f"{number:4d}  {MODULE}:{line}  {description}  [{same}]{new}"
 
-    with ThreadPoolExecutor(args.jobs) as pool:
+    with ThreadPoolExecutor(JOBS) as pool:
         survivors = [line for line in pool.map(one, chosen) if line]
-    print(f"{len(survivors)} of {len(chosen)} mutants survive {TESTS}")
+    print(f"{len(survivors)} of {len(chosen)} mutants survive {' '.join(TESTS)}")
     for line in survivors:
         print(line)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
