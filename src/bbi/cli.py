@@ -30,7 +30,7 @@ from .engine import (BlackBoxMap, EvalBudgetExceeded, GrowingWindow,
                      InversionReport, generate, invert_window,
                      local_inversion)
 from .gf2 import BitVec
-from .oracle import brute_force_invert, orbit_profile
+from .oracle import brute_force_invert, cycle_walk, orbit_profile
 from .targets import TargetInstance, _as_int, load_target
 from .targets.arith import reduce_exponent
 from .targets.ec import ec_scalar_mul, encode_point
@@ -139,15 +139,14 @@ def cmd_survey(args) -> int:
         writer.writeheader()
         for v in values:
             y = BitVec(v, n)
-            prof = orbit_profile(_budget_map(target, args.max_evals), y)
-            periodic = prof.preperiod == 0
+            periodic, period = cycle_walk(_budget_map(target, args.max_evals), y)
             report = local_inversion(_budget_map(target, args.max_evals), y, args.M)
             lc = report.linear_complexity
             rows.append({
                 "seed": y.hex(),
                 "periodic": str(periodic).lower(),
                 "LC": lc if lc is not None else "saturated",
-                "period": prof.period if periodic else "unknown",
+                "period": period if periodic else "unknown",
                 "inverted": str(report.solved).lower(),
                 "evals": report.map_evals,
             })

@@ -180,9 +180,11 @@ def stored_orbit(F: BlackBoxMap, y: BitVec) -> tuple[int, int, tuple[BitVec, ...
     """(preperiod r, period N, terms y, F(y), ..., F^(r+N-1)(y)) from one
     orbit_profile walk, so terms[r:] is exactly one trip around the cycle.
 
-    The walk's first hare steps through F(y), F^2(y), ... and meets the
-    tortoise at or past term r + N, so recording the outputs of F costs
-    no evaluation beyond orbit_profile's own, and F's budget bounds it.
+    The walk's first hare steps through F(y), F^2(y), ... and stops at
+    or past term r + N: at its return to y, term N, when r = 0, and
+    otherwise at its meeting with the tortoise, which waits at a term
+    >= r.  So recording the outputs of F costs no evaluation beyond
+    orbit_profile's own, and F's budget bounds it.
     """
     outputs = []
 

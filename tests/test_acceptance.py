@@ -415,5 +415,12 @@ def test_c9_survey_golden_csv(tmp_path):
                     "--csv-out", str(out2)], BBI_SEED="0")
     assert res2.returncode == 0
     assert out2.read_bytes() == (GOLDEN / "dlp_p11_survey.csv").read_bytes()
-    print("C9 PASS: identity16 and dlp-p11 surveys reproduce the golden CSVs "
-          "byte-exactly under BBI_SEED=0")
+
+    # 31 seeds with a tail and one periodic seed (period 234)
+    out3 = tmp_path / "spn.csv"
+    res3 = run_cli(["survey", "--target", "spn-kpa", "--samples", "32",
+                    "--csv-out", str(out3)], BBI_SEED="0")
+    assert res3.returncode == 0
+    assert out3.read_bytes() == (GOLDEN / "spn_kpa_survey.csv").read_bytes()
+    print("C9 PASS: identity16, dlp-p11 and spn-kpa surveys reproduce the "
+          "golden CSVs byte-exactly under BBI_SEED=0")

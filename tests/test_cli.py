@@ -428,7 +428,7 @@ def test_demos_call_no_oracle(name, monkeypatch):
     oracle runs, by any route."""
     calls = []
     for mod in (cli, oracle):
-        for fn in ("orbit_profile", "brute_force_invert"):
+        for fn in ("cycle_walk", "orbit_profile", "brute_force_invert"):
             real = getattr(mod, fn)
             monkeypatch.setattr(mod, fn, lambda *a, real=real, fn=fn:
                                 calls.append(fn) or real(*a))
@@ -783,6 +783,29 @@ def test_survey_exhaustive_small_domain():
     summary = json.loads(res.stdout[res.stdout.index("{"):])
     assert summary["samples"] == 16
     assert summary["inverted"] == 10  # exactly the in-range points 1..10
+
+
+def test_survey_walks_each_seed_only_as_far_as_its_row():
+    """Maps come in order: the probe, then per row one orbit map and one
+    inversion map.  A periodic row's orbit map stops at the first return
+    to the seed, after exactly the printed period; any other row's skips
+    the preperiod walk that orbit_profile adds."""
+    rc, out, err, made = run_main("survey", "--target", "dlp-p11", "--exhaustive")
+    assert rc == 0 and err == ""
+    rows = [line.split(",") for line in out[:out.index("{")].splitlines()[1:]]
+    assert len(rows) == 16 and len(made) == 1 + 2 * len(rows)
+    assert made[0].evals == 0
+    target = load_target("dlp-p11")
+    for (seed, periodic, _, period, _, evals), orbit_map, inv_map in zip(
+            rows, made[1::2], made[2::2]):
+        assert inv_map.evals == int(evals)
+        F = target.fresh_map()
+        prof = oracle.orbit_profile(F, BitVec(int(seed, 16), 4))
+        if periodic == "true":
+            assert orbit_map.evals == int(period) == prof.period
+        else:
+            assert prof.preperiod > 0 and period == "unknown"
+            assert orbit_map.evals == F.evals - prof.period - 2 * prof.preperiod
 
 
 def test_oracle_invert():

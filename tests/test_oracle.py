@@ -4,7 +4,7 @@ minimal polynomials."""
 import copy
 import pickle
 import random
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, astuple, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 from bbi.engine import (BlackBoxMap, EvalBudgetExceeded, generate,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
-from bbi.oracle import OrbitProfile, brute_force_invert, orbit_profile
+from bbi.oracle import (OrbitProfile, brute_force_invert, cycle_walk,
+                        orbit_profile)
 from bbi.targets.spn import ToySpn
 
 from helpers import (concat, full_period_minpoly, per_call_brute_force_invert,
@@ -49,6 +50,19 @@ def test_brute_force_guards():
         brute_force_invert(wide, BitVec(0, 25))
     with pytest.raises(ValueError):
         brute_force_invert(identity(4), BitVec(0, 5))
+
+
+def test_brute_force_width_limit_is_24():
+    """Width 24 is scanned (here it stops at once on an empty budget);
+    width 25 is refused before any evaluation."""
+    F = identity(24)
+    F.max_evals = 0
+    with pytest.raises(EvalBudgetExceeded):
+        brute_force_invert(F, BitVec(0, 24))
+    G = identity(25)
+    with pytest.raises(ValueError, match="exceeds the exhaustive scan limit 24"):
+        brute_force_invert(G, BitVec(0, 25))
+    assert F.evals == G.evals == 0
 
 
 def test_brute_force_finds_spn_key():
@@ -97,9 +111,11 @@ def test_orbit_profile_budget():
 
 
 def test_orbit_profile_rejects_embeddings():
-    wide = BlackBoxMap(lambda x: concat(x, x), 3, 6)
-    with pytest.raises(ValueError):
-        orbit_profile(wide, BitVec(1, 3))
+    for walk in (orbit_profile, cycle_walk):
+        wide = BlackBoxMap(lambda x: concat(x, x), 3, 6)
+        with pytest.raises(ValueError):
+            walk(wide, BitVec(1, 3))
+        assert wide.evals == 0
 
 
 def test_orbit_profile_matches_direct_walk():
@@ -228,6 +244,48 @@ def rho_tables(draw):
     return width, table, rng.randrange(size)
 
 
+def _brent_first_phase(F, y):
+    """Brent's first phase alone, as orbit_profile ran it before its walk
+    compared the hare with y: the period, from the first meeting."""
+    tort, hare = y, F(y)
+    power = period = 1
+    while hare != tort:
+        if period == power:
+            tort, power, period = hare, 2 * power, 0
+        hare = F(hare)
+        period += 1
+    return period
+
+
+@given(rho_tables())
+def test_cycle_walk_stops_at_the_first_return_or_the_first_meeting(case):
+    """On the seed and on its cycle entry: a periodic seed costs exactly
+    its period, any other seed exactly Brent's first phase, and
+    orbit_profile adds the preperiod walk (period + 2r) only off the
+    cycle."""
+    width, table, start = case
+    r, n, path = _rho_walk(table, start)
+    for v, pre in ((start, r), (path[r], 0)):
+        y = BitVec(v, width)
+        F, G, H = (table_map(table, width) for _ in range(3))
+        assert cycle_walk(F, y) == (pre == 0, n)
+        assert astuple(orbit_profile(H, y)) == (pre, n)
+        if pre == 0:
+            assert F.evals == H.evals == n
+        else:
+            assert _brent_first_phase(G, y) == n
+            assert F.evals == G.evals
+            assert H.evals == F.evals + n + 2 * pre
+
+
+# Each walk's result, with the period at index 1.
+WALKS = {
+    "stored_orbit": stored_orbit,
+    "orbit_profile": lambda F, y: astuple(orbit_profile(F, y)),
+    "cycle_walk": cycle_walk,
+}
+
+
 def _walk(F, y, store):
     """(preperiod, period, terms): the helpers' stored walk, or
     orbit_profile alone with terms None."""
@@ -254,23 +312,24 @@ def test_orbit_profile_never_costs_more_than_floyd(case, store):
     assert F.evals <= G.evals
 
 
-@given(rho_tables(), st.booleans(), st.data())
-def test_orbit_profile_budget_is_exact(case, store, data):
+@given(rho_tables(), st.sampled_from(sorted(WALKS)), st.data())
+def test_orbit_profile_budget_is_exact(case, name, data):
     width, table, start = case
+    walk = WALKS[name]
     y = BitVec(start, width)
     F = table_map(table, width)
-    _walk(F, y, store)
+    walk(F, y)
     need = F.evals
     for budget in (need - 1, need, data.draw(st.integers(0, 2 * need))):
         G = table_map(table, width)
         G.max_evals = budget
         if budget < need:
             with pytest.raises(EvalBudgetExceeded):
-                _walk(G, y, store)
+                walk(G, y)
             # the map refuses the first call past its budget
             assert G.evals == budget
         else:
-            assert _walk(G, y, store)[1] == _rho_walk(table, start)[1]
+            assert walk(G, y)[1] == _rho_walk(table, start)[1]
             assert G.evals == need
 
 

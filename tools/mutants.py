@@ -1,4 +1,5 @@
-"""Report the one-token mutants of src/bbi/engine.py that its tests miss.
+"""Report the one-token mutants of src/bbi/engine.py and src/bbi/oracle.py
+that their tests miss.
 
 Each mutant changes one token of the module's syntax tree:
 - a comparison operator becomes its negation (`<` and `>=`, `==` and
@@ -7,21 +8,27 @@ Each mutant changes one token of the module's syntax tree:
 - an integer constant becomes one more or one less;
 - `and` becomes `or`, and `or` becomes `and`.
 
-The mutant is written, by `ast.unparse`, into a temporary copy of `src`
-and `tests`, and `pytest -x -q` runs there on the engine's tests and on
-the oracle, target and embedding tests, which drive `BlackBoxMap`.  A
-mutant that passes every test survives; one that fails a test, or runs
-past TIMEOUT seconds, is killed.  The unmutated module goes through the
-same unparse first and must pass, or the sweep stops.
+Mutants are numbered through engine.py first, then oracle.py.  The
+mutant is written, by `ast.unparse`, into a temporary copy of `src` and
+`tests`, and `pytest -x -q` runs there on its module's tests: for
+engine.py the engine's tests and the oracle, target and embedding tests,
+which drive `BlackBoxMap`; for oracle.py the oracle's tests.  A mutant
+that passes every test survives; one that fails a test, or runs past
+TIMEOUT seconds, is killed.  Each unmutated module goes through the same
+unparse first and must pass, or the sweep stops.
 
-Each survivor is then run on a fixed set of windows (random, cycle,
-recurrence and late-jump, from the tests' `structured_terms`, widths
-1..64, up to 300 terms), deciding each with `minimal_polynomial` and
-inverting it with `invert_from_minpoly`.  `same` means that every answer
+Each survivor is then run on its module's differential.  An engine
+mutant decides a fixed set of windows (random, cycle, recurrence and
+late-jump, from the tests' `structured_terms`, widths 1..64, up to 300
+terms) with `minimal_polynomial` and inverts each with
+`invert_from_minpoly`.  An oracle mutant walks a fixed set of random
+table maps (widths 1..10, half of them with a drawn tail and cycle
+through the seed) with `orbit_profile` and `cycle_walk`, and reports
+each walk's answer and evaluation count.  `same` means that every line
 equals the unmutated module's, so the mutant changes no output there;
 `DIFFERS` marks a test gap.  A survivor whose number and line
 `tools/mutant_survivors.txt` does not list is marked `NEW`: a gap, or a
-list gone stale with an edit of the module.
+list gone stale with an edit of a module.
 
 The script only reports: a line per mutant on stderr as it ends (pass,
 fail or timeout), then one line per survivor on stdout, and exits 0.
@@ -43,9 +50,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("src/bbi/engine.py")
-TESTS = ("tests/test_engine.py", "tests/test_oracle.py", "tests/test_targets.py",
-         "tests/test_embedding.py")
 SURVIVORS = ROOT / "tools/mutant_survivors.txt"
 JOBS = 2
 TIMEOUT = 60
@@ -60,7 +64,7 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
 
 # Decides every window with minimal_polynomial and inverts each solved
 # one; prints the answers, so two modules can be compared by their output.
-DIFFERENTIAL = r"""
+ENGINE_DIFFERENTIAL = r"""
 import random
 from bbi.engine import RecurrenceSequence, invert_from_minpoly, minimal_polynomial
 from helpers import structured_terms
@@ -75,6 +79,43 @@ for k in range(3000):
         x = invert_from_minpoly(seq, mp).value
     print(None if mp is None else mp.bits, x)
 """
+
+# Walks random table maps, half of them with a drawn tail (or none) and
+# cycle through the seed; prints each walk's answer and evaluation count.
+ORACLE_DIFFERENTIAL = r"""
+import random
+from bbi.engine import BlackBoxMap
+from bbi.gf2 import BitVec
+from bbi.oracle import cycle_walk, orbit_profile
+rng = random.Random(2024)
+for k in range(3000):
+    width = rng.randint(1, 10)
+    size = 1 << width
+    table = [rng.randrange(size) for _ in range(size)]
+    start = rng.randrange(size)
+    if k % 2:
+        cycle = rng.randint(1, size)
+        tail = rng.randint(0, size - cycle) if k % 4 == 1 else 0
+        path = rng.sample(range(size), tail + cycle)
+        for a, b in zip(path, path[1:]):
+            table[a] = b
+        table[path[-1]] = path[tail]
+        start = path[0]
+    F, G = (BlackBoxMap(lambda x: BitVec(table[x.value], width), width)
+            for _ in range(2))
+    prof = orbit_profile(F, BitVec(start, width))
+    print(prof.preperiod, prof.period, F.evals,
+          *cycle_walk(G, BitVec(start, width)), G.evals)
+"""
+
+# (module, the tests its mutants run, its differential), in numbering order
+MODULES = (
+    (Path("src/bbi/engine.py"),
+     ("tests/test_engine.py", "tests/test_oracle.py", "tests/test_targets.py",
+      "tests/test_embedding.py"),
+     ENGINE_DIFFERENTIAL),
+    (Path("src/bbi/oracle.py"), ("tests/test_oracle.py",), ORACLE_DIFFERENTIAL),
+)
 
 
 def sites(tree: ast.AST) -> list[tuple[int, int | None, object, str]]:
@@ -113,20 +154,20 @@ def mutate(source: str, index: int, k: int | None, new: object) -> tuple[str, in
     return ast.unparse(tree), node.lineno
 
 
-def copy_tree(dest: Path, module_text: str) -> None:
+def copy_tree(dest: Path, module: Path, module_text: str) -> None:
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
-    (dest / MODULE).write_text(module_text)
+    (dest / module).write_text(module_text)
 
 
-def run(module_text: str, command: list[str]) -> tuple[str, str]:
+def run(module: Path, module_text: str, command: list[str]) -> tuple[str, str]:
     """('pass' | 'fail' | 'timeout', stdout) of command in a copy of the
     repository whose module is module_text, with src and tests on the
     path."""
     with tempfile.TemporaryDirectory(prefix="bbi-mutant-") as tmp:
-        copy_tree(Path(tmp), module_text)
+        copy_tree(Path(tmp), module, module_text)
         path = os.pathsep.join(str(Path(tmp) / part) for part in ("src", "tests"))
         env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
         try:
@@ -137,37 +178,47 @@ def run(module_text: str, command: list[str]) -> tuple[str, str]:
         return ("pass" if done.returncode == 0 else "fail"), done.stdout
 
 
+def pytest_command(tests: tuple[str, ...]) -> list[str]:
+    return [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            *tests]
+
+
 def main(argv: list[str]) -> int:
-    source = (ROOT / MODULE).read_text()
-    mutants = sites(ast.parse(source))
+    mutants = []  # (module index, node index, operator index, new, description)
+    sources = []
+    for m, (module, _, _) in enumerate(MODULES):
+        sources.append((ROOT / module).read_text())
+        mutants += [(m, *site) for site in sites(ast.parse(sources[m]))]
     chosen = [int(a) for a in argv] or range(len(mutants))
     listed = {tuple(line.split()[:2]) for line in SURVIVORS.read_text().splitlines()
               if line[:1] != "#"}
 
-    pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-              *TESTS]
-    control = ast.unparse(ast.parse(source))
-    if run(control, pytest)[0] != "pass":
-        print("the unmutated module fails its tests after unparsing; "
-              "no mutant was run", file=sys.stderr)
-        return 0
-    reference = run(control, [sys.executable, "-c", DIFFERENTIAL])[1]
+    references = {}
+    for m in sorted({mutants[number][0] for number in chosen}):
+        module, tests, differential = MODULES[m]
+        control = ast.unparse(ast.parse(sources[m]))
+        if run(module, control, pytest_command(tests))[0] != "pass":
+            print(f"the unmutated {module} fails its tests after unparsing; "
+                  "no mutant was run", file=sys.stderr)
+            return 0
+        references[m] = run(module, control, [sys.executable, "-c", differential])[1]
 
     def one(number: int) -> str | None:
-        *site, description = mutants[number]
-        text, line = mutate(source, *site)
-        verdict = run(text, pytest)[0]
+        m, *site, description = mutants[number]
+        module, tests, differential = MODULES[m]
+        text, line = mutate(sources[m], *site)
+        verdict = run(module, text, pytest_command(tests))[0]
         print(f"mutant {number}: {verdict}", file=sys.stderr, flush=True)
         if verdict != "pass":
             return None
-        status, out = run(text, [sys.executable, "-c", DIFFERENTIAL])
-        same = "same" if status == "pass" and out == reference else "DIFFERS"
+        status, out = run(module, text, [sys.executable, "-c", differential])
+        same = "same" if status == "pass" and out == references[m] else "DIFFERS"
         new = "" if (str(number), str(line)) in listed else "  NEW"
-        return f"{number:4d}  {MODULE}:{line}  {description}  [{same}]{new}"
+        return f"{number:4d}  {module}:{line}  {description}  [{same}]{new}"
 
     with ThreadPoolExecutor(JOBS) as pool:
         survivors = [line for line in pool.map(one, chosen) if line]
-    print(f"{len(survivors)} of {len(chosen)} mutants survive {' '.join(TESTS)}")
+    print(f"{len(survivors)} of {len(chosen)} mutants survive")
     for line in survivors:
         print(line)
     return 0
