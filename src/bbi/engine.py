@@ -28,21 +28,14 @@ completed in turn.  The annihilation check rejects on the first window
 not known to hold first, which is sound because only the check of every
 window can accept.
 
-The Hankel scan supplies rank evidence only: rank H(k) for k = 1 ..
-M/2.  minimal_polynomial never runs it; a MinPolyResult runs it once,
-on the first read of rank_profile, or of status on a window without a
-minimal polynomial.  The whole window is packed into one int, n bits per
-term, and bit-reversed once, so the column of the stacked Hankel system
-that starts at term j is a single shift+mask with row r at bit
-height-1-r.  One XOR basis over full-height columns serves every k at
-once: a pivot in the top n*k rows counts toward rank H(k).  A vector's
-pivot, its first nonzero row, is read off its bit_length(), and the int
-shrinks as its leading rows clear.
+The Hankel rank is evidence only: on a window without a minimal
+polynomial, status reads rank H(M/2), `saturated` when it is full and
+`rank-deficient` when it is not.  minimal_polynomial never measures it;
+a MinPolyResult measures it once, on the first read of status.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from itertools import compress
@@ -203,16 +196,14 @@ class RecurrenceSequence:
 
 @dataclass(frozen=True, eq=False)
 class MinPolyResult:
-    """Least-degree annihilator of a window, or None, and the Hankel
-    scan's rank evidence, measured when it is read.
+    """Least-degree annihilator of a window, or None, and why a window
+    without one failed, measured when it is read.
 
-    `status` is `unique` whenever minpoly is not None, with no scan.
-    `rank_profile` lists (k, rank H(k)) for k = 1 .. minpoly.degree on
-    a solved window, k = 1 .. floor(M/2) otherwise; on a window without
-    a minpoly, `status` is `saturated` when the last rank is full and
-    `rank-deficient` otherwise.  Both are cached like
-    InversionReport.period_estimate and share one scan, run on the first
-    read that needs it.  Equality is identity.
+    `status` is `unique` whenever minpoly is not None, with no rank
+    measured; otherwise it is `saturated` when rank H(M/2) is full and
+    `rank-deficient` when it is not.  It is cached like
+    InversionReport.period_estimate, on the first read.  Equality is
+    identity.
     """
 
     minpoly: Gf2Poly | None
@@ -222,17 +213,8 @@ class MinPolyResult:
     def status(self) -> str:
         if self.minpoly is not None:
             return UNIQUE
-        k, rank = self.rank_profile[-1]
-        return SATURATED if rank == k else RANK_DEFICIENT
-
-    @cached_property
-    def rank_profile(self) -> tuple[tuple[int, int], ...]:
-        profile = _hankel_scan(self.window)
-        if self.minpoly is None:
-            return profile
-        # rank H(k) reads columns 0 .. k-1 only, so the profile of a win
-        # is a prefix of the full one
-        return profile[:self.minpoly.degree]
+        full = _hankel_rank(self.window) == len(self.window.terms) // 2
+        return SATURATED if full else RANK_DEFICIENT
 
 
 @dataclass(frozen=True)
@@ -340,8 +322,8 @@ def _annihilated(seq: RecurrenceSequence, poly: int, start: int = 0) -> int:
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     """Least-degree monic annihilator of degree <= M/2 of the window, or
     None when there is none: a GrowingWindow of seq, solved once.  This
-    only decides: no Hankel scan runs here, and the result measures
-    status and rank_profile when read.
+    only decides: no Hankel rank is measured here, and the result
+    measures status when read.
     """
     return GrowingWindow(seq).solve()
 
@@ -541,39 +523,20 @@ def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:
     return mp if 2 * mp.degree <= M else None
 
 
-def _hankel_scan(seq: RecurrenceSequence) -> tuple[tuple[int, int], ...]:
-    """Rank profile (k, rank H(k)) of the window for k = 1 .. floor(M/2).
-
-    Column j of the stacked Hankel system H(k) holds terms j .. j+k-1.
-    Columns are reduced over their full height of floor(M/2) terms into
-    one echelon basis, so rank H(k) counts the basis vectors of columns
-    0 .. k-1 whose pivot lies in the top n*k rows.  A vector is one int,
-    row r at bit height-1-r, and its pivot, the first nonzero row, is
-    height - bit_length().
-    """
-    M = len(seq.terms)
-    n = seq.width
-    m_max = M // 2
-    height = n * m_max
-    mask = (1 << height) - 1
-    # The window reversed (bit i of seq.packed() at bit M*n-1-i), so
-    # column k is one shift and one mask.
-    rev = int(format(seq.packed(), f"0{M * n}b")[::-1], 2)
-    basis: dict[int, int] = {}  # pivot row -> stored vector
-    pivots: list[int] = []
-    profile = []
-    for k in range(m_max):
-        vec = (rev >> (n * (M - k - m_max))) & mask
-        while vec:
-            p = height - vec.bit_length()
-            hit = basis.get(p)
-            if hit is None:
-                basis[p] = vec
-                insort(pivots, p)
-                break
+def _hankel_rank(seq: RecurrenceSequence) -> int:
+    """rank H(M/2) of the window.  Column j of the stacked Hankel system,
+    terms j .. j + M/2 - 1, is one shift and mask of the packed window,
+    and each column is reduced by the basis vector with its leading bit."""
+    half, n = len(seq.terms) // 2, seq.width
+    packed, mask = seq.packed(), (1 << (n * half)) - 1
+    basis: dict[int, int] = {}  # leading bit -> basis vector
+    for j in range(half):
+        vec = (packed >> (n * j)) & mask
+        while vec and (hit := basis.get(vec.bit_length())):
             vec ^= hit
-        profile.append((k + 1, bisect_left(pivots, n * (k + 1))))
-    return tuple(profile)
+        if vec:
+            basis[vec.bit_length()] = vec
+    return len(basis)
 
 
 def invert_from_minpoly(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:

@@ -1,7 +1,8 @@
 """Code that only the tests need: BitVec and polynomial builders, a
 modular-integer type, small maps and checks over the engine's types, the
 orbit walk that keeps its terms and the closed-form full-period oracle,
-Massey's Berlekamp-Massey written out with its discrepancy, the
+Massey's Berlekamp-Massey written out with its discrepancy, a Hankel
+scan that decides windows and measures their rank profile, the
 inversion formula one coefficient at a time, the per-call
 exhaustive scan and window walk and the rotate-per-round SPN that the
 fast oracle, window and cipher must reproduce, inverse operations of the
@@ -10,9 +11,11 @@ tables must reproduce."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from bbi.engine import BlackBoxMap, RecurrenceSequence
+from bbi.engine import (RANK_DEFICIENT, SATURATED, UNIQUE, BlackBoxMap,
+                        RecurrenceSequence)
 from bbi.gf2 import ONE, BitVec, Gf2Poly, gcd, lcm
 from bbi.oracle import orbit_profile
 from bbi.targets.ec import INFINITY, CurveParams, ECPoint
@@ -270,6 +273,76 @@ def massey_minpoly(terms, width: int) -> Gf2Poly:
             C, L = massey_scalar(comp)
             result = lcm(result, Gf2Poly(sum(c << (L - i) for i, c in enumerate(C))))
     return Gf2Poly(0b11) if result.degree < 1 else result
+
+
+def minimal_polynomial_lowbit(seq: RecurrenceSequence) -> tuple:
+    """Reference for `minimal_polynomial` and its status: a Hankel scan
+    that decides windows itself, with row r of a column at bit r and each
+    pivot found as the lowest set bit.  Returns (minpoly, status,
+    profile), the profile (k, rank H(k)) for k = 1 .. deg minpoly on a
+    solved window and k = 1 .. floor(M/2) otherwise."""
+    M = len(seq.terms)
+    n = seq.width
+    # term t at bits t*n .. t*n + n-1, packed here rather than by the
+    # engine's RecurrenceSequence.packed
+    packed = int("".join(format(t, f"0{n}b") for t in reversed(seq.terms)), 2)
+    if packed == 0:
+        return Gf2Poly(0b11), UNIQUE, ((1, 0),)
+
+    m_max = M // 2
+    height = n * m_max
+    colmask = (1 << height) - 1
+    basis: dict[int, tuple[int, int]] = {}  # pivot row -> (vector, column combo)
+    pivots: list[int] = []
+    profile: list[tuple[int, int]] = []
+
+    def insert(vec: int, mask: int) -> None:
+        while vec:
+            p = (vec & -vec).bit_length() - 1
+            hit = basis.get(p)
+            if hit is None:
+                basis[p] = (vec, mask)
+                insort(pivots, p)
+                return
+            vec ^= hit[0]
+            mask ^= hit[1]
+
+    insert(packed & colmask, 1)
+
+    for k in range(1, m_max + 1):
+        cut = n * k
+        rank_k = bisect_left(pivots, cut)
+        profile.append((k, rank_k))
+
+        vec = (packed >> (k * n)) & colmask
+        mask = 1 << k
+        consistent = True
+        while vec:
+            p = (vec & -vec).bit_length() - 1
+            if p >= cut:
+                break
+            hit = basis.get(p)
+            if hit is None:
+                consistent = False
+                break
+            vec ^= hit[0]
+            mask ^= hit[1]
+
+        if consistent and rank_k == k:
+            acc = 0
+            b = mask
+            while b:
+                i = (b & -b).bit_length() - 1
+                acc ^= packed >> (i * n)
+                b &= b - 1
+            if (acc & ((1 << ((M - k) * n)) - 1)) == 0:
+                return Gf2Poly(mask), UNIQUE, tuple(profile)
+
+        if k < m_max:
+            insert(vec, mask)
+
+    status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT
+    return None, status, tuple(profile)
 
 
 def structured_terms(kind: str, n: int, M: int, p: int, rng) -> list[int]:

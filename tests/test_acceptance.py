@@ -30,7 +30,8 @@ from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, ecdlp_map,
                             encode_point)
 from bbi.targets.rsa import RsaParams, cca_map, enc_map
 
-from helpers import count_points, full_period_minpoly, stored_orbit, table_map
+from helpers import (count_points, full_period_minpoly,
+                     minimal_polynomial_lowbit, stored_orbit, table_map)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,21 +99,24 @@ def test_c1_periodic_orbit_inversion(periodic_suite):
 
 
 def test_c2_hankel_bm_agreement(periodic_suite):
-    # bm_crosscheck shares the kernel _bm_steps with the solver, so the
-    # rank is the independent check: rank H(d) = d means no nonzero
-    # polynomial of degree < d annihilates the window, so nothing below
-    # mp does
+    # The minimality certificate is the tests' own Hankel scan, which
+    # shares no code with the engine's solver or its rank: rank H(d) = d
+    # means no nonzero polynomial of degree < d annihilates the window,
+    # so nothing below mp does.  bm_crosscheck shares the kernel
+    # _bm_steps with the solver, so its equality is no independent check.
     cases = periodic_suite["cases"]
     for seq, res in cases:
         mp = res.minpoly
         assert bm_crosscheck(seq) == mp
+        lowbit, _, profile = minimal_polynomial_lowbit(seq)
+        assert lowbit == mp
         if seq.packed():
-            assert res.rank_profile[-1] == (mp.degree, mp.degree)
+            assert profile[-1] == (mp.degree, mp.degree)
         else:  # the all-zero window: X + 1 by convention, rank 0
-            assert mp == Gf2Poly(0b11) and res.rank_profile == ((1, 0),)
-    print(f"C2 PASS: per-bit Berlekamp-Massey lcm equals the projected "
-          f"minpoly, and the Hankel rank at its degree is full, on all "
-          f"{len(cases)} criterion-1 cases")
+            assert mp == Gf2Poly(0b11) and profile == ((1, 0),)
+    print(f"C2 PASS: per-bit Berlekamp-Massey lcm and the lowbit Hankel "
+          f"scan equal the projected minpoly, and the Hankel rank at its "
+          f"degree is full, on all {len(cases)} criterion-1 cases")
 
 
 # --------------------------------------------------------------- criterion 3

@@ -153,21 +153,20 @@ def test_demos_match_golden_jsonl():
 def test_invert_and_demos_run_no_scan(monkeypatch):
     """`bbi invert` on every golden case and every demo, in-process: a
     GrowingWindow solve decides every window, solved or not, and nothing
-    on those paths reads the rank evidence, so the Hankel scan never
-    runs."""
+    on those paths reads status, so no Hankel rank is measured."""
     scans, unsolved = [], []
-    solve, scan = engine.GrowingWindow.solve, engine._hankel_scan
+    solve, rank = engine.GrowingWindow.solve, engine._hankel_rank
 
-    def counted_scan(seq):
+    def counted_rank(seq):
         scans.append(seq)
-        return scan(seq)
+        return rank(seq)
 
     def counted_solve(window):
         res = solve(window)
         unsolved.append(res.minpoly is None)
         return res
 
-    monkeypatch.setattr(engine, "_hankel_scan", counted_scan)
+    monkeypatch.setattr(engine, "_hankel_rank", counted_rank)
     monkeypatch.setattr(engine.GrowingWindow, "solve", counted_solve)
     for line in INVERT_GOLDEN.read_text().splitlines():
         case = json.loads(line)

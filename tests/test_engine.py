@@ -4,7 +4,6 @@ import ast
 import copy
 import pickle
 import random
-from bisect import bisect_left, insort
 from pathlib import Path
 
 import pytest
@@ -21,9 +20,9 @@ from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
 from bbi.gf2 import BitVec, Gf2Poly, order
 
 from helpers import (concat, full_period_minpoly, massey_minpoly,
-                     per_call_generate, per_coefficient_invert, rotl,
-                     structured_terms, table_map, times_x_mod,
-                     verify_sequence)
+                     minimal_polynomial_lowbit, per_call_generate,
+                     per_coefficient_invert, rotl, structured_terms,
+                     table_map, times_x_mod, verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -318,11 +317,14 @@ def test_minpoly_rank_deficient_window():
 
 
 def test_minpoly_rank_profile_is_monotone():
+    # the reference's profile: rank H(k) never falls and never passes k
     s = generate(lfsr5(), BitVec(7, 5), 12)
-    res = minimal_polynomial(s)
-    ranks = [r for _, r in res.rank_profile]
+    mp, _, profile = minimal_polynomial_lowbit(s)
+    assert mp == minimal_polynomial(s).minpoly
+    assert [k for k, _ in profile] == list(range(1, mp.degree + 1))
+    ranks = [r for _, r in profile]
     assert all(b >= a for a, b in zip(ranks, ranks[1:]))
-    assert all(r <= k for k, r in res.rank_profile)
+    assert all(r <= k for k, r in profile)
 
 
 def test_invert_from_minpoly_formula():
@@ -557,76 +559,13 @@ def test_bm_crosscheck_on_random_permutation_full_period():
 
 
 def measured(res: MinPolyResult) -> tuple:
-    """(minpoly, status, rank_profile) of a result, the triple that
-    `_minimal_polynomial_lowbit` returns."""
-    return res.minpoly, res.status, res.rank_profile
+    """(minpoly, status) of a result, the pair `reference` returns."""
+    return res.minpoly, res.status
 
 
-def _minimal_polynomial_lowbit(seq: RecurrenceSequence) -> tuple:
-    """Reference for `minimal_polynomial` and its rank evidence: a Hankel
-    scan that decides windows itself, with row r of a column at bit r
-    and each pivot found as the lowest set bit.  Returns (minpoly,
-    status, rank_profile)."""
-    M = len(seq.terms)
-    n = seq.width
-    packed = seq.packed()
-    if packed == 0:
-        return Gf2Poly(0b11), UNIQUE, ((1, 0),)
-
-    m_max = M // 2
-    height = n * m_max
-    colmask = (1 << height) - 1
-    basis: dict[int, tuple[int, int]] = {}  # pivot row -> (vector, column combo)
-    pivots: list[int] = []
-    profile: list[tuple[int, int]] = []
-
-    def insert(vec: int, mask: int) -> None:
-        while vec:
-            p = (vec & -vec).bit_length() - 1
-            hit = basis.get(p)
-            if hit is None:
-                basis[p] = (vec, mask)
-                insort(pivots, p)
-                return
-            vec ^= hit[0]
-            mask ^= hit[1]
-
-    insert(packed & colmask, 1)
-
-    for k in range(1, m_max + 1):
-        cut = n * k
-        rank_k = bisect_left(pivots, cut)
-        profile.append((k, rank_k))
-
-        vec = (packed >> (k * n)) & colmask
-        mask = 1 << k
-        consistent = True
-        while vec:
-            p = (vec & -vec).bit_length() - 1
-            if p >= cut:
-                break
-            hit = basis.get(p)
-            if hit is None:
-                consistent = False
-                break
-            vec ^= hit[0]
-            mask ^= hit[1]
-
-        if consistent and rank_k == k:
-            acc = 0
-            b = mask
-            while b:
-                i = (b & -b).bit_length() - 1
-                acc ^= packed >> (i * n)
-                b &= b - 1
-            if (acc & ((1 << ((M - k) * n)) - 1)) == 0:
-                return Gf2Poly(mask), UNIQUE, tuple(profile)
-
-        if k < m_max:
-            insert(vec, mask)
-
-    status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT
-    return None, status, tuple(profile)
+def reference(seq: RecurrenceSequence) -> tuple:
+    """(minpoly, status) of the window by `minimal_polynomial_lowbit`."""
+    return minimal_polynomial_lowbit(seq)[:2]
 
 
 @st.composite
@@ -697,13 +636,13 @@ def windows(draw, wide=False):
 @settings(max_examples=500)
 @given(windows())
 def test_minpoly_matches_lowbit_scan(seq):
-    assert measured(minimal_polynomial(seq)) == _minimal_polynomial_lowbit(seq)
+    assert measured(minimal_polynomial(seq)) == reference(seq)
 
 
 @settings(max_examples=300)
 @given(windows(wide=True))
 def test_minpoly_matches_lowbit_scan_at_widths_9_to_64(seq):
-    assert measured(minimal_polynomial(seq)) == _minimal_polynomial_lowbit(seq)
+    assert measured(minimal_polynomial(seq)) == reference(seq)
 
 
 @settings(max_examples=500)
@@ -836,7 +775,7 @@ def test_a_factor_the_first_projection_misses_comes_from_the_residual(
     res = grown.solve()
     assert res.minpoly == expected
     assert len(grown._read) == 1
-    assert measured(res) == _minimal_polynomial_lowbit(s)
+    assert measured(res) == reference(s)
 
 
 def test_a_first_projection_at_half_the_window_that_fails_proves_none(
@@ -852,7 +791,7 @@ def test_a_first_projection_at_half_the_window_that_fails_proves_none(
     assert grown.solve().minpoly is None
     assert len(grown._read) == 1 and decisions == [True]
     assert 2 * massey_minpoly(s.terms, 4).degree > 6
-    assert measured(minimal_polynomial(s)) == _minimal_polynomial_lowbit(s)
+    assert measured(minimal_polynomial(s)) == reference(s)
 
 
 @pytest.mark.parametrize("n, cycle, M, flip, bit, reads, residuals", [
@@ -883,7 +822,7 @@ def test_late_jump_windows_are_proved_unsolvable(
     assert len(grown._read) == reads
     assert (len(decisions) > 1) == residuals
     assert 2 * massey_minpoly(terms, n).degree > M
-    assert measured(minimal_polynomial(s)) == _minimal_polynomial_lowbit(s)
+    assert measured(minimal_polynomial(s)) == reference(s)
 
 
 @st.composite
@@ -909,7 +848,7 @@ def test_minpoly_matches_massey_and_lowbit_on_structured_windows(seq):
         assert 2 * massey.degree > len(seq.terms)
     else:
         assert res.minpoly == massey
-    assert measured(res) == _minimal_polynomial_lowbit(seq)
+    assert measured(res) == reference(seq)
 
 
 def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
@@ -930,10 +869,10 @@ def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
     for M in range(4, 200, 3):
         for n in (4, 16):
             s = seq_of([rng.getrandbits(n) for _ in range(M)], n)
-            assert minimal_polynomial(s).minpoly == _minimal_polynomial_lowbit(s)[0]
+            assert minimal_polynomial(s).minpoly == reference(s)[0]
             p = rng.randint(1, 12)
             s = seq_of(structured_terms("late-jump", n, M, p, rng), n)
-            assert minimal_polynomial(s).minpoly == _minimal_polynomial_lowbit(s)[0]
+            assert minimal_polynomial(s).minpoly == reference(s)[0]
     assert lcms and all(2 * d + 2 <= M for d, M in lcms)
     assert any(2 * d + 2 > M for d, M in joins)
 
@@ -947,7 +886,7 @@ def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():
     s = generate(F, BitVec(cycle[0], 16), 514)
     res = minimal_polynomial(s)
     assert res.status == UNIQUE
-    assert measured(res) == _minimal_polynomial_lowbit(s)
+    assert measured(res) == reference(s)
     assert res.minpoly == bm_crosscheck(s) == massey_minpoly(s.terms, 16)
     assert invert_from_minpoly(s, res.minpoly) == BitVec(cycle[-1], 16)
 
@@ -973,15 +912,15 @@ def test_local_inversion_is_sound(case, data):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Route the engine's Hankel scan through a call counter."""
+    """Route the engine's Hankel rank through a call counter."""
     calls = []
-    scan = engine._hankel_scan
+    rank = engine._hankel_rank
 
     def counting(seq):
         calls.append(seq)
-        return scan(seq)
+        return rank(seq)
 
-    monkeypatch.setattr(engine, "_hankel_scan", counting)
+    monkeypatch.setattr(engine, "_hankel_rank", counting)
     return calls
 
 
@@ -1004,7 +943,7 @@ def test_projected_route_matches_lowbit_scan_on_hidden_cycles(scans, n, N):
     res = minimal_polynomial(s)
     assert scans == []  # won by projection, no scan
     assert res.status == UNIQUE
-    assert measured(res) == _minimal_polynomial_lowbit(s)
+    assert measured(res) == reference(s)
     cycle_sum = 0
     for t in s.terms[:N]:
         cycle_sum ^= t
@@ -1031,14 +970,14 @@ def test_ninth_projection_wins_a_window_hidden_from_the_first_eight(scans):
     res = minimal_polynomial(s)
     assert scans == []
     assert res.status == UNIQUE and res.minpoly == Gf2Poly(0b1001)  # X^3 + 1
-    assert measured(res) == _minimal_polynomial_lowbit(s)
+    assert measured(res) == reference(s)
     # the first eight projections all zero: the window is w alone
     scans.clear()
     s = seq_of([w] * 6, 9)
     res = minimal_polynomial(s)
     assert scans == []
     assert res.status == UNIQUE and res.minpoly == Gf2Poly(0b11)  # X + 1
-    assert measured(res) == _minimal_polynomial_lowbit(s)
+    assert measured(res) == reference(s)
 
 
 @pytest.mark.parametrize("s", [
@@ -1047,11 +986,13 @@ def test_ninth_projection_wins_a_window_hidden_from_the_first_eight(scans):
     generate(identity(3), BitVec(0, 3), 6),  # all zero
 ], ids=["rank-deficient", "saturated", "zero"])
 def test_unsolved_and_zero_windows_go_to_the_scan(scans, s):
-    # the solve never scans; reading the evidence costs exactly one scan
+    # the solve never measures a rank; reading status measures one on a
+    # window without a minpoly, and none on the zero window, whose X + 1
+    # reads unique
     res = minimal_polynomial(s)
     assert scans == []
-    assert measured(res) == _minimal_polynomial_lowbit(s)
-    assert scans == [s]
+    assert measured(res) == reference(s)
+    assert scans == ([s] if res.minpoly is None else [])
 
 
 def test_status_read_scans_only_windows_without_a_minpoly(scans):
@@ -1063,15 +1004,32 @@ def test_status_read_scans_only_windows_without_a_minpoly(scans):
     assert [res.status for res in results] == [RANK_DEFICIENT, SATURATED, UNIQUE]
     assert scans == windows[:2]
     for s, res in zip(windows, results):
-        assert measured(res) == _minimal_polynomial_lowbit(s)
-    assert scans == windows  # the zero window scans for its rank_profile
+        assert measured(res) == reference(s)
+    assert scans == windows[:2]  # each status is measured once
+
+
+def test_status_matches_lowbit_scan_on_structured_windows():
+    """status against the reference on 2,000 seeded windows of every
+    structured_terms kind, widths 1..64 and 2..200 terms.  No bench
+    workload reads a rank-deficient window, so this is what checks that
+    branch of _hankel_rank; every status must occur."""
+    rng = random.Random(25)
+    seen = set()
+    for k in range(2000):
+        n, M, p = rng.randint(1, 64), rng.randint(2, 200), rng.randint(1, 40)
+        kind = ("random", "cycle", "recurrence", "late-jump")[k % 4]
+        s = seq_of(structured_terms(kind, n, M, p, rng), n)
+        res = minimal_polynomial(s)
+        assert measured(res) == reference(s), (k, kind, n, M, p)
+        seen.add(res.status)
+    assert seen == {UNIQUE, SATURATED, RANK_DEFICIENT}
 
 
 def test_saturated_window_is_decided_without_a_scan(scans):
     # a random permutation of GF(2)^16 whose cycle through 1 has 44,692
     # points: no annihilator of degree <= M/2 fits M = 4096 of them.  The
-    # status would read saturated only after a scan of 2048 columns,
-    # about 0.3 s, so it is not read.
+    # status would read saturated only after the rank of 2048 columns,
+    # about 0.4 s, so it is not read.
     rng = random.Random(7)
     table = list(range(1 << 16))
     rng.shuffle(table)
@@ -1080,36 +1038,30 @@ def test_saturated_window_is_decided_without_a_scan(scans):
     assert scans == []
 
 
-def test_rank_profile_is_scanned_once_on_first_read(scans):
-    s = hidden_cycle_window(16, 64, seed=3)
+def test_status_is_measured_once_on_first_read(scans):
+    """A window without a minpoly measures its rank once, on the first
+    read of status; copies keep a status already measured and measure an
+    unread one once each.  A solved window reads unique with none."""
+    solved = hidden_cycle_window(16, 64, seed=3)
+    res = minimal_polynomial(solved)
+    assert res.status == UNIQUE and measured(res) == reference(solved)
+    assert scans == []
+    s = seq_of(structured_terms("late-jump", 6, 80, 9, random.Random(3)), 6)
     read, unread = minimal_polynomial(s), minimal_polynomial(s)
     assert scans == []
-    expected = _minimal_polynomial_lowbit(s)
-    assert read.rank_profile == expected[2]
+    assert read.status == RANK_DEFICIENT
     assert scans == [s]
-    assert measured(read) == expected
-    assert len(scans) == 1
-    # status and rank_profile share one scan, read in either order
-    unsolved = generate(lfsr5(), BitVec(1, 5), 3)
-    for first, second in (("status", "rank_profile"),
-                          ("rank_profile", "status")):
-        for w in (s, unsolved):
-            res = minimal_polynomial(w)
-            scans.clear()
-            getattr(res, first), getattr(res, second)
-            assert scans == [w]
-            assert measured(res) == _minimal_polynomial_lowbit(w)
-            assert scans == [w]
+    assert measured(read) == reference(s) and read.status == RANK_DEFICIENT
+    assert scans == [s]
     # equality is identity, and the window stays out of the repr
     assert read == read and read != unread
-    assert repr(read) == f"MinPolyResult(minpoly={read.minpoly!r})"
-    # copies keep both values, read or still to be measured
+    assert repr(read) == "MinPolyResult(minpoly=None)"
     scans.clear()
     for clone in (copy.copy(read), copy.deepcopy(read),
                   pickle.loads(pickle.dumps(read))):
-        assert measured(clone) == expected
+        assert clone.status == RANK_DEFICIENT
     assert scans == []
     for clone in (copy.copy(unread), copy.deepcopy(unread),
                   pickle.loads(pickle.dumps(unread))):
-        assert measured(clone) == expected
-    assert len(scans) == 3
+        assert clone.status == clone.status == RANK_DEFICIENT
+    assert scans == [s] * 3

@@ -20,15 +20,15 @@ unparse first and must pass, or the sweep stops.
 Each survivor is then run on its module's differential.  An engine
 mutant decides a fixed set of windows (random, cycle, recurrence and
 late-jump, from the tests' `structured_terms`, widths 1..64, up to 300
-terms) with `minimal_polynomial` and inverts each with
-`invert_from_minpoly`.  An oracle mutant walks a fixed set of random
-table maps (widths 1..10, half of them with a drawn tail and cycle
-through the seed) with `orbit_profile` and `cycle_walk`, and reports
-each walk's answer and evaluation count.  `same` means that every line
-equals the unmutated module's, so the mutant changes no output there;
-`DIFFERS` marks a test gap.  A survivor whose number and line
-`tools/mutant_survivors.txt` does not list is marked `NEW`: a gap, or a
-list gone stale with an edit of a module.
+terms) with `minimal_polynomial`, reads each result's `status` and
+inverts each solved window with `invert_from_minpoly`.  An oracle
+mutant walks a fixed set of random table maps (widths 1..10, half of
+them with a drawn tail and cycle through the seed) with `orbit_profile`
+and `cycle_walk`, and reports each walk's answer and evaluation count.
+`same` means that every line equals the unmutated module's, so the
+mutant changes no output there; `DIFFERS` marks a test gap.  A survivor
+whose number and line `tools/mutant_survivors.txt` does not list is
+marked `NEW`: a gap, or a list gone stale with an edit of a module.
 
 The script only reports: a line per mutant on stderr as it ends (pass,
 fail or timeout), then one line per survivor on stdout, and exits 0.
@@ -62,8 +62,9 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
           ast.Eq: "==", ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not",
           ast.In: "in", ast.NotIn: "not in", ast.And: "and", ast.Or: "or"}
 
-# Decides every window with minimal_polynomial and inverts each solved
-# one; prints the answers, so two modules can be compared by their output.
+# Decides every window with minimal_polynomial, reads its status and
+# inverts each solved one; prints the answers, so two modules can be
+# compared by their output.
 ENGINE_DIFFERENTIAL = r"""
 import random
 from bbi.engine import RecurrenceSequence, invert_from_minpoly, minimal_polynomial
@@ -73,11 +74,11 @@ for k in range(3000):
     n, M, p = rng.randint(1, 64), rng.randint(2, 300), rng.randint(1, 40)
     kind = ("random", "cycle", "recurrence", "late-jump")[k % 4]
     seq = RecurrenceSequence(tuple(structured_terms(kind, n, M, p, rng)), n)
-    mp = minimal_polynomial(seq).minpoly
-    x = None
+    res = minimal_polynomial(seq)
+    mp, x = res.minpoly, None
     if mp is not None and mp.constant_term:
         x = invert_from_minpoly(seq, mp).value
-    print(None if mp is None else mp.bits, x)
+    print(None if mp is None else mp.bits, res.status, x)
 """
 
 # Walks random table maps, half of them with a drawn tail (or none) and
