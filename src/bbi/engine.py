@@ -36,6 +36,8 @@ a MinPolyResult measures it once, on the first read of status.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from itertools import compress
@@ -182,16 +184,49 @@ class RecurrenceSequence:
             raise ValueError(f"terms do not fit width {self.width}")
 
     def packed(self) -> int:
-        """All terms in one int, n bits per term, term 0 lowest."""
-        # Merged in pairs, log2(M) rounds of ints twice as wide each time:
-        # OR-ing every term into one growing int costs O(M^2 n) instead.
-        vals, n = list(self.terms), self.width
-        while len(vals) > 1:
-            if len(vals) % 2:
-                vals.append(0)
-            vals = [a | (b << n) for a, b in zip(vals[::2], vals[1::2])]
-            n *= 2
-        return vals[0]
+        """All terms in one int, term t at bits t*stride .. t*stride + n-1
+        for stride = _stride(n), term 0 lowest: packed on the first call
+        and kept."""
+        packed = self.__dict__.get("_packed")
+        if packed is None:
+            packed = self.__dict__["_packed"] = _pack(self.terms, _stride(self.width))
+        return packed
+
+    def extended(self, values) -> RecurrenceSequence:
+        """The window with `values` appended.  When this one is packed,
+        the new one is too: only `values` are packed, and ORed in above
+        its terms."""
+        new = tuple(values)
+        grown = RecurrenceSequence(self.terms + new, self.width)
+        packed = self.__dict__.get("_packed")
+        if packed is not None:
+            stride = _stride(self.width)
+            grown.__dict__["_packed"] = packed | (_pack(new, stride)
+                                                  << (stride * len(self.terms)))
+        return grown
+
+
+@cache
+def _stride(n: int) -> int:
+    """Bits per term of a packed window of width n: the least of 8, 16,
+    32, .. that holds n bits, so that each term is one array item up to
+    64 bits, and a whole run of bytes past that."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+# array typecodes by item size in bits, for the strides of one machine word
+_TYPECODES = {8 * array(code).itemsize: code for code in "BHIQ"}
+
+
+def _pack(terms: tuple[int, ...], stride: int) -> int:
+    """terms in one int, term t at bits t*stride .., term 0 lowest: one
+    array (or, past a machine word, one bytes join) read as one int."""
+    code = _TYPECODES.get(stride)
+    if code:
+        return int.from_bytes(array(code, terms).tobytes(), sys.byteorder)
+    size = stride // 8
+    return int.from_bytes(b"".join([t.to_bytes(size, "little") for t in terms]),
+                          "little")
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,23 +335,22 @@ def _annihilated(seq: RecurrenceSequence, poly: int, start: int = 0) -> int:
     knows that the windows before `start` hold.
 
     Window `start` is tested first, with one _combine: a candidate that
-    fails there costs neither packing the window nor a pass over it.
-    Past it, one shift and XOR of the whole window per set bit leaves
-    window t's sum at bits t*n .. t*n + n-1, so the lowest set bit
-    counts.
+    fails there costs no pass over the window.  Past it, one shift and
+    XOR of the packed window per set bit leaves window t's sum at stride
+    t, so the lowest set bit counts.
     """
     if _combine(seq.terms[start:start + poly.bit_length()], poly):
         return start
-    packed = seq.packed()
-    n, windows = seq.width, len(seq.terms) - poly.bit_length() + 1
+    packed, stride = seq.packed(), _stride(seq.width)
+    windows = len(seq.terms) - poly.bit_length() + 1
     acc = 0
     b = poly
     while b:
         i = (b & -b).bit_length() - 1
-        acc ^= packed >> (i * n)
+        acc ^= packed >> (i * stride)
         b &= b - 1
-    acc &= (1 << (windows * n)) - 1
-    return ((acc & -acc).bit_length() - 1) // n if acc else windows
+    acc &= (1 << (windows * stride)) - 1
+    return ((acc & -acc).bit_length() - 1) // stride if acc else windows
 
 
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
@@ -387,8 +421,9 @@ class GrowingWindow:
 
     Each projection a solve reads keeps its bits <u, y(t)> and its
     Berlekamp-Massey state, so after `extend` a solve pays only the
-    join and the Berlekamp-Massey steps of the terms added since that
-    projection was last read.  A projection the solve no longer reaches
+    parity fold and the Berlekamp-Massey steps of the terms added since
+    that projection was last read.  The window is packed once, on the
+    first solve, and `extend` packs only the terms it adds.  A projection the solve no longer reaches
     stays where it was until a later solve needs it again.  Residual
     windows are built afresh by each solve, as mp may change.
 
@@ -404,8 +439,7 @@ class GrowingWindow:
 
     def extend(self, values) -> None:
         """Append terms, each the int value of a `width`-bit vector."""
-        seq = self.seq
-        self.seq = RecurrenceSequence(seq.terms + tuple(values), seq.width)
+        self.seq = self.seq.extended(values)
 
     def solve(self) -> MinPolyResult:
         seq = self.seq
@@ -483,15 +517,34 @@ class GrowingWindow:
             self._read.append([0, 0, 1, 1, 0, 1])
         state = self._read[i]
         read, s, C, B, L, gap = state
-        terms = self.seq.terms
-        M = len(terms)
+        M = len(self.seq.terms)
         if read < M:
             # s_t = <u, y(t)> at bit M-1-t, the order _bm_steps reads
-            s = (s << (M - read)) | int("".join(
-                ["1" if (v & u).bit_count() & 1 else "0" for v in terms[read:]]), 2)
+            s = (s << (M - read)) | _parities(self.seq, u, read)
             C, B, L, gap = _bm_steps(s, read, M, C, B, L, gap)
             state[:] = M, s, C, B, L, gap
         return _bm_poly(C, L)
+
+
+# bytes.translate table: a byte to ASCII "0" or "1" by its lowest bit
+_LOW_BIT_DIGITS = bytes(0x30 | (b & 1) for b in range(256))
+
+
+def _parities(seq: RecurrenceSequence, u: int, start: int) -> int:
+    """<u, y(t)> for t = start .. M-1, term `start` at the highest bit,
+    read from the packed window by a parity fold.  The terms from `start`
+    on are masked by u repeated once per stride; shift-XORs by 2^(k-1),
+    .., 2, 1, for the least 2^k >= n, leave each term's parity at the
+    lowest bit of its stride, and so of its lowest byte, and one slice
+    takes those bytes, in term order, as the digits of one int."""
+    n, stride = seq.width, _stride(seq.width)
+    size, count = stride // 8, len(seq.terms) - start
+    x = (seq.packed() >> (start * stride)) & int.from_bytes(
+        u.to_bytes(size, "little") * count, "little")
+    shift = 1 << (n - 1).bit_length()
+    while shift := shift >> 1:
+        x ^= x >> shift
+    return int(x.to_bytes(count * size, "little")[::size].translate(_LOW_BIT_DIGITS), 2)
 
 
 def _residual(terms: tuple[int, ...], selectors: bytes, start: int,
@@ -525,13 +578,14 @@ def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:
 
 def _hankel_rank(seq: RecurrenceSequence) -> int:
     """rank H(M/2) of the window.  Column j of the stacked Hankel system,
-    terms j .. j + M/2 - 1, is one shift and mask of the packed window,
-    and each column is reduced by the basis vector with its leading bit."""
-    half, n = len(seq.terms) // 2, seq.width
-    packed, mask = seq.packed(), (1 << (n * half)) - 1
+    terms j .. j + M/2 - 1, is one shift and mask of the packed window
+    (its bits between terms are zero in every column), and each column is
+    reduced by the basis vector with its leading bit."""
+    half, stride = len(seq.terms) // 2, _stride(seq.width)
+    packed, mask = seq.packed(), (1 << (stride * half)) - 1
     basis: dict[int, int] = {}  # leading bit -> basis vector
     for j in range(half):
-        vec = (packed >> (n * j)) & mask
+        vec = (packed >> (stride * j)) & mask
         while vec and (hit := basis.get(vec.bit_length())):
             vec ^= hit
         if vec:

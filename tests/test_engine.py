@@ -113,9 +113,83 @@ def test_sequence_validation():
 
 
 def test_packed_layout():
+    # width 3 packs at the least stride, 8 bits a term
     s = seq_of([0b101, 0b010, 0b111], 3)
-    assert s.packed() == 0b101 | (0b010 << 3) | (0b111 << 6)
+    assert s.packed() == 0b101 | (0b010 << 8) | (0b111 << 16)
     assert s.width == 3
+
+
+def strided(terms, n) -> int:
+    """terms packed one at a time, at the stride of width n: the least
+    of 8, 16, 32, .. bits that holds n."""
+    stride = 8
+    while stride < n:
+        stride *= 2
+    return sum(t << (stride * i) for i, t in enumerate(terms))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129, 130])
+def test_every_stride_packs_term_by_term(n):
+    """Every stride class, the array routes up to 64 bits and the bytes
+    route past them, packs as shifting each term into place would."""
+    assert {8, 16, 32, 64} <= engine._TYPECODES.keys()
+    rng = random.Random(n)
+    terms = [rng.getrandbits(n) for _ in range(37)] + [(1 << n) - 1, 0]
+    assert seq_of(terms, n).packed() == strided(terms, n)
+
+
+def test_extend_packs_only_the_terms_it_adds(monkeypatch):
+    """A window is packed on first need.  Each later extend packs only
+    its own new terms, and the int it ORs them into equals a fresh
+    packing of the whole window."""
+    pack, packs = engine._pack, []
+
+    def counted(terms, stride):
+        packs.append(terms)
+        return pack(terms, stride)
+
+    monkeypatch.setattr(engine, "_pack", counted)
+    rng = random.Random(26)
+    for n in (3, 16, 40, 100):
+        terms = [rng.getrandbits(n) for _ in range(80)]
+        grown = GrowingWindow(seq_of(terms[:5], n))
+        grown.extend(terms[5:9])
+        assert packs == []  # nothing needed the packed window yet
+        assert grown.seq.packed() == strided(terms[:9], n)
+        assert packs == [tuple(terms[:9])]
+        for a, b in ((9, 10), (10, 10), (10, 41), (41, 80)):
+            packs.clear()
+            grown.extend(terms[a:b])
+            assert packs == [tuple(terms[a:b])]
+            assert grown.seq.packed() == strided(terms[:b], n)
+            assert packs == [tuple(terms[a:b])]
+        expected = minimal_polynomial(seq_of(terms, n)).minpoly
+        packs.clear()
+        assert grown.solve().minpoly == expected
+        assert tuple(terms) not in packs  # the grown window was not packed again
+
+
+@st.composite
+def parity_cases(draw):
+    """(width, terms, u, start): 1..40 terms of width 1..130, so every
+    stride from 8 to 256 bits occurs, and a term to resume from."""
+    n = draw(st.integers(1, 130))
+    terms = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    u = draw(st.integers(0, (1 << n) - 1))
+    return n, terms, u, draw(st.integers(0, len(terms) - 1))
+
+
+@settings(max_examples=500)
+@given(parity_cases())
+def test_parity_fold_matches_the_per_term_parity(case):
+    """_parities reads <u, y(t)> from the packed window as the per-term
+    parity of v & u does, term `start` highest, from term 0 and resumed
+    at a later term."""
+    n, terms, u, start = case
+    s = seq_of(terms, n)
+    for read in (0, start):
+        expected = int("".join(str((v & u).bit_count() & 1) for v in terms[read:]), 2)
+        assert engine._parities(s, u, read) == expected
 
 
 def test_generate_counts_and_contents():
@@ -248,6 +322,45 @@ def test_only_gf2_and_the_scan_build_bitvecs_unchecked():
                 or isinstance(node, ast.Attribute) and node.attr in setters
                 or isinstance(node, ast.alias) and node.name in setters)]
     assert uses == []
+
+
+# Definitions in src that no other src code references, each with what
+# calls it: the README's library API and what reaches it from outside.
+UNREFERENCED_IN_SRC = {
+    "MinPolyResult.status": "README library API; read by bench/tracing.py",
+    "bm_crosscheck": "README library API; bench/run.py solver_grid and "
+                     "tests/test_acceptance.py criterion 2",
+    "_Parser.error": "argparse.ArgumentParser, which it overrides",
+}
+
+
+def test_src_defines_nothing_that_only_tests_call():
+    """Every function, class and method defined in src is named by other
+    src code (a call, a reference or an attribute read; a re-export does
+    not count), or is on UNREFERENCED_IN_SRC with its caller.  Dunder
+    methods are called by the language and are exempt."""
+    src = Path(engine.__file__).parent
+    defined, named = {}, set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[f"{scope}{child.name}"] = child.name
+                walk(child, f"{scope}{child.name}.")
+            else:
+                if isinstance(child, ast.Name):
+                    named.add(child.id)
+                elif isinstance(child, ast.Attribute):
+                    named.add(child.attr)
+                walk(child, scope)
+
+    for path in sorted(src.rglob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    unreferenced = {qualified for qualified, name in defined.items()
+                    if name not in named
+                    and not (name.startswith("__") and name.endswith("__"))}
+    assert unreferenced - set(UNREFERENCED_IN_SRC) == set()
+    assert set(UNREFERENCED_IN_SRC) <= unreferenced  # no stale entry
 
 
 def test_verify_catches_tampering():
@@ -408,6 +521,16 @@ def test_annihilates_needs_every_window_not_only_the_first():
     assert not annihilates(P, s)
     assert engine._annihilated(s, P.bits) < len(s.terms) - P.degree
     assert minimal_polynomial(s).minpoly != P
+
+
+def test_annihilated_counts_a_window_that_fails_in_its_strides_top_bit():
+    """At width 8 a term fills its stride, so the last window's sum here,
+    bit 7 alone, is the top bit of its stride: the count is still the 5
+    windows before it, not all 6."""
+    P = Gf2Poly(0b111)
+    s = seq_of([1, 2, 3, 1, 2, 3, 1, 2 ^ 128], 8)
+    assert engine._annihilated(s, P.bits) == 5
+    assert not annihilates(P, s)
 
 
 def test_local_inversion_fixed_point():

@@ -13,9 +13,11 @@ mutant is written, by `ast.unparse`, into a temporary copy of `src` and
 `tests`, and `pytest -x -q` runs there on its module's tests: for
 engine.py the engine's tests and the oracle, target and embedding tests,
 which drive `BlackBoxMap`; for oracle.py the oracle's tests.  A mutant
-that passes every test survives; one that fails a test, or runs past
-TIMEOUT seconds, is killed.  Each unmutated module goes through the same
-unparse first and must pass, or the sweep stops.
+that passes every test survives; one that fails a test, or runs past its
+time limit, is killed.  Each unmutated module goes through the same
+unparse first and must pass, or the sweep stops.  Its tests' run time
+and its differential's set the limits of its mutants: twice the
+unmutated run, and at least FLOOR seconds.
 
 Each survivor is then run on its module's differential.  An engine
 mutant decides a fixed set of windows (random, cycle, recurrence and
@@ -30,8 +32,9 @@ mutant changes no output there; `DIFFERS` marks a test gap.  A survivor
 whose number and line `tools/mutant_survivors.txt` does not list is
 marked `NEW`: a gap, or a list gone stale with an edit of a module.
 
-The script only reports: a line per mutant on stderr as it ends (pass,
-fail or timeout), then one line per survivor on stdout, and exits 0.
+The script only reports: each module's time limits and a line per
+mutant on stderr as it ends (pass, fail or timeout), then one line per
+survivor on stdout, and exits 0.
 It runs JOBS mutants at once.
 
     python tools/mutants.py          # every mutant
@@ -46,13 +49,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SURVIVORS = ROOT / "tools/mutant_survivors.txt"
 JOBS = 2
-TIMEOUT = 60
+FLOOR = 5  # seconds: the least time limit of a mutant's run
 
 NEGATION = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
             ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot,
@@ -163,16 +167,17 @@ def copy_tree(dest: Path, module: Path, module_text: str) -> None:
     (dest / module).write_text(module_text)
 
 
-def run(module: Path, module_text: str, command: list[str]) -> tuple[str, str]:
+def run(module: Path, module_text: str, command: list[str],
+        timeout: float | None = None) -> tuple[str, str]:
     """('pass' | 'fail' | 'timeout', stdout) of command in a copy of the
     repository whose module is module_text, with src and tests on the
-    path."""
+    path, stopped after `timeout` seconds."""
     with tempfile.TemporaryDirectory(prefix="bbi-mutant-") as tmp:
         copy_tree(Path(tmp), module, module_text)
         path = os.pathsep.join(str(Path(tmp) / part) for part in ("src", "tests"))
         env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
         try:
-            done = subprocess.run(command, cwd=tmp, env=env, timeout=TIMEOUT,
+            done = subprocess.run(command, cwd=tmp, env=env, timeout=timeout,
                                   capture_output=True, text=True)
         except subprocess.TimeoutExpired:
             return "timeout", ""
@@ -194,25 +199,32 @@ def main(argv: list[str]) -> int:
     listed = {tuple(line.split()[:2]) for line in SURVIVORS.read_text().splitlines()
               if line[:1] != "#"}
 
-    references = {}
+    references, limits = {}, {}  # per module: differential output; time limits
     for m in sorted({mutants[number][0] for number in chosen}):
         module, tests, differential = MODULES[m]
         control = ast.unparse(ast.parse(sources[m]))
+        start = time.perf_counter()
         if run(module, control, pytest_command(tests))[0] != "pass":
             print(f"the unmutated {module} fails its tests after unparsing; "
                   "no mutant was run", file=sys.stderr)
             return 0
+        middle = time.perf_counter()
         references[m] = run(module, control, [sys.executable, "-c", differential])[1]
+        limits[m] = (max(FLOOR, 2 * (middle - start)),
+                     max(FLOOR, 2 * (time.perf_counter() - middle)))
+        print(f"{module}: time limits {limits[m][0]:.0f} s (tests), "
+              f"{limits[m][1]:.0f} s (differential)", file=sys.stderr)
 
     def one(number: int) -> str | None:
         m, *site, description = mutants[number]
         module, tests, differential = MODULES[m]
         text, line = mutate(sources[m], *site)
-        verdict = run(module, text, pytest_command(tests))[0]
+        verdict = run(module, text, pytest_command(tests), limits[m][0])[0]
         print(f"mutant {number}: {verdict}", file=sys.stderr, flush=True)
         if verdict != "pass":
             return None
-        status, out = run(module, text, [sys.executable, "-c", differential])
+        status, out = run(module, text, [sys.executable, "-c", differential],
+                          limits[m][1])
         same = "same" if status == "pass" and out == references[m] else "DIFFERS"
         new = "" if (str(number), str(line)) in listed else "  NEW"
         return f"{number:4d}  {module}:{line}  {description}  [{same}]{new}"
