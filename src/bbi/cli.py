@@ -186,7 +186,7 @@ def _grow_window(F: BlackBoxMap, y: BitVec, M: int | None) -> InversionReport:
     ends the growth unsolved: the orbit of y is not purely periodic, so
     it has no inverse there."""
     n, before = F.in_width, F.evals
-    grown = GrowingWindow(generate(F, y, 4 * n if M is None else M))
+    grown = GrowingWindow(generate(F, y, M))
     while True:
         seq = grown.seq
         report = invert_window(F, y, seq, grown.solve().minpoly, before)

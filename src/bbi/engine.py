@@ -183,28 +183,6 @@ class RecurrenceSequence:
         if self.width < 1 or min(self.terms) < 0 or max(self.terms) >= 1 << self.width:
             raise ValueError(f"terms do not fit width {self.width}")
 
-    def packed(self) -> int:
-        """All terms in one int, term t at bits t*stride .. t*stride + n-1
-        for stride = _stride(n), term 0 lowest: packed on the first call
-        and kept."""
-        packed = self.__dict__.get("_packed")
-        if packed is None:
-            packed = self.__dict__["_packed"] = _pack(self.terms, _stride(self.width))
-        return packed
-
-    def extended(self, values) -> RecurrenceSequence:
-        """The window with `values` appended.  When this one is packed,
-        the new one is too: only `values` are packed, and ORed in above
-        its terms."""
-        new = tuple(values)
-        grown = RecurrenceSequence(self.terms + new, self.width)
-        packed = self.__dict__.get("_packed")
-        if packed is not None:
-            stride = _stride(self.width)
-            grown.__dict__["_packed"] = packed | (_pack(new, stride)
-                                                  << (stride * len(self.terms)))
-        return grown
-
 
 @cache
 def _stride(n: int) -> int:
@@ -284,8 +262,11 @@ class InversionReport:
         return order(self.minpoly, min(1 << 20, 1 << self.minpoly.degree))
 
 
-def generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
-    """First M terms of the feedback sequence: exactly M-1 evaluations."""
+def generate(F: BlackBoxMap, y: BitVec, M: int | None = None) -> RecurrenceSequence:
+    """First M terms of the feedback sequence, M = 4n when None for n the
+    input width: exactly M-1 evaluations."""
+    if M is None:
+        M = 4 * F.in_width
     if M < 2:
         raise ValueError("window length M must be >= 2")
     return RecurrenceSequence(tuple(F.iterate(y, M - 1)), F.in_width)
@@ -328,29 +309,8 @@ def _combine(terms: tuple[int, ...], mask: int) -> int:
     return reduce(xor, compress(terms, _selectors(mask)), 0)
 
 
-def _annihilated(seq: RecurrenceSequence, poly: int, start: int = 0) -> int:
-    """How many windows of seq, from window 0 on, the polynomial with
-    coefficient i at bit i of `poly` annihilates before the first one it
-    does not: all M - deg of them when it annihilates seq.  The caller
-    knows that the windows before `start` hold.
-
-    Window `start` is tested first, with one _combine: a candidate that
-    fails there costs no pass over the window.  Past it, one shift and
-    XOR of the packed window per set bit leaves window t's sum at stride
-    t, so the lowest set bit counts.
-    """
-    if _combine(seq.terms[start:start + poly.bit_length()], poly):
-        return start
-    packed, stride = seq.packed(), _stride(seq.width)
-    windows = len(seq.terms) - poly.bit_length() + 1
-    acc = 0
-    b = poly
-    while b:
-        i = (b & -b).bit_length() - 1
-        acc ^= packed >> (i * stride)
-        b &= b - 1
-    acc &= (1 << (windows * stride)) - 1
-    return ((acc & -acc).bit_length() - 1) // stride if acc else windows
+# bytes.translate table: a byte to ASCII "0" or "1" by its lowest bit
+_LOW_BIT_DIGITS = bytes(0x30 | (b & 1) for b in range(256))
 
 
 def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
@@ -422,10 +382,11 @@ class GrowingWindow:
     Each projection a solve reads keeps its bits <u, y(t)> and its
     Berlekamp-Massey state, so after `extend` a solve pays only the
     parity fold and the Berlekamp-Massey steps of the terms added since
-    that projection was last read.  The window is packed once, on the
-    first solve, and `extend` packs only the terms it adds.  A projection the solve no longer reaches
-    stays where it was until a later solve needs it again.  Residual
-    windows are built afresh by each solve, as mp may change.
+    that projection was last read.  The window is packed once, into
+    `packed` when the GrowingWindow is built, and `extend` packs only the
+    terms it adds.  A projection the solve no longer reaches stays where
+    it was until a later solve needs it again.  Residual windows are
+    built afresh by each solve, as mp may change.
 
     The all-zero window gets X+1: every polynomial annihilates it, and
     X+1 is the least-degree one with an invertible constant term, which
@@ -434,12 +395,19 @@ class GrowingWindow:
 
     def __init__(self, seq: RecurrenceSequence):
         self.seq = seq
+        # every term in one int, term t at bits t*stride .. t*stride + n-1,
+        # term 0 lowest
+        self.stride = _stride(seq.width)
+        self.packed = _pack(seq.terms, self.stride)
         # per projection read so far: [terms read, s, C, B, L, gap]
         self._read: list[list[int]] = []
 
     def extend(self, values) -> None:
-        """Append terms, each the int value of a `width`-bit vector."""
-        self.seq = self.seq.extended(values)
+        """Append terms, each the int value of a `width`-bit vector: only
+        they are packed, and ORed in above the old terms."""
+        new, terms = tuple(values), self.seq.terms
+        self.seq = RecurrenceSequence(terms + new, self.seq.width)
+        self.packed |= _pack(new, self.stride) << (self.stride * len(terms))
 
     def solve(self) -> MinPolyResult:
         seq = self.seq
@@ -455,9 +423,8 @@ class GrowingWindow:
         An lcm that fails the window leads to the next projection, joined
         by lcm; with `complete`, only when its residual leaves it
         undecided."""
-        seq = self.seq
-        M = len(seq.terms)
-        if not any(seq.terms):
+        M = len(self.seq.terms)
+        if not self.packed:
             return Gf2Poly(0b11)
         found = ONE
         for i, u in enumerate(schedule):
@@ -469,7 +436,7 @@ class GrowingWindow:
                 if mp is None:
                     return None
             if mp != found:
-                held = _annihilated(seq, mp.bits)
+                held = self._annihilated(mp.bits)
                 if held == M - mp.degree:
                     return mp
                 if complete:
@@ -500,7 +467,7 @@ class GrowingWindow:
             q = residual._decide(schedule, False)
             if q is not None and q != last:
                 last, p = q, mp * q
-                held = _annihilated(self.seq, p.bits, K - q.degree)
+                held = self._annihilated(p.bits, K - q.degree)
                 if held == M - p.degree:
                     return True, p
             if held >= room or K == 2 * room:
@@ -520,31 +487,53 @@ class GrowingWindow:
         M = len(self.seq.terms)
         if read < M:
             # s_t = <u, y(t)> at bit M-1-t, the order _bm_steps reads
-            s = (s << (M - read)) | _parities(self.seq, u, read)
+            s = (s << (M - read)) | self._parities(u, read)
             C, B, L, gap = _bm_steps(s, read, M, C, B, L, gap)
             state[:] = M, s, C, B, L, gap
         return _bm_poly(C, L)
 
+    def _parities(self, u: int, start: int) -> int:
+        """<u, y(t)> for t = start .. M-1, term `start` at the highest
+        bit, read from the packed window by a parity fold.  The terms from
+        `start` on are masked by u repeated once per stride; shift-XORs by
+        2^(k-1), .., 2, 1, for the least 2^k >= n, leave each term's
+        parity at the lowest bit of its stride, and so of its lowest byte,
+        and one slice takes those bytes, in term order, as the digits of
+        one int."""
+        n, stride = self.seq.width, self.stride
+        size, count = stride // 8, len(self.seq.terms) - start
+        x = (self.packed >> (start * stride)) & int.from_bytes(
+            u.to_bytes(size, "little") * count, "little")
+        shift = 1 << (n - 1).bit_length()
+        while shift := shift >> 1:
+            x ^= x >> shift
+        return int(x.to_bytes(count * size, "little")[::size]
+                   .translate(_LOW_BIT_DIGITS), 2)
 
-# bytes.translate table: a byte to ASCII "0" or "1" by its lowest bit
-_LOW_BIT_DIGITS = bytes(0x30 | (b & 1) for b in range(256))
+    def _annihilated(self, poly: int, start: int = 0) -> int:
+        """How many windows, from window 0 on, the polynomial with
+        coefficient i at bit i of `poly` annihilates before the first one
+        it does not: all M - deg of them when it annihilates the window.
+        The caller knows that the windows before `start` hold.
 
-
-def _parities(seq: RecurrenceSequence, u: int, start: int) -> int:
-    """<u, y(t)> for t = start .. M-1, term `start` at the highest bit,
-    read from the packed window by a parity fold.  The terms from `start`
-    on are masked by u repeated once per stride; shift-XORs by 2^(k-1),
-    .., 2, 1, for the least 2^k >= n, leave each term's parity at the
-    lowest bit of its stride, and so of its lowest byte, and one slice
-    takes those bytes, in term order, as the digits of one int."""
-    n, stride = seq.width, _stride(seq.width)
-    size, count = stride // 8, len(seq.terms) - start
-    x = (seq.packed() >> (start * stride)) & int.from_bytes(
-        u.to_bytes(size, "little") * count, "little")
-    shift = 1 << (n - 1).bit_length()
-    while shift := shift >> 1:
-        x ^= x >> shift
-    return int(x.to_bytes(count * size, "little")[::size].translate(_LOW_BIT_DIGITS), 2)
+        Window `start` is tested first, with one _combine: a candidate
+        that fails there costs no pass over the window.  Past it, one
+        shift and XOR of the packed window per set bit leaves window t's
+        sum at stride t, so the lowest set bit counts.
+        """
+        terms = self.seq.terms
+        if _combine(terms[start:start + poly.bit_length()], poly):
+            return start
+        packed, stride = self.packed, self.stride
+        windows = len(terms) - poly.bit_length() + 1
+        acc = 0
+        b = poly
+        while b:
+            i = (b & -b).bit_length() - 1
+            acc ^= packed >> (i * stride)
+            b &= b - 1
+        acc &= (1 << (windows * stride)) - 1
+        return ((acc & -acc).bit_length() - 1) // stride if acc else windows
 
 
 def _residual(terms: tuple[int, ...], selectors: bytes, start: int,
@@ -578,11 +567,11 @@ def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:
 
 def _hankel_rank(seq: RecurrenceSequence) -> int:
     """rank H(M/2) of the window.  Column j of the stacked Hankel system,
-    terms j .. j + M/2 - 1, is one shift and mask of the packed window
-    (its bits between terms are zero in every column), and each column is
-    reduced by the basis vector with its leading bit."""
+    terms j .. j + M/2 - 1, is one shift and mask of the window packed
+    here (its bits between terms are zero in every column), and each
+    column is reduced by the basis vector with its leading bit."""
     half, stride = len(seq.terms) // 2, _stride(seq.width)
-    packed, mask = seq.packed(), (1 << (stride * half)) - 1
+    packed, mask = _pack(seq.terms, stride), (1 << (stride * half)) - 1
     basis: dict[int, int] = {}  # leading bit -> basis vector
     for j in range(half):
         vec = (packed >> (stride * j)) & mask
@@ -610,13 +599,12 @@ def invert_from_minpoly(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
 def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> InversionReport:
     """Window, minimal polynomial, inversion formula, verification.
 
-    Uses M-1 evaluations for the window plus one fresh evaluation to
-    check F(x) == y.  Never returns an unverified candidate: every
-    failure mode (no annihilator of degree <= M/2, zero constant term,
-    verification mismatch) comes back as insufficient data.
+    Uses M-1 evaluations for the window (M = 4n when None, as in
+    generate) plus one fresh evaluation to check F(x) == y.  Never
+    returns an unverified candidate: every failure mode (no annihilator
+    of degree <= M/2, zero constant term, verification mismatch) comes
+    back as insufficient data.
     """
-    if M is None:
-        M = 4 * F.in_width
     before = F.evals
     seq = generate(F, y, M)
     return invert_window(F, y, seq, minimal_polynomial(seq).minpoly, before)

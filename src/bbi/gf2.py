@@ -14,7 +14,8 @@ from math import isqrt
 
 
 class BitVec:
-    """Element of GF(2)^width, little-endian: bit(0) is the LSB.
+    """Element of GF(2)^width, little-endian: coordinate 0 is the LSB of
+    `value`.
 
     Immutable, with the equality, hash and repr of a frozen dataclass.
     Every map evaluation builds one, so it is a slotted class whose
@@ -62,15 +63,6 @@ class BitVec:
 
     def __int__(self) -> int:
         return self.value
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.width:
-            raise ValueError("bit index out of range")
-        return (self.value >> i) & 1
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.width))
 
     def hex(self) -> str:
         return f"0x{self.value:0{(self.width + 3) // 4}x}"

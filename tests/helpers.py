@@ -284,7 +284,7 @@ def minimal_polynomial_lowbit(seq: RecurrenceSequence) -> tuple:
     M = len(seq.terms)
     n = seq.width
     # term t at bits t*n .. t*n + n-1, packed here rather than by the
-    # engine's RecurrenceSequence.packed
+    # engine's GrowingWindow
     packed = int("".join(format(t, f"0{n}b") for t in reversed(seq.terms)), 2)
     if packed == 0:
         return Gf2Poly(0b11), UNIQUE, ((1, 0),)

@@ -28,11 +28,10 @@ def test_window_count():
 
 
 def test_project_windows_are_one_based():
-    y = BitVec(0b01101, 5)
-    assert y.bits == (1, 0, 1, 1, 0)
-    assert project(y, 3, 1).bits == (1, 0, 1)
-    assert project(y, 3, 2).bits == (0, 1, 1)
-    assert project(y, 3, 3).bits == (1, 1, 0)
+    y = BitVec(0b01101, 5)  # coordinates 0..4, lowest bit first: 1, 0, 1, 1, 0
+    assert project(y, 3, 1).value == 0b101  # coordinates 0..2: 1, 0, 1
+    assert project(y, 3, 2).value == 0b110  # coordinates 1..3: 0, 1, 1
+    assert project(y, 3, 3).value == 0b011  # coordinates 2..4: 1, 1, 0
     with pytest.raises(ValueError):
         project(y, 3, 0)
     with pytest.raises(ValueError):

@@ -114,9 +114,9 @@ def test_sequence_validation():
 
 def test_packed_layout():
     # width 3 packs at the least stride, 8 bits a term
-    s = seq_of([0b101, 0b010, 0b111], 3)
-    assert s.packed() == 0b101 | (0b010 << 8) | (0b111 << 16)
-    assert s.width == 3
+    grown = GrowingWindow(seq_of([0b101, 0b010, 0b111], 3))
+    assert grown.packed == 0b101 | (0b010 << 8) | (0b111 << 16)
+    assert grown.stride == 8
 
 
 def strided(terms, n) -> int:
@@ -135,13 +135,14 @@ def test_every_stride_packs_term_by_term(n):
     assert {8, 16, 32, 64} <= engine._TYPECODES.keys()
     rng = random.Random(n)
     terms = [rng.getrandbits(n) for _ in range(37)] + [(1 << n) - 1, 0]
-    assert seq_of(terms, n).packed() == strided(terms, n)
+    assert GrowingWindow(seq_of(terms, n)).packed == strided(terms, n)
 
 
 def test_extend_packs_only_the_terms_it_adds(monkeypatch):
-    """A window is packed on first need.  Each later extend packs only
-    its own new terms, and the int it ORs them into equals a fresh
-    packing of the whole window."""
+    """Over a window's life each term is packed exactly once: by
+    GrowingWindow when it is built, or by the extend that adds it.  The
+    int each extend ORs its terms into equals a fresh packing of the
+    whole window, and a solve packs none of the window's terms again."""
     pack, packs = engine._pack, []
 
     def counted(terms, stride):
@@ -152,21 +153,39 @@ def test_extend_packs_only_the_terms_it_adds(monkeypatch):
     rng = random.Random(26)
     for n in (3, 16, 40, 100):
         terms = [rng.getrandbits(n) for _ in range(80)]
+        packs.clear()
         grown = GrowingWindow(seq_of(terms[:5], n))
-        grown.extend(terms[5:9])
-        assert packs == []  # nothing needed the packed window yet
-        assert grown.seq.packed() == strided(terms[:9], n)
-        assert packs == [tuple(terms[:9])]
-        for a, b in ((9, 10), (10, 10), (10, 41), (41, 80)):
+        assert packs == [tuple(terms[:5])]
+        assert grown.packed == strided(terms[:5], n)
+        for a, b in ((5, 9), (9, 10), (10, 10), (10, 41), (41, 80)):
             packs.clear()
             grown.extend(terms[a:b])
             assert packs == [tuple(terms[a:b])]
-            assert grown.seq.packed() == strided(terms[:b], n)
-            assert packs == [tuple(terms[a:b])]
+            assert grown.packed == strided(terms[:b], n)
         expected = minimal_polynomial(seq_of(terms, n)).minpoly
         packs.clear()
         assert grown.solve().minpoly == expected
         assert tuple(terms) not in packs  # the grown window was not packed again
+
+
+def test_a_sequence_keeps_only_its_two_fields():
+    """A RecurrenceSequence is its terms and width alone: deciding it,
+    reading its status (the Hankel rank, when it has no minimal
+    polynomial) and growing a window from it leave no other entry on it
+    or on the grown sequence."""
+    fields = {"terms", "width"}
+    solved = seq_of([8, 2, 8, 2, 8, 2], 4)
+    unsolved = generate(lfsr5(), BitVec(1, 5), 3)
+    for s, status in ((solved, UNIQUE), (unsolved, SATURATED)):
+        res = minimal_polynomial(s)
+        assert vars(s).keys() == fields
+        assert res.status == status  # the unsolved read measures the rank
+        assert vars(s).keys() == fields
+    grown = GrowingWindow(solved)
+    grown.solve()
+    grown.extend([8, 2, 8])
+    assert grown.solve().status == UNIQUE
+    assert vars(solved).keys() == vars(grown.seq).keys() == fields
 
 
 @st.composite
@@ -186,10 +205,10 @@ def test_parity_fold_matches_the_per_term_parity(case):
     parity of v & u does, term `start` highest, from term 0 and resumed
     at a later term."""
     n, terms, u, start = case
-    s = seq_of(terms, n)
+    grown = GrowingWindow(seq_of(terms, n))
     for read in (0, start):
         expected = int("".join(str((v & u).bit_count() & 1) for v in terms[read:]), 2)
-        assert engine._parities(s, u, read) == expected
+        assert grown._parities(u, read) == expected
 
 
 def test_generate_counts_and_contents():
@@ -337,27 +356,34 @@ UNREFERENCED_IN_SRC = {
 def test_src_defines_nothing_that_only_tests_call():
     """Every function, class and method defined in src is named by other
     src code (a call, a reference or an attribute read; a re-export does
-    not count), or is on UNREFERENCED_IN_SRC with its caller.  Dunder
-    methods are called by the language and are exempt."""
+    not count), or is on UNREFERENCED_IN_SRC with its caller.  A method
+    counts as named only by an attribute read, x.name: a bare name of the
+    same spelling, such as a loop variable, does not name it.  Names are
+    matched by spelling alone, so a method that shares its name with
+    another class's attribute counts as read wherever that attribute is:
+    a property `bits` on BitVec would pass through every read of
+    Gf2Poly's field `bits`.  Dunder methods are called by the language
+    and are exempt."""
     src = Path(engine.__file__).parent
-    defined, named = {}, set()
+    defined, names, attrs = {}, set(), set()
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[f"{scope}{child.name}"] = child.name
+                method = isinstance(node, ast.ClassDef)
+                defined[f"{scope}{child.name}"] = child.name, method
                 walk(child, f"{scope}{child.name}.")
             else:
                 if isinstance(child, ast.Name):
-                    named.add(child.id)
+                    names.add(child.id)
                 elif isinstance(child, ast.Attribute):
-                    named.add(child.attr)
+                    attrs.add(child.attr)
                 walk(child, scope)
 
     for path in sorted(src.rglob("*.py")):
         walk(ast.parse(path.read_text(encoding="utf-8")), "")
-    unreferenced = {qualified for qualified, name in defined.items()
-                    if name not in named
+    unreferenced = {qualified for qualified, (name, method) in defined.items()
+                    if name not in attrs and (method or name not in names)
                     and not (name.startswith("__") and name.endswith("__"))}
     assert unreferenced - set(UNREFERENCED_IN_SRC) == set()
     assert set(UNREFERENCED_IN_SRC) <= unreferenced  # no stale entry
@@ -510,7 +536,8 @@ def annihilator_cases(draw):
 @given(annihilator_cases())
 def test_annihilates_matches_per_window_check(case):
     s, P = case
-    assert (engine._annihilated(s, P.bits) == len(s.terms) - P.degree) == annihilates(P, s)
+    held = GrowingWindow(s)._annihilated(P.bits)
+    assert (held == len(s.terms) - P.degree) == annihilates(P, s)
 
 
 def test_annihilates_needs_every_window_not_only_the_first():
@@ -519,7 +546,7 @@ def test_annihilates_needs_every_window_not_only_the_first():
     s = seq_of([1, 2, 3, 1, 2, 3, 1, 2 ^ 8], 4)
     assert s.terms[0] ^ s.terms[1] ^ s.terms[2] == 0  # window 0 vanishes
     assert not annihilates(P, s)
-    assert engine._annihilated(s, P.bits) < len(s.terms) - P.degree
+    assert GrowingWindow(s)._annihilated(P.bits) < len(s.terms) - P.degree
     assert minimal_polynomial(s).minpoly != P
 
 
@@ -529,7 +556,7 @@ def test_annihilated_counts_a_window_that_fails_in_its_strides_top_bit():
     windows before it, not all 6."""
     P = Gf2Poly(0b111)
     s = seq_of([1, 2, 3, 1, 2, 3, 1, 2 ^ 128], 8)
-    assert engine._annihilated(s, P.bits) == 5
+    assert GrowingWindow(s)._annihilated(P.bits) == 5
     assert not annihilates(P, s)
 
 
@@ -909,7 +936,7 @@ def test_a_first_projection_at_half_the_window_that_fails_proves_none(
     s = seq_of([3, 9, 8, 2, 5, 14], 4)
     first = GrowingWindow(s)._project(0, engine._projections(4)[0])
     assert first.degree == 3
-    assert engine._annihilated(s, first.bits) < 6 - 3
+    assert GrowingWindow(s)._annihilated(first.bits) < 6 - 3
     grown = GrowingWindow(s)
     assert grown.solve().minpoly is None
     assert len(grown._read) == 1 and decisions == [True]

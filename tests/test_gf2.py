@@ -98,16 +98,6 @@ def test_foreign_operand_raises_type_error(op):
         op()
 
 
-def test_bitvec_bit_indexing_is_little_endian():
-    v = BitVec(0b0110, 4)
-    assert v.bit(0) == 0 and v.bit(1) == 1 and v.bit(2) == 1 and v.bit(3) == 0
-    assert v.bits == (0, 1, 1, 0)
-    with pytest.raises(ValueError):
-        v.bit(4)
-    with pytest.raises(ValueError):
-        v.bit(-1)
-
-
 def test_bitvec_concat_low_first():
     lo = BitVec(0b101, 3)
     hi = BitVec(0b01, 2)
