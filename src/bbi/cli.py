@@ -186,18 +186,17 @@ def _grow_window(F: BlackBoxMap, y: BitVec, M: int | None) -> InversionReport:
     ends the growth unsolved: the orbit of y is not purely periodic, so
     it has no inverse there."""
     n, before = F.in_width, F.evals
-    grown = GrowingWindow(generate(F, y, M))
+    grown = GrowingWindow(generate(F, y, M).terms, n)
     while True:
-        seq = grown.seq
-        report = invert_window(F, y, seq, grown.solve().minpoly, before)
-        M, mp = len(seq.terms), report.minpoly
+        report = invert_window(F, y, grown, grown.solve(), before)
+        M, mp = len(grown.terms), report.minpoly
         if mp is not None and mp.constant_term == 0:  # never on a solved report
             print(f"  {F.label} at {y.hex()}: the M = {M} minimal polynomial has "
                   f"zero constant term; not purely periodic, no inverse on its orbit")
             return report
         if report.solved or M > (1 << (n + 1)) + 2:
             return report
-        grown.extend(F.iterate(BitVec(seq.terms[-1], n), max(n, -(-M // 16)))[1:])
+        grown.extend(F.iterate(BitVec(grown.terms[-1], n), max(n, -(-M // 16)))[1:])
 
 
 # Each demo prints its header and returns (y, verify).  verify(report,

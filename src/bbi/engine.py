@@ -319,7 +319,7 @@ def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
     only decides: no Hankel rank is measured here, and the result
     measures status when read.
     """
-    return GrowingWindow(seq).solve()
+    return MinPolyResult(GrowingWindow(seq.terms, seq.width).solve(), seq)
 
 
 class GrowingWindow:
@@ -386,34 +386,33 @@ class GrowingWindow:
     `packed` when the GrowingWindow is built, and `extend` packs only the
     terms it adds.  A projection the solve no longer reaches stays where
     it was until a later solve needs it again.  Residual windows are
-    built afresh by each solve, as mp may change.
+    built afresh by each solve, as mp may change.  No term is checked
+    here: each comes checked, from generate's RecurrenceSequence or
+    F.iterate's width check, or is a residual, an XOR of such terms.
 
     The all-zero window gets X+1: every polynomial annihilates it, and
     X+1 is the least-degree one with an invertible constant term, which
     inverts to x = y = 0.
     """
 
-    def __init__(self, seq: RecurrenceSequence):
-        self.seq = seq
-        # every term in one int, term t at bits t*stride .. t*stride + n-1,
-        # term 0 lowest
-        self.stride = _stride(seq.width)
-        self.packed = _pack(seq.terms, self.stride)
+    def __init__(self, terms: tuple[int, ...], width: int):
+        self.terms, self.width = terms, width
+        self.stride = _stride(width)
+        self.packed = _pack(terms, self.stride)  # term t at bits t*stride ..
         # per projection read so far: [terms read, s, C, B, L, gap]
         self._read: list[list[int]] = []
 
     def extend(self, values) -> None:
         """Append terms, each the int value of a `width`-bit vector: only
         they are packed, and ORed in above the old terms."""
-        new, terms = tuple(values), self.seq.terms
-        self.seq = RecurrenceSequence(terms + new, self.seq.width)
-        self.packed |= _pack(new, self.stride) << (self.stride * len(terms))
+        new = tuple(values)
+        self.packed |= _pack(new, self.stride) << (self.stride * len(self.terms))
+        self.terms += new
 
-    def solve(self) -> MinPolyResult:
-        seq = self.seq
-        if len(seq.terms) < 2:
+    def solve(self) -> Gf2Poly | None:
+        if len(self.terms) < 2:
             raise ValueError("need at least 2 terms")
-        return MinPolyResult(self._decide(_projections(seq.width), True), seq)
+        return self._decide(_projections(self.width), True)
 
     def _decide(self, schedule: tuple[int, ...],
                 complete: bool) -> Gf2Poly | None:
@@ -423,7 +422,7 @@ class GrowingWindow:
         An lcm that fails the window leads to the next projection, joined
         by lcm; with `complete`, only when its residual leaves it
         undecided."""
-        M = len(self.seq.terms)
+        M = len(self.terms)
         if not self.packed:
             return Gf2Poly(0b11)
         found = ONE
@@ -453,17 +452,16 @@ class GrowingWindow:
         windows as long as deg mp leave it undecided (see GrowingWindow).
         mp fails the window after annihilating its first `held` windows,
         and `schedule` is what follows the projections read for mp."""
-        terms = self.seq.terms
+        terms = self.terms
         M = len(terms)
         room = M // 2 - mp.degree
         if held >= room:
             return True, None
         selectors = _selectors(mp.bits)
-        residual = GrowingWindow(RecurrenceSequence(
-            _residual(terms, selectors, 0, 2), self.seq.width))
+        residual = GrowingWindow(_residual(terms, selectors, 0, 2), self.width)
         last = None
         while True:
-            K = len(residual.seq.terms)
+            K = len(residual.terms)
             q = residual._decide(schedule, False)
             if q is not None and q != last:
                 last, p = q, mp * q
@@ -484,7 +482,7 @@ class GrowingWindow:
             self._read.append([0, 0, 1, 1, 0, 1])
         state = self._read[i]
         read, s, C, B, L, gap = state
-        M = len(self.seq.terms)
+        M = len(self.terms)
         if read < M:
             # s_t = <u, y(t)> at bit M-1-t, the order _bm_steps reads
             s = (s << (M - read)) | self._parities(u, read)
@@ -500,8 +498,8 @@ class GrowingWindow:
         parity at the lowest bit of its stride, and so of its lowest byte,
         and one slice takes those bytes, in term order, as the digits of
         one int."""
-        n, stride = self.seq.width, self.stride
-        size, count = stride // 8, len(self.seq.terms) - start
+        n, stride = self.width, self.stride
+        size, count = stride // 8, len(self.terms) - start
         x = (self.packed >> (start * stride)) & int.from_bytes(
             u.to_bytes(size, "little") * count, "little")
         shift = 1 << (n - 1).bit_length()
@@ -521,7 +519,7 @@ class GrowingWindow:
         shift and XOR of the packed window per set bit leaves window t's
         sum at stride t, so the lowest set bit counts.
         """
-        terms = self.seq.terms
+        terms = self.terms
         if _combine(terms[start:start + poly.bit_length()], poly):
             return start
         packed, stride = self.packed, self.stride
@@ -553,14 +551,13 @@ def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:
     When one more degree than the larger, a, would pass M/2, the lcm
     stays within only by being a, that is, when b divides a: one
     remainder decides, where the gcd of two polynomials of degree about
-    M/2 would take a division per step of Euclid's algorithm.  Two
-    different polynomials of one degree fail at once.
+    M/2 would take a division per step of Euclid's algorithm.  It is 0
+    when b is a, and not 0 for any other b of a's degree.
     """
     if a.degree < b.degree:
         a, b = b, a
-    d = a.degree
-    if 2 * d + 2 > M:
-        return a if a == b or (d > b.degree and not (a % b).bits) else None
+    if 2 * a.degree + 2 > M:
+        return a if not (a % b).bits else None
     mp = lcm(a, b)
     return mp if 2 * mp.degree <= M else None
 
@@ -582,8 +579,9 @@ def _hankel_rank(seq: RecurrenceSequence) -> int:
     return len(basis)
 
 
-def invert_from_minpoly(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
-    """Candidate preimage of terms[0] from an annihilator with mp(0) = 1."""
+def invert_from_minpoly(seq: RecurrenceSequence | GrowingWindow, mp: Gf2Poly) -> BitVec:
+    """Candidate preimage of terms[0] from an annihilator with mp(0) = 1,
+    read from seq's terms and width alone."""
     m = mp.degree
     if m < 1:
         raise ValueError("annihilator must have degree >= 1")
@@ -610,12 +608,12 @@ def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> Inversio
     return invert_window(F, y, seq, minimal_polynomial(seq).minpoly, before)
 
 
-def invert_window(F: BlackBoxMap, y: BitVec, seq: RecurrenceSequence,
+def invert_window(F: BlackBoxMap, y: BitVec, seq: RecurrenceSequence | GrowingWindow,
                   mp: Gf2Poly | None, before: int) -> InversionReport:
     """The report on window seq of F from y, decided as mp: the
-    inversion formula, when mp has constant term 1, and the check
-    F(x) == y on one fresh evaluation.  map_evals counts F's
-    evaluations since it had made `before`."""
+    inversion formula on seq's terms and width, when mp has constant
+    term 1, and the check F(x) == y on one fresh evaluation.  map_evals
+    counts F's evaluations since it had made `before`."""
     M = len(seq.terms)
     if mp is not None and mp.constant_term == 1:
         x = invert_from_minpoly(seq, mp)
@@ -630,11 +628,11 @@ def _bm_steps(s: int, t: int, M: int, C: int, B: int, L: int,
     from the state (C, B, L, gap) that steps 0 .. t-1 left, returning
     the state after step M-1.
 
-    C is the connection polynomial (bit i = c_i, c_0 = 1), with
-    s_t = sum c_i s_{t-i} for L <= t < M, B is C before the last change
-    of L, and gap the number of steps since that change.  Steps 0 .. M-1
-    from (1, 1, 0, 1) are the whole algorithm; a sequence that grows at
-    its end shifts s left by the new terms and resumes at t.
+    C is the connection polynomial (bit i = c_i, c_0 = 1) of degree at
+    most L, with s_t = sum c_i s_{t-i} for L <= t < M, B is C before the
+    last change of L, and gap the number of steps since that change.
+    Steps 0 .. M-1 from (1, 1, 0, 1) are the whole algorithm; a sequence
+    that grows at its end shifts s left by the new terms and resumes at t.
     """
     for t, k in enumerate(range(M - 1 - t, -1, -1), t):
         if (C & (s >> k)).bit_count() & 1:  # bit i of s >> k is s_{t-i}
@@ -650,7 +648,7 @@ def _bm_steps(s: int, t: int, M: int, C: int, B: int, L: int,
 
 def _bm_poly(C: int, L: int) -> Gf2Poly:
     """The minimal polynomial X^L C(1/X) of a Berlekamp-Massey state."""
-    return Gf2Poly(int(format(C & ((1 << (L + 1)) - 1), f"0{L + 1}b")[::-1], 2))
+    return Gf2Poly(int(format(C, f"0{L + 1}b")[::-1], 2))
 
 
 def bm_crosscheck(seq: RecurrenceSequence) -> Gf2Poly:

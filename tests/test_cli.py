@@ -162,9 +162,9 @@ def test_invert_and_demos_run_no_scan(monkeypatch):
         return rank(seq)
 
     def counted_solve(window):
-        res = solve(window)
-        unsolved.append(res.minpoly is None)
-        return res
+        mp = solve(window)
+        unsolved.append(mp is None)
+        return mp
 
     monkeypatch.setattr(engine, "_hankel_rank", counted_rank)
     monkeypatch.setattr(engine.GrowingWindow, "solve", counted_solve)
@@ -264,6 +264,29 @@ def growth_schedule(M0: int, n: int, last: int) -> list[int]:
     return Ms
 
 
+@pytest.mark.parametrize("name, windows", [("spn-kpa", 1), ("stream", 2)])
+def test_a_demo_builds_one_sequence_per_window_map(name, windows):
+    """The one RecurrenceSequence of each window map a demo grows is the
+    one its generate returns: growing the window and completing its
+    residuals build none."""
+    built, generated = [], []
+    post_init, generate = engine.RecurrenceSequence.__post_init__, cli.generate
+
+    def counted_post_init(seq):
+        built.append(len(generated))
+        post_init(seq)
+
+    def counted_generate(*args):
+        generated.append(args)
+        return generate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.RecurrenceSequence, "__post_init__", counted_post_init)
+        mp.setattr(cli, "generate", counted_generate)
+        assert run_main("demo", name)[0] == 0
+    assert built == list(range(1, windows + 1)) and len(generated) == windows
+
+
 def run_spied(name: str, unsolved: bool = False) -> tuple[int, str, str, list, list]:
     """`bbi demo name` in-process with every GrowingWindow solve spied on:
     the exit code, stdout, stderr, the maps handed out, and per solve
@@ -274,8 +297,8 @@ def run_spied(name: str, unsolved: bool = False) -> tuple[int, str, str, list, l
     solve = engine.GrowingWindow.solve
 
     def spy(window):
-        calls.append((len(window.seq.terms), made[-1].evals))
-        return engine.MinPolyResult(None, window.seq) if unsolved else solve(window)
+        calls.append((len(window.terms), made[-1].evals))
+        return None if unsolved else solve(window)
 
     with pytest.MonkeyPatch.context() as mp, counted_maps() as made:
         mp.setattr(engine.GrowingWindow, "solve", spy)

@@ -46,6 +46,10 @@ def seq_of(values, width) -> RecurrenceSequence:
     return RecurrenceSequence(tuple(values), width)
 
 
+def window_of(seq: RecurrenceSequence) -> GrowingWindow:
+    return GrowingWindow(seq.terms, seq.width)
+
+
 def annihilates(p: Gf2Poly, seq: RecurrenceSequence) -> bool:
     m = p.degree
     for t in range(len(seq.terms) - m):
@@ -80,6 +84,11 @@ def test_blackboxmap_eval_budget():
     with pytest.raises(EvalBudgetExceeded):
         F(y)
     assert F.evals == 3  # the rejected call is not counted
+    F.max_evals = 1  # a budget lowered below the evaluations made
+    assert F.iterate(y, 0) == [y.value] and F.evals == 3
+    with pytest.raises(EvalBudgetExceeded):
+        F.iterate(y, 1)
+    assert F.evals == 3
 
 
 @pytest.mark.parametrize("widths", [(0, None), (-2, None), (0, 3), (3, 0), (4, -1)])
@@ -102,7 +111,7 @@ def test_iterate_rejects_negative_k_before_any_evaluation(budget):
 
 
 def test_sequence_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty sequence$"):
         RecurrenceSequence((), 3)
     with pytest.raises(ValueError):
         RecurrenceSequence((1, 8), 3)  # 8 needs four bits
@@ -114,7 +123,7 @@ def test_sequence_validation():
 
 def test_packed_layout():
     # width 3 packs at the least stride, 8 bits a term
-    grown = GrowingWindow(seq_of([0b101, 0b010, 0b111], 3))
+    grown = GrowingWindow((0b101, 0b010, 0b111), 3)
     assert grown.packed == 0b101 | (0b010 << 8) | (0b111 << 16)
     assert grown.stride == 8
 
@@ -135,7 +144,7 @@ def test_every_stride_packs_term_by_term(n):
     assert {8, 16, 32, 64} <= engine._TYPECODES.keys()
     rng = random.Random(n)
     terms = [rng.getrandbits(n) for _ in range(37)] + [(1 << n) - 1, 0]
-    assert GrowingWindow(seq_of(terms, n)).packed == strided(terms, n)
+    assert GrowingWindow(tuple(terms), n).packed == strided(terms, n)
 
 
 def test_extend_packs_only_the_terms_it_adds(monkeypatch):
@@ -154,7 +163,7 @@ def test_extend_packs_only_the_terms_it_adds(monkeypatch):
     for n in (3, 16, 40, 100):
         terms = [rng.getrandbits(n) for _ in range(80)]
         packs.clear()
-        grown = GrowingWindow(seq_of(terms[:5], n))
+        grown = GrowingWindow(tuple(terms[:5]), n)
         assert packs == [tuple(terms[:5])]
         assert grown.packed == strided(terms[:5], n)
         for a, b in ((5, 9), (9, 10), (10, 10), (10, 41), (41, 80)):
@@ -164,15 +173,15 @@ def test_extend_packs_only_the_terms_it_adds(monkeypatch):
             assert grown.packed == strided(terms[:b], n)
         expected = minimal_polynomial(seq_of(terms, n)).minpoly
         packs.clear()
-        assert grown.solve().minpoly == expected
+        assert grown.solve() == expected
         assert tuple(terms) not in packs  # the grown window was not packed again
 
 
 def test_a_sequence_keeps_only_its_two_fields():
     """A RecurrenceSequence is its terms and width alone: deciding it,
     reading its status (the Hankel rank, when it has no minimal
-    polynomial) and growing a window from it leave no other entry on it
-    or on the grown sequence."""
+    polynomial) and growing a window from its terms leave no other entry
+    on it, and the grown window holds plain solver state, no sequence."""
     fields = {"terms", "width"}
     solved = seq_of([8, 2, 8, 2, 8, 2], 4)
     unsolved = generate(lfsr5(), BitVec(1, 5), 3)
@@ -181,11 +190,12 @@ def test_a_sequence_keeps_only_its_two_fields():
         assert vars(s).keys() == fields
         assert res.status == status  # the unsolved read measures the rank
         assert vars(s).keys() == fields
-    grown = GrowingWindow(solved)
+    grown = window_of(solved)
     grown.solve()
     grown.extend([8, 2, 8])
-    assert grown.solve().status == UNIQUE
-    assert vars(solved).keys() == vars(grown.seq).keys() == fields
+    assert grown.solve() == Gf2Poly(0b101)  # X^2 + 1
+    assert vars(solved).keys() == fields
+    assert vars(grown).keys() == {"terms", "width", "stride", "packed", "_read"}
 
 
 @st.composite
@@ -205,7 +215,7 @@ def test_parity_fold_matches_the_per_term_parity(case):
     parity of v & u does, term `start` highest, from term 0 and resumed
     at a later term."""
     n, terms, u, start = case
-    grown = GrowingWindow(seq_of(terms, n))
+    grown = GrowingWindow(tuple(terms), n)
     for read in (0, start):
         expected = int("".join(str((v & u).bit_count() & 1) for v in terms[read:]), 2)
         assert grown._parities(u, read) == expected
@@ -536,7 +546,7 @@ def annihilator_cases(draw):
 @given(annihilator_cases())
 def test_annihilates_matches_per_window_check(case):
     s, P = case
-    held = GrowingWindow(s)._annihilated(P.bits)
+    held = window_of(s)._annihilated(P.bits)
     assert (held == len(s.terms) - P.degree) == annihilates(P, s)
 
 
@@ -546,7 +556,7 @@ def test_annihilates_needs_every_window_not_only_the_first():
     s = seq_of([1, 2, 3, 1, 2, 3, 1, 2 ^ 8], 4)
     assert s.terms[0] ^ s.terms[1] ^ s.terms[2] == 0  # window 0 vanishes
     assert not annihilates(P, s)
-    assert GrowingWindow(s)._annihilated(P.bits) < len(s.terms) - P.degree
+    assert window_of(s)._annihilated(P.bits) < len(s.terms) - P.degree
     assert minimal_polynomial(s).minpoly != P
 
 
@@ -556,7 +566,7 @@ def test_annihilated_counts_a_window_that_fails_in_its_strides_top_bit():
     windows before it, not all 6."""
     P = Gf2Poly(0b111)
     s = seq_of([1, 2, 3, 1, 2, 3, 1, 2 ^ 128], 8)
-    assert GrowingWindow(s)._annihilated(P.bits) == 5
+    assert window_of(s)._annihilated(P.bits) == 5
     assert not annihilates(P, s)
 
 
@@ -839,12 +849,12 @@ def test_growing_window_matches_one_shot_and_massey_at_every_checkpoint(case):
     with the engine: the same polynomial when it solves, and a per-bit
     lcm past M/2 when it does not."""
     n, terms, checkpoints = case
-    grown = GrowingWindow(seq_of(terms[:checkpoints[0]], n))
+    grown = GrowingWindow(tuple(terms[:checkpoints[0]]), n)
     for M in checkpoints:
-        grown.extend(terms[len(grown.seq.terms):M])
-        mp = grown.solve().minpoly
+        grown.extend(terms[len(grown.terms):M])
+        mp = grown.solve()
         prefix = seq_of(terms[:M], n)
-        assert grown.seq == prefix
+        assert grown.terms == prefix.terms
         assert mp == minimal_polynomial(prefix).minpoly
         massey = massey_minpoly(prefix.terms, n)
         if mp is None:
@@ -857,13 +867,13 @@ def test_growing_window_refuses_one_term_and_solves_again_unchanged():
     """A window of one term has no recurrence to read; a window solved
     again without new terms reads no further term and answers the same."""
     with pytest.raises(ValueError, match="need at least 2 terms"):
-        GrowingWindow(seq_of([1], 1)).solve()
+        GrowingWindow((1,), 1).solve()
     with pytest.raises(ValueError, match="need at least 2 terms"):
         minimal_polynomial(seq_of([5], 3))
     s = hidden_cycle_window(16, 100, seed=0)
-    grown = GrowingWindow(s)
-    first = grown.solve().minpoly
-    assert grown.solve().minpoly == first == massey_minpoly(s.terms, 16)
+    grown = window_of(s)
+    first = grown.solve()
+    assert grown.solve() == first == massey_minpoly(s.terms, 16)
     assert [read[0] for read in grown._read] == [len(s.terms)]
 
 
@@ -886,11 +896,11 @@ def test_growing_window_leaves_a_projection_it_no_longer_needs():
     reads the second; at 14 terms of the cycle 3, 3, 2 the first alone
     decides, and the second keeps the state of its 2 terms."""
     terms = ([3, 3, 2] * 5)[:14]
-    grown = GrowingWindow(seq_of(terms[:2], 2))
-    assert grown.solve().minpoly == Gf2Poly(0b11)  # X + 1
+    grown = GrowingWindow(tuple(terms[:2]), 2)
+    assert grown.solve() == Gf2Poly(0b11)  # X + 1
     assert [read[0] for read in grown._read] == [2, 2]
     grown.extend(terms[2:])
-    assert grown.solve().minpoly == Gf2Poly(0b1001)  # X^3 + 1
+    assert grown.solve() == Gf2Poly(0b1001)  # X^3 + 1
     assert [read[0] for read in grown._read] == [14, 2]
     assert minimal_polynomial(seq_of(terms, 2)).minpoly == Gf2Poly(0b1001)
     assert massey_minpoly(terms, 2) == Gf2Poly(0b1001)
@@ -911,6 +921,18 @@ def decisions(monkeypatch):
     return calls
 
 
+def test_a_solve_builds_no_sequence(monkeypatch, decisions):
+    """minimal_polynomial decides its caller's window without building a
+    RecurrenceSequence, the residual windows of its completion included."""
+    s = hidden_cycle_window(16, 100, seed=0)
+    built = []
+    monkeypatch.setattr(RecurrenceSequence, "__post_init__",
+                        lambda seq: built.append(seq))
+    assert minimal_polynomial(s).minpoly == massey_minpoly(s.terms, 16)
+    assert False in decisions  # a residual window was decided
+    assert built == []
+
+
 @pytest.mark.parametrize("n, N, seed", [(16, 100, 0), (64, 129, 1)])
 def test_a_factor_the_first_projection_misses_comes_from_the_residual(
         n, N, seed):
@@ -919,13 +941,12 @@ def test_a_factor_the_first_projection_misses_comes_from_the_residual(
     projection of the whole window where the lcm of two was needed."""
     s = hidden_cycle_window(n, N, seed)
     expected = massey_minpoly(s.terms, n)
-    first = GrowingWindow(s)._project(0, engine._projections(n)[0])
+    first = window_of(s)._project(0, engine._projections(n)[0])
     assert first * Gf2Poly(0b11) == expected
-    grown = GrowingWindow(s)
-    res = grown.solve()
-    assert res.minpoly == expected
+    grown = window_of(s)
+    assert grown.solve() == expected
     assert len(grown._read) == 1
-    assert measured(res) == reference(s)
+    assert measured(minimal_polynomial(s)) == reference(s)
 
 
 def test_a_first_projection_at_half_the_window_that_fails_proves_none(
@@ -934,11 +955,11 @@ def test_a_first_projection_at_half_the_window_that_fails_proves_none(
     annihilator of degree <= M/2 would be a proper multiple of it, so none
     fits: None after one projection, with no residual to decide."""
     s = seq_of([3, 9, 8, 2, 5, 14], 4)
-    first = GrowingWindow(s)._project(0, engine._projections(4)[0])
+    first = window_of(s)._project(0, engine._projections(4)[0])
     assert first.degree == 3
-    assert GrowingWindow(s)._annihilated(first.bits) < 6 - 3
-    grown = GrowingWindow(s)
-    assert grown.solve().minpoly is None
+    assert window_of(s)._annihilated(first.bits) < 6 - 3
+    grown = window_of(s)
+    assert grown.solve() is None
     assert len(grown._read) == 1 and decisions == [True]
     assert 2 * massey_minpoly(s.terms, 4).degree > 6
     assert measured(minimal_polynomial(s)) == reference(s)
@@ -967,8 +988,8 @@ def test_late_jump_windows_are_proved_unsolvable(
     terms = [cycle[t % len(cycle)] for t in range(M)]
     terms[flip] ^= 1 << bit
     s = seq_of(terms, n)
-    grown = GrowingWindow(s)
-    assert grown.solve().minpoly is None
+    grown = window_of(s)
+    assert grown.solve() is None
     assert len(grown._read) == reads
     assert (len(decisions) > 1) == residuals
     assert 2 * massey_minpoly(terms, n).degree > M

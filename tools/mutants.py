@@ -28,13 +28,19 @@ mutant walks a fixed set of random table maps (widths 1..10, half of
 them with a drawn tail and cycle through the seed) with `orbit_profile`
 and `cycle_walk`, and reports each walk's answer and evaluation count.
 `same` means that every line equals the unmutated module's, so the
-mutant changes no output there; `DIFFERS` marks a test gap.  A survivor
-whose number and line `tools/mutant_survivors.txt` does not list is
-marked `NEW`: a gap, or a list gone stale with an edit of a module.
+mutant changes no output there; `DIFFERS` marks a test gap.
+
+`tools/mutant_survivors.txt` lists the known survivors by a key that an
+edit elsewhere in the module does not move: the module, the mutated
+node's column, the description, and the source text of its line in
+backquotes (two identical lines share their keys).  A survivor whose
+key the list lacks is marked `NEW`: a gap, or a list gone stale with an
+edit of that line.
 
 The script only reports: each module's time limits and a line per
 mutant on stderr as it ends (pass, fail or timeout), then one line per
-survivor on stdout, and exits 0.
+survivor on stdout (number, module and line for reading, then its key),
+and exits 0.
 It runs JOBS mutants at once.
 
     python tools/mutants.py          # every mutant
@@ -146,8 +152,9 @@ def sites(tree: ast.AST) -> list[tuple[int, int | None, object, str]]:
     return found
 
 
-def mutate(source: str, index: int, k: int | None, new: object) -> tuple[str, int]:
-    """The unparsed module with one mutation, and the mutated line."""
+def mutate(source: str, index: int, k: int | None,
+           new: object) -> tuple[str, ast.AST]:
+    """The unparsed module with one mutation, and the mutated node."""
     tree = ast.parse(source)
     node = list(ast.walk(tree))[index]
     if isinstance(node, ast.Compare):
@@ -156,7 +163,24 @@ def mutate(source: str, index: int, k: int | None, new: object) -> tuple[str, in
         node.value = new
     else:
         node.op = new()
-    return ast.unparse(tree), node.lineno
+    return ast.unparse(tree), node
+
+
+def key(module: Path, source: str, node: ast.AST, description: str) -> str:
+    """A mutant's key in SURVIVORS: module, column, description and the
+    source text of the mutated line, which no backquote can end early."""
+    text = source.splitlines()[node.lineno - 1].strip()
+    return f"{module}  col {node.col_offset}  {description}  `{text}`"
+
+
+def listed_keys() -> set[str]:
+    """The keys SURVIVORS lists: each line's text up to its second
+    backquote, comments aside."""
+    keys = set()
+    for line in SURVIVORS.read_text().splitlines():
+        if line[:1] != "#" and line.count("`") >= 2:
+            keys.add(line[:line.index("`", line.index("`") + 1) + 1])
+    return keys
 
 
 def copy_tree(dest: Path, module: Path, module_text: str) -> None:
@@ -196,8 +220,7 @@ def main(argv: list[str]) -> int:
         sources.append((ROOT / module).read_text())
         mutants += [(m, *site) for site in sites(ast.parse(sources[m]))]
     chosen = [int(a) for a in argv] or range(len(mutants))
-    listed = {tuple(line.split()[:2]) for line in SURVIVORS.read_text().splitlines()
-              if line[:1] != "#"}
+    listed = listed_keys()
 
     references, limits = {}, {}  # per module: differential output; time limits
     for m in sorted({mutants[number][0] for number in chosen}):
@@ -218,7 +241,7 @@ def main(argv: list[str]) -> int:
     def one(number: int) -> str | None:
         m, *site, description = mutants[number]
         module, tests, differential = MODULES[m]
-        text, line = mutate(sources[m], *site)
+        text, node = mutate(sources[m], *site)
         verdict = run(module, text, pytest_command(tests), limits[m][0])[0]
         print(f"mutant {number}: {verdict}", file=sys.stderr, flush=True)
         if verdict != "pass":
@@ -226,8 +249,9 @@ def main(argv: list[str]) -> int:
         status, out = run(module, text, [sys.executable, "-c", differential],
                           limits[m][1])
         same = "same" if status == "pass" and out == references[m] else "DIFFERS"
-        new = "" if (str(number), str(line)) in listed else "  NEW"
-        return f"{number:4d}  {module}:{line}  {description}  [{same}]{new}"
+        name = key(module, sources[m], node, description)
+        new = "" if name in listed else "  NEW"
+        return f"{number:4d}  {module}:{node.lineno}  [{same}]{new}  {name}"
 
     with ThreadPoolExecutor(JOBS) as pool:
         survivors = [line for line in pool.map(one, chosen) if line]
