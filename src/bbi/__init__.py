@@ -10,8 +10,7 @@ every answer.
 """
 
 from .embedding import invert_embedding
-from .engine import (BlackBoxMap, InversionReport, RecurrenceSequence,
-                     local_inversion)
+from .engine import BlackBoxMap, InversionReport, local_inversion
 from .gf2 import BitVec, Gf2Poly
 
 __version__ = "0.1.0"
@@ -21,7 +20,6 @@ __all__ = [
     "BlackBoxMap",
     "Gf2Poly",
     "InversionReport",
-    "RecurrenceSequence",
     "invert_embedding",
     "local_inversion",
     "__version__",

@@ -26,9 +26,8 @@ from collections import Counter
 from functools import cache
 
 from .embedding import invert_embedding
-from .engine import (BlackBoxMap, EvalBudgetExceeded, GrowingWindow,
-                     InversionReport, generate, invert_window,
-                     local_inversion)
+from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
+                     generate, invert_window, local_inversion)
 from .gf2 import BitVec
 from .oracle import brute_force_invert, cycle_walk, orbit_profile
 from .targets import TargetInstance, _as_int, load_target
@@ -186,7 +185,7 @@ def _grow_window(F: BlackBoxMap, y: BitVec, M: int | None) -> InversionReport:
     ends the growth unsolved: the orbit of y is not purely periodic, so
     it has no inverse there."""
     n, before = F.in_width, F.evals
-    grown = GrowingWindow(generate(F, y, M).terms, n)
+    grown = generate(F, y, M)
     while True:
         report = invert_window(F, y, grown, grown.solve(), before)
         M, mp = len(grown.terms), report.minpoly

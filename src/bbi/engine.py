@@ -169,21 +169,6 @@ class BlackBoxMap:
         return ValueError(f"map produced width {width}, declared {self.out_width}")
 
 
-@dataclass(frozen=True)
-class RecurrenceSequence:
-    """Window terms[t] = F^(t)(terms[0]) of an iterated map, t = 0 .. M-1,
-    each term the int value of a `width`-bit vector."""
-
-    terms: tuple[int, ...]
-    width: int
-
-    def __post_init__(self):
-        if len(self.terms) < 1:
-            raise ValueError("empty sequence")
-        if self.width < 1 or min(self.terms) < 0 or max(self.terms) >= 1 << self.width:
-            raise ValueError(f"terms do not fit width {self.width}")
-
-
 @cache
 def _stride(n: int) -> int:
     """Bits per term of a packed window of width n: the least of 8, 16,
@@ -201,7 +186,10 @@ def _pack(terms: tuple[int, ...], stride: int) -> int:
     array (or, past a machine word, one bytes join) read as one int."""
     code = _TYPECODES.get(stride)
     if code:
-        return int.from_bytes(array(code, terms).tobytes(), sys.byteorder)
+        items = array(code, terms)
+        if sys.byteorder == "big":
+            items.byteswap()
+        return int.from_bytes(items.tobytes(), "little")
     size = stride // 8
     return int.from_bytes(b"".join([t.to_bytes(size, "little") for t in terms]),
                           "little")
@@ -209,24 +197,26 @@ def _pack(terms: tuple[int, ...], stride: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MinPolyResult:
-    """Least-degree annihilator of a window, or None, and why a window
-    without one failed, measured when it is read.
+    """Least-degree annihilator of the first M terms of a window, or
+    None, and why a window without one failed, measured when it is read.
 
     `status` is `unique` whenever minpoly is not None, with no rank
     measured; otherwise it is `saturated` when rank H(M/2) is full and
     `rank-deficient` when it is not.  It is cached like
-    InversionReport.period_estimate, on the first read.  Equality is
-    identity.
+    InversionReport.period_estimate, on the first read, and reads only
+    the first M terms, which a later extend of the window leaves as they
+    were.  Equality is identity.
     """
 
     minpoly: Gf2Poly | None
-    window: RecurrenceSequence = field(repr=False)
+    window: GrowingWindow = field(repr=False)
+    M: int = field(repr=False)
 
     @cached_property
     def status(self) -> str:
         if self.minpoly is not None:
             return UNIQUE
-        full = _hankel_rank(self.window) == len(self.window.terms) // 2
+        full = _hankel_rank(self.window, self.M) == self.M // 2
         return SATURATED if full else RANK_DEFICIENT
 
 
@@ -262,14 +252,15 @@ class InversionReport:
         return order(self.minpoly, min(1 << 20, 1 << self.minpoly.degree))
 
 
-def generate(F: BlackBoxMap, y: BitVec, M: int | None = None) -> RecurrenceSequence:
-    """First M terms of the feedback sequence, M = 4n when None for n the
-    input width: exactly M-1 evaluations."""
+def generate(F: BlackBoxMap, y: BitVec, M: int | None = None) -> GrowingWindow:
+    """The window of the first M terms of the feedback sequence, M = 4n
+    when None for n the input width: exactly M-1 evaluations.  The
+    window checks its terms and packs them once, here."""
     if M is None:
         M = 4 * F.in_width
     if M < 2:
         raise ValueError("window length M must be >= 2")
-    return RecurrenceSequence(tuple(F.iterate(y, M - 1)), F.in_width)
+    return GrowingWindow(tuple(F.iterate(y, M - 1)), F.in_width)
 
 
 # 2^64 over the golden ratio: dense, irregular bits for _projections.
@@ -313,18 +304,20 @@ def _combine(terms: tuple[int, ...], mask: int) -> int:
 _LOW_BIT_DIGITS = bytes(0x30 | (b & 1) for b in range(256))
 
 
-def minimal_polynomial(seq: RecurrenceSequence) -> MinPolyResult:
+def minimal_polynomial(window: GrowingWindow) -> MinPolyResult:
     """Least-degree monic annihilator of degree <= M/2 of the window, or
-    None when there is none: a GrowingWindow of seq, solved once.  This
-    only decides: no Hankel rank is measured here, and the result
-    measures status when read.
+    None when there is none: the window's solve.  This only decides: no
+    Hankel rank is measured here, and the result measures status, on
+    the M terms decided, when read.
     """
-    return MinPolyResult(GrowingWindow(seq.terms, seq.width).solve(), seq)
+    return MinPolyResult(window.solve(), window, len(window.terms))
 
 
 class GrowingWindow:
-    """A window that grows at its end and is decided again after each
-    growth, each decision exactly minimal_polynomial's on the terms so far.
+    """The window terms[t] = F^(t)(terms[0]) of an iterated map, t = 0 ..
+    M-1, each term the int value of a `width`-bit vector: the one window
+    type, from generate through the solve to the inversion formula.  It
+    grows at its end, and each solve decides the terms so far.
 
     Projected Berlekamp-Massey decides every window.  For each u of the
     fixed schedule, the minimal polynomial m_u of the scalar sequence
@@ -382,13 +375,11 @@ class GrowingWindow:
     Each projection a solve reads keeps its bits <u, y(t)> and its
     Berlekamp-Massey state, so after `extend` a solve pays only the
     parity fold and the Berlekamp-Massey steps of the terms added since
-    that projection was last read.  The window is packed once, into
-    `packed` when the GrowingWindow is built, and `extend` packs only the
+    that projection was last read.  The window is checked and packed
+    once, into `packed`, when it is built, and `extend` packs only the
     terms it adds.  A projection the solve no longer reaches stays where
     it was until a later solve needs it again.  Residual windows are
-    built afresh by each solve, as mp may change.  No term is checked
-    here: each comes checked, from generate's RecurrenceSequence or
-    F.iterate's width check, or is a residual, an XOR of such terms.
+    built afresh by each solve, as mp may change.
 
     The all-zero window gets X+1: every polynomial annihilates it, and
     X+1 is the least-degree one with an invertible constant term, which
@@ -396,6 +387,10 @@ class GrowingWindow:
     """
 
     def __init__(self, terms: tuple[int, ...], width: int):
+        if len(terms) < 1:
+            raise ValueError("empty sequence")
+        if width < 1 or min(terms) < 0 or max(terms) >= 1 << width:
+            raise ValueError(f"terms do not fit width {width}")
         self.terms, self.width = terms, width
         self.stride = _stride(width)
         self.packed = _pack(terms, self.stride)  # term t at bits t*stride ..
@@ -404,7 +399,9 @@ class GrowingWindow:
 
     def extend(self, values) -> None:
         """Append terms, each the int value of a `width`-bit vector: only
-        they are packed, and ORed in above the old terms."""
+        they are packed, and ORed in above the old terms.  They are not
+        checked: each comes from F.iterate, which checks every output's
+        width, and a residual is an XOR of checked terms."""
         new = tuple(values)
         self.packed |= _pack(new, self.stride) << (self.stride * len(self.terms))
         self.terms += new
@@ -562,13 +559,14 @@ def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:
     return mp if 2 * mp.degree <= M else None
 
 
-def _hankel_rank(seq: RecurrenceSequence) -> int:
-    """rank H(M/2) of the window.  Column j of the stacked Hankel system,
-    terms j .. j + M/2 - 1, is one shift and mask of the window packed
-    here (its bits between terms are zero in every column), and each
-    column is reduced by the basis vector with its leading bit."""
-    half, stride = len(seq.terms) // 2, _stride(seq.width)
-    packed, mask = _pack(seq.terms, stride), (1 << (stride * half)) - 1
+def _hankel_rank(window: GrowingWindow, M: int) -> int:
+    """rank H(M/2) of the first M terms of the window.  Column j of the
+    stacked Hankel system, terms j .. j + M/2 - 1, is one shift and mask
+    of the packed window (its bits between terms are zero in every
+    column), so no column reads a term past M - 1, and each column is
+    reduced by the basis vector with its leading bit."""
+    half, stride = M // 2, window.stride
+    packed, mask = window.packed, (1 << (stride * half)) - 1
     basis: dict[int, int] = {}  # leading bit -> basis vector
     for j in range(half):
         vec = (packed >> (stride * j)) & mask
@@ -579,19 +577,19 @@ def _hankel_rank(seq: RecurrenceSequence) -> int:
     return len(basis)
 
 
-def invert_from_minpoly(seq: RecurrenceSequence | GrowingWindow, mp: Gf2Poly) -> BitVec:
+def invert_from_minpoly(window: GrowingWindow, mp: Gf2Poly) -> BitVec:
     """Candidate preimage of terms[0] from an annihilator with mp(0) = 1,
-    read from seq's terms and width alone."""
+    read from the window's terms and width alone."""
     m = mp.degree
     if m < 1:
         raise ValueError("annihilator must have degree >= 1")
     if mp.constant_term == 0:
         raise ValueError("constant term is zero: the window does not certify "
                          "a purely periodic orbit")
-    if len(seq.terms) < m:
+    if len(window.terms) < m:
         raise ValueError("window shorter than the annihilator degree")
     # bit i-1 of mp.bits >> 1 is a_i, and a_m = 1 selects terms[m-1]
-    return BitVec(_combine(seq.terms, mp.bits >> 1), seq.width)
+    return BitVec(_combine(window.terms, mp.bits >> 1), window.width)
 
 
 def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> InversionReport:
@@ -604,19 +602,19 @@ def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> Inversio
     back as insufficient data.
     """
     before = F.evals
-    seq = generate(F, y, M)
-    return invert_window(F, y, seq, minimal_polynomial(seq).minpoly, before)
+    window = generate(F, y, M)
+    return invert_window(F, y, window, minimal_polynomial(window).minpoly, before)
 
 
-def invert_window(F: BlackBoxMap, y: BitVec, seq: RecurrenceSequence | GrowingWindow,
+def invert_window(F: BlackBoxMap, y: BitVec, window: GrowingWindow,
                   mp: Gf2Poly | None, before: int) -> InversionReport:
-    """The report on window seq of F from y, decided as mp: the
-    inversion formula on seq's terms and width, when mp has constant
-    term 1, and the check F(x) == y on one fresh evaluation.  map_evals
-    counts F's evaluations since it had made `before`."""
-    M = len(seq.terms)
+    """The report on the window of F from y, decided as mp: the
+    inversion formula on the window's terms and width, when mp has
+    constant term 1, and the check F(x) == y on one fresh evaluation.
+    map_evals counts F's evaluations since it had made `before`."""
+    M = len(window.terms)
     if mp is not None and mp.constant_term == 1:
-        x = invert_from_minpoly(seq, mp)
+        x = invert_from_minpoly(window, mp)
         if F(x) == y:
             return InversionReport(SOLUTION, x, mp, M, F.evals - before)
     return InversionReport(INSUFFICIENT_DATA, None, mp, M, F.evals - before)
@@ -651,18 +649,18 @@ def _bm_poly(C: int, L: int) -> Gf2Poly:
     return Gf2Poly(int(format(C, f"0{L + 1}b")[::-1], 2))
 
 
-def bm_crosscheck(seq: RecurrenceSequence) -> Gf2Poly:
+def bm_crosscheck(window: GrowingWindow) -> Gf2Poly:
     """Minimal polynomial by an independent route: scalar Berlekamp-Massey
     per bit component, then the lcm of the component polynomials.
 
     Identically zero components contribute nothing.  The all-zero window
     gets X+1, the same convention as minimal_polynomial.
     """
-    n = seq.width
-    M = len(seq.terms)
+    n = window.width
+    M = len(window.terms)
     # Character t*n + b is bit b of term t, so component b is bits[b::n]
     # and its int has s_t at bit M-1-t, the order _bm_steps reads.
-    bits = "".join(format(t, f"0{n}b")[::-1] for t in seq.terms)
+    bits = "".join(format(t, f"0{n}b")[::-1] for t in window.terms)
     result = ONE
     for b in range(n):
         comp = int(bits[b::n], 2)

@@ -3,8 +3,8 @@
 Everything is packed into Python ints.  A BitVec of width n stores its
 coordinates in the low n bits of an int, index 0 being the least
 significant bit.  A Gf2Poly stores coefficient i of X^i in bit i, so the
-int 0b1011 is X^3 + X + 1.  Addition in both cases is XOR.  All values
-are immutable; operations return new objects.
+int 0b1011 is X^3 + X + 1.  Addition in both cases is XOR of those
+ints.  All values are immutable; operations return new objects.
 """
 
 from __future__ import annotations
@@ -54,16 +54,6 @@ class BitVec:
         # copy and pickle rebuild through __init__, not the blocked __setattr__
         return BitVec, (self.value, self.width)
 
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.width != other.width:
-            raise ValueError("width mismatch")
-        return BitVec(self.value ^ other.value, self.width)
-
-    def __int__(self) -> int:
-        return self.value
-
     def hex(self) -> str:
         return f"0x{self.value:0{(self.width + 3) // 4}x}"
 
@@ -98,13 +88,6 @@ class Gf2Poly:
     @property
     def constant_term(self) -> int:
         return self.bits & 1
-
-    def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
-        if not isinstance(other, Gf2Poly):
-            return NotImplemented
-        return Gf2Poly(self.bits ^ other.bits)
-
-    __sub__ = __add__
 
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
         """Shift-and-XOR, one step per bit of the shorter operand."""

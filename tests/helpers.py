@@ -15,7 +15,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from bbi.engine import (RANK_DEFICIENT, SATURATED, UNIQUE, BlackBoxMap,
-                        RecurrenceSequence)
+                        GrowingWindow)
 from bbi.gf2 import ONE, BitVec, Gf2Poly, gcd, lcm
 from bbi.oracle import orbit_profile
 from bbi.targets.ec import INFINITY, CurveParams, ECPoint
@@ -116,7 +116,7 @@ def per_call_brute_force_invert(F: BlackBoxMap, y: BitVec) -> list[BitVec]:
             if F(x).value == y.value]
 
 
-def per_call_generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
+def per_call_generate(F: BlackBoxMap, y: BitVec, M: int) -> GrowingWindow:
     """The first M terms of the feedback sequence, calling F once per term:
     the budget check, evaluation count and width checks all come from
     BlackBoxMap.__call__."""
@@ -128,10 +128,10 @@ def per_call_generate(F: BlackBoxMap, y: BitVec, M: int) -> RecurrenceSequence:
     for _ in range(M - 1):
         x = F(x)
         terms.append(x.value)
-    return RecurrenceSequence(tuple(terms), y.width)
+    return GrowingWindow(tuple(terms), y.width)
 
 
-def per_coefficient_invert(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
+def per_coefficient_invert(seq: GrowingWindow, mp: Gf2Poly) -> BitVec:
     """The inversion formula read one coefficient a_i of mp at a time:
     terms[m-1] plus terms[i-1] for each i in 1..m-1 with a_i = 1."""
     m = mp.degree
@@ -142,7 +142,7 @@ def per_coefficient_invert(seq: RecurrenceSequence, mp: Gf2Poly) -> BitVec:
     return BitVec(v, seq.width)
 
 
-def verify_sequence(seq: RecurrenceSequence, F: BlackBoxMap) -> bool:
+def verify_sequence(seq: GrowingWindow, F: BlackBoxMap) -> bool:
     """Re-check terms[t+1] == F(terms[t]) with fresh evaluations."""
     return all(F(BitVec(seq.terms[t], seq.width)).value == seq.terms[t + 1]
                for t in range(len(seq.terms) - 1))
@@ -275,7 +275,7 @@ def massey_minpoly(terms, width: int) -> Gf2Poly:
     return Gf2Poly(0b11) if result.degree < 1 else result
 
 
-def minimal_polynomial_lowbit(seq: RecurrenceSequence) -> tuple:
+def minimal_polynomial_lowbit(seq: GrowingWindow) -> tuple:
     """Reference for `minimal_polynomial` and its status: a Hankel scan
     that decides windows itself, with row r of a column at bit r and each
     pivot found as the lowest set bit.  Returns (minpoly, status,

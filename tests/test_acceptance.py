@@ -18,7 +18,7 @@ import pytest
 
 from bbi.embedding import composed_map, invert_embedding, project
 from bbi.engine import (UNIQUE, EvalBudgetExceeded,
-                        RecurrenceSequence, bm_crosscheck, generate,
+                        GrowingWindow, bm_crosscheck, generate,
                         invert_from_minpoly, local_inversion,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
@@ -297,7 +297,7 @@ def test_c6_dlp_exhaustive_orbits():
             # the engine formula agrees with the raw sweep
             for j in rng.sample(range(N), min(5, N)):
                 terms = tuple(cyc[(j + t) % N] for t in range(deg))
-                got = invert_from_minpoly(RecurrenceSequence(terms, w), mp)
+                got = invert_from_minpoly(GrowingWindow(terms, w), mp)
                 assert got.value == cyc[j - 1]
             # full pipeline on a representative of manageable cycles
             if N <= 200:

@@ -157,9 +157,9 @@ def test_invert_and_demos_run_no_scan(monkeypatch):
     scans, unsolved = [], []
     solve, rank = engine.GrowingWindow.solve, engine._hankel_rank
 
-    def counted_rank(seq):
-        scans.append(seq)
-        return rank(seq)
+    def counted_rank(window, M):
+        scans.append(window)
+        return rank(window, M)
 
     def counted_solve(window):
         mp = solve(window)
@@ -266,25 +266,30 @@ def growth_schedule(M0: int, n: int, last: int) -> list[int]:
 
 @pytest.mark.parametrize("name, windows", [("spn-kpa", 1), ("stream", 2)])
 def test_a_demo_builds_one_sequence_per_window_map(name, windows):
-    """The one RecurrenceSequence of each window map a demo grows is the
-    one its generate returns: growing the window and completing its
-    residuals build none."""
+    """The terms of each window map a demo grows are checked once, when
+    its generate builds the window: extend and solve check no term of
+    the whole window, and the only other windows built are the residual
+    windows of a solve's completion."""
     built, generated = [], []
-    post_init, generate = engine.RecurrenceSequence.__post_init__, cli.generate
+    init, generate = engine.GrowingWindow.__init__, cli.generate
 
-    def counted_post_init(seq):
-        built.append(len(generated))
-        post_init(seq)
+    def counted_init(window, terms, width):
+        built.append((sys._getframe(1).f_code.co_name, len(generated), terms))
+        init(window, terms, width)
 
     def counted_generate(*args):
-        generated.append(args)
-        return generate(*args)
+        window = generate(*args)
+        generated.append(window.terms)
+        return window
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine.RecurrenceSequence, "__post_init__", counted_post_init)
+        mp.setattr(engine.GrowingWindow, "__init__", counted_init)
         mp.setattr(cli, "generate", counted_generate)
         assert run_main("demo", name)[0] == 0
-    assert built == list(range(1, windows + 1)) and len(generated) == windows
+    assert len(generated) == windows
+    assert [(k, terms) for caller, k, terms in built
+            if caller == "generate"] == list(enumerate(generated))
+    assert {caller for caller, _, _ in built} <= {"generate", "_complete"}
 
 
 def run_spied(name: str, unsolved: bool = False) -> tuple[int, str, str, list, list]:

@@ -4,7 +4,10 @@ import ast
 import copy
 import pickle
 import random
+import sys
+from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,7 @@ from bbi import engine, gf2
 from bbi.embedding import invert_embedding
 from bbi.engine import (INSUFFICIENT_DATA, RANK_DEFICIENT, SATURATED,
                         SOLUTION, UNIQUE, BlackBoxMap, EvalBudgetExceeded,
-                        GrowingWindow, MinPolyResult, RecurrenceSequence,
-                        bm_crosscheck,
+                        GrowingWindow, MinPolyResult, bm_crosscheck,
                         generate, invert_from_minpoly, local_inversion,
                         minimal_polynomial)
 from bbi.gf2 import BitVec, Gf2Poly, order
@@ -42,15 +44,16 @@ def lfsr5() -> BlackBoxMap:
     return BlackBoxMap(step, 5)
 
 
-def seq_of(values, width) -> RecurrenceSequence:
-    return RecurrenceSequence(tuple(values), width)
+def seq_of(values, width) -> GrowingWindow:
+    return GrowingWindow(tuple(values), width)
 
 
-def window_of(seq: RecurrenceSequence) -> GrowingWindow:
+def window_of(seq: GrowingWindow) -> GrowingWindow:
+    """A fresh window of seq's terms, with no projection read yet."""
     return GrowingWindow(seq.terms, seq.width)
 
 
-def annihilates(p: Gf2Poly, seq: RecurrenceSequence) -> bool:
+def annihilates(p: Gf2Poly, seq: GrowingWindow) -> bool:
     m = p.degree
     for t in range(len(seq.terms) - m):
         acc = 0
@@ -112,13 +115,14 @@ def test_iterate_rejects_negative_k_before_any_evaluation(budget):
 
 def test_sequence_validation():
     with pytest.raises(ValueError, match="^empty sequence$"):
-        RecurrenceSequence((), 3)
-    with pytest.raises(ValueError):
-        RecurrenceSequence((1, 8), 3)  # 8 needs four bits
-    with pytest.raises(ValueError):
-        RecurrenceSequence((1, -1), 3)
-    with pytest.raises(ValueError):
-        RecurrenceSequence((0, 0), 0)
+        GrowingWindow((), 3)
+    with pytest.raises(ValueError, match="^terms do not fit width 3$"):
+        GrowingWindow((1, 8), 3)  # 8 needs four bits
+    with pytest.raises(ValueError, match="^terms do not fit width 3$"):
+        GrowingWindow((1, -1), 3)
+    with pytest.raises(ValueError, match="^terms do not fit width 0$"):
+        GrowingWindow((0, 0), 0)
+    assert GrowingWindow((0, 7), 3).terms == (0, 7)  # both ends of the range
 
 
 def test_packed_layout():
@@ -144,6 +148,27 @@ def test_every_stride_packs_term_by_term(n):
     assert {8, 16, 32, 64} <= engine._TYPECODES.keys()
     rng = random.Random(n)
     terms = [rng.getrandbits(n) for _ in range(37)] + [(1 << n) - 1, 0]
+    assert GrowingWindow(tuple(terms), n).packed == strided(terms, n)
+
+
+class BigEndianArray(array):
+    """An array whose tobytes gives each item's bytes most significant
+    first, as an array gives them on a big-endian host."""
+
+    def tobytes(self):
+        swapped = array(self.typecode, self)
+        swapped.byteswap()
+        return array.tobytes(swapped)
+
+
+@pytest.mark.parametrize("n", [1, 9, 17, 33, 64])
+def test_array_route_packs_term_0_lowest_on_a_big_endian_host(monkeypatch, n):
+    """With the host's byte order and its arrays' item bytes both
+    big-endian, the array route still puts term 0 at bit 0."""
+    monkeypatch.setattr(engine, "array", BigEndianArray)
+    monkeypatch.setattr(engine, "sys", SimpleNamespace(byteorder="big"))
+    rng = random.Random(n)
+    terms = [rng.getrandbits(n) for _ in range(9)] + [(1 << n) - 1, 0, 1]
     assert GrowingWindow(tuple(terms), n).packed == strided(terms, n)
 
 
@@ -174,15 +199,16 @@ def test_extend_packs_only_the_terms_it_adds(monkeypatch):
         expected = minimal_polynomial(seq_of(terms, n)).minpoly
         packs.clear()
         assert grown.solve() == expected
+        res = minimal_polynomial(grown)
+        assert res.minpoly == expected and res.status
         assert tuple(terms) not in packs  # the grown window was not packed again
 
 
-def test_a_sequence_keeps_only_its_two_fields():
-    """A RecurrenceSequence is its terms and width alone: deciding it,
-    reading its status (the Hankel rank, when it has no minimal
-    polynomial) and growing a window from its terms leave no other entry
-    on it, and the grown window holds plain solver state, no sequence."""
-    fields = {"terms", "width"}
+def test_a_window_keeps_only_its_solver_state():
+    """A window holds plain solver state alone: deciding it, reading its
+    status (the Hankel rank, when it has no minimal polynomial), growing
+    it and deciding it again leave no other entry on it."""
+    fields = {"terms", "width", "stride", "packed", "_read"}
     solved = seq_of([8, 2, 8, 2, 8, 2], 4)
     unsolved = generate(lfsr5(), BitVec(1, 5), 3)
     for s, status in ((solved, UNIQUE), (unsolved, SATURATED)):
@@ -190,12 +216,9 @@ def test_a_sequence_keeps_only_its_two_fields():
         assert vars(s).keys() == fields
         assert res.status == status  # the unsolved read measures the rank
         assert vars(s).keys() == fields
-    grown = window_of(solved)
-    grown.solve()
-    grown.extend([8, 2, 8])
-    assert grown.solve() == Gf2Poly(0b101)  # X^2 + 1
+    solved.extend([8, 2, 8])
+    assert solved.solve() == Gf2Poly(0b101)  # X^2 + 1
     assert vars(solved).keys() == fields
-    assert vars(grown).keys() == {"terms", "width", "stride", "packed", "_read"}
 
 
 @st.composite
@@ -723,7 +746,7 @@ def measured(res: MinPolyResult) -> tuple:
     return res.minpoly, res.status
 
 
-def reference(seq: RecurrenceSequence) -> tuple:
+def reference(seq: GrowingWindow) -> tuple:
     """(minpoly, status) of the window by `minimal_polynomial_lowbit`."""
     return minimal_polynomial_lowbit(seq)[:2]
 
@@ -922,15 +945,22 @@ def decisions(monkeypatch):
 
 
 def test_a_solve_builds_no_sequence(monkeypatch, decisions):
-    """minimal_polynomial decides its caller's window without building a
-    RecurrenceSequence, the residual windows of its completion included."""
+    """minimal_polynomial decides its caller's window itself: it builds
+    no second window of the sequence, so it checks none of its terms
+    again.  The only windows it builds are the residual windows of its
+    completion, in _complete."""
     s = hidden_cycle_window(16, 100, seed=0)
-    built = []
-    monkeypatch.setattr(RecurrenceSequence, "__post_init__",
-                        lambda seq: built.append(seq))
-    assert minimal_polynomial(s).minpoly == massey_minpoly(s.terms, 16)
+    built, init = [], GrowingWindow.__init__
+
+    def counted_init(window, terms, width):
+        built.append(sys._getframe(1).f_code.co_name)
+        init(window, terms, width)
+
+    monkeypatch.setattr(GrowingWindow, "__init__", counted_init)
+    res = minimal_polynomial(s)
+    assert res.minpoly == massey_minpoly(s.terms, 16) and res.window is s
     assert False in decisions  # a residual window was decided
-    assert built == []
+    assert built and set(built) == {"_complete"}
 
 
 @pytest.mark.parametrize("n, N, seed", [(16, 100, 0), (64, 129, 1)])
@@ -1087,15 +1117,15 @@ def scans(monkeypatch):
     calls = []
     rank = engine._hankel_rank
 
-    def counting(seq):
-        calls.append(seq)
-        return rank(seq)
+    def counting(window, M):
+        calls.append(window)
+        return rank(window, M)
 
     monkeypatch.setattr(engine, "_hankel_rank", counting)
     return calls
 
 
-def hidden_cycle_window(n: int, N: int, seed: int) -> RecurrenceSequence:
+def hidden_cycle_window(n: int, N: int, seed: int) -> GrowingWindow:
     """M = 2N + 2 terms of a map with one hidden cycle of N distinct
     values and every other point fixed."""
     rng = random.Random(seed)
@@ -1196,6 +1226,28 @@ def test_status_matches_lowbit_scan_on_structured_windows():
     assert seen == {UNIQUE, SATURATED, RANK_DEFICIENT}
 
 
+def test_status_reads_the_window_as_it_was_decided():
+    """A window grown after minimal_polynomial decided it keeps the
+    status of the terms decided: status reads the rank of that prefix,
+    not of the grown window, and a later decision reads the grown one."""
+    window = seq_of([1, 1, 1, 2], 2)
+    res = minimal_polynomial(window)
+    window.extend([0, 0])
+    assert reference(window)[1] == SATURATED  # the grown window's status
+    assert res.status == RANK_DEFICIENT == reference(seq_of([1, 1, 1, 2], 2))[1]
+    assert minimal_polynomial(window).status == SATURATED
+    rng = random.Random(29)
+    for k in range(200):
+        n, M = rng.randint(1, 16), rng.randint(2, 80)
+        kind = ("random", "cycle", "recurrence", "late-jump")[k % 4]
+        terms = structured_terms(kind, n, M + rng.randint(1, 40),
+                                 rng.randint(1, 20), rng)
+        window = seq_of(terms[:M], n)
+        res = minimal_polynomial(window)
+        window.extend(terms[M:])
+        assert measured(res) == reference(seq_of(terms[:M], n)), (k, kind, n, M)
+
+
 def test_saturated_window_is_decided_without_a_scan(scans):
     # a random permutation of GF(2)^16 whose cycle through 1 has 44,692
     # points: no annihilator of degree <= M/2 fits M = 4096 of them.  The
@@ -1235,4 +1287,4 @@ def test_status_is_measured_once_on_first_read(scans):
     for clone in (copy.copy(unread), copy.deepcopy(unread),
                   pickle.loads(pickle.dumps(unread))):
         assert clone.status == clone.status == RANK_DEFICIENT
-    assert scans == [s] * 3
+    assert [window.terms for window in scans] == [s.terms] * 3  # deep copies

@@ -77,17 +77,17 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
 # compared by their output.
 ENGINE_DIFFERENTIAL = r"""
 import random
-from bbi.engine import RecurrenceSequence, invert_from_minpoly, minimal_polynomial
+from bbi.engine import GrowingWindow, invert_from_minpoly, minimal_polynomial
 from helpers import structured_terms
 rng = random.Random(2024)
 for k in range(3000):
     n, M, p = rng.randint(1, 64), rng.randint(2, 300), rng.randint(1, 40)
     kind = ("random", "cycle", "recurrence", "late-jump")[k % 4]
-    seq = RecurrenceSequence(tuple(structured_terms(kind, n, M, p, rng)), n)
-    res = minimal_polynomial(seq)
+    window = GrowingWindow(tuple(structured_terms(kind, n, M, p, rng)), n)
+    res = minimal_polynomial(window)
     mp, x = res.minpoly, None
     if mp is not None and mp.constant_term:
-        x = invert_from_minpoly(seq, mp).value
+        x = invert_from_minpoly(window, mp).value
     print(None if mp is None else mp.bits, res.status, x)
 """
 
