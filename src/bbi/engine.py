@@ -15,18 +15,17 @@ The minimal polynomial comes from projected Berlekamp-Massey alone.  The
 window is projected onto a fixed schedule of vectors u that spans
 GF(2)^n (Wiedemann, IEEE Trans. IT 32(1), 1986); Berlekamp-Massey
 (Massey, IEEE Trans. IT 15(1), 1969) gives the minimal polynomial m_u of
-each scalar sequence <u, y(t)>.  The first m_u other than 1 is returned
-when it annihilates the whole window, and a degree past M/2 proves that
-no annihilator of degree <= M/2 exists.  Otherwise the factor it lacks
-comes from the residual, the sum of y(t + i) over the terms X^i of m_u,
-whose prefixes of 2, 4, 8, .. terms the rest of the schedule decides;
-each new answer Q is tried as m_u Q on the whole window.  A product that
-passes is the least annihilator, and a None is a proof (see
-GrowingWindow).  When residual windows as long as deg m_u leave it
-undecided, the next projection is read and joined by lcm, and the lcm is
-completed in turn.  The annihilation check rejects on the first window
-not known to hold first, which is sound because only the check of every
-window can accept.
+each scalar sequence <u, y(t)>.  Only the first m_u other than 1 is
+read from the whole window.  It is returned when it annihilates the
+window, and a degree past M/2 proves that no annihilator of degree
+<= M/2 exists.  Otherwise the factor it lacks comes from the residual,
+the sum of y(t + i) over the terms X^i of m_u, whose prefixes of 2, 4,
+8, .. terms, up to 2 (floor(M/2) - deg m_u), the rest of the schedule
+decides; each new answer Q is tried as m_u Q on the whole window.  A
+product that passes is the least annihilator, and a None is a proof
+(see GrowingWindow).  The annihilation check rejects on the first
+window not known to hold first, which is sound because only the check
+of every window can accept.
 
 The Hankel rank is evidence only: on a window without a minimal
 polynomial, status reads rank H(M/2), `saturated` when it is full and
@@ -335,19 +334,21 @@ class GrowingWindow:
       k + deg Q >= L_u + deg Q terms, so each m_u, and the lcm, would
       divide Q.  So it is the one solution of the stacked Hankel system
       H(k) a = h(k+1).
-    The lcm loop decides each window it runs on: each m_u annihilates
-    <u, y(t)> on the window, and so does any multiple of degree <= M/2,
-    so once the vectors of the spanning schedule are in, an lcm still at
-    or below M/2 annihilates every coordinate.  It reads the next vector
-    only when the lcm failed that check.
+    The lcm loop decides each residual window it runs on: each m_u
+    annihilates <u, y(t)> on the window, and so does any multiple of
+    degree <= M/2, so once the vectors of the spanning schedule are in,
+    an lcm still at or below M/2 annihilates every coordinate.  It reads
+    the next vector only when the lcm failed that check.
 
-    A solve completes each lcm mp that fails the window from its
-    residual before it reads the next projection.  mp divides the least
-    annihilator A* if there is one, so A* = mp Q* with Q* other than 1
-    and of degree at most room = floor(M/2) - deg mp.  Q* annihilates
-    the residual r(t) = sum of y(t + i) over the terms X^i of mp on all
-    its M - deg mp terms, and the projections read for mp vanish on r,
-    so the rest of the schedule spans what r holds.  The loop decides the first
+    A solve reads the whole window's projections only up to the first,
+    mp = m_u, that is not zero on it; the schedule spans, so one is
+    unless the window is zero.  When mp fails the window, the solve
+    completes it from its residual.  mp divides the least annihilator
+    A* if there is one, so A* = mp Q* with Q* other than 1 and of degree
+    at most room = floor(M/2) - deg mp.  Q* annihilates the residual
+    r(t) = sum of y(t + i) over the terms X^i of mp on all its M - deg mp
+    terms, and the projections read for mp vanish on r, so the rest of
+    the schedule spans what r holds.  The lcm loop decides the first
     K = 2, 4, 8, .. terms of r, up to 2 room, and each new answer Q, the
     least annihilator of the prefix or X+1 for a zero one, is tried as
     mp Q on the whole window.  Let `held` count the leading windows of y
@@ -364,13 +365,9 @@ class GrowingWindow:
     - At K = 2 room there is no A* either: a prefix with no annihilator
       of degree <= room has no Q*, and a Q of it has degree <= room, so
       its product holds at least 2 room - deg Q >= room windows.
-    Residual windows stop growing once K reaches deg mp, and the solve
-    reads the next projection instead.  A missing factor of small
-    degree turns up long before, while a residual that is noise would
-    take 2 room terms to prove anything, where one more projection of
-    the whole window usually shows 2 L_u > M at once.  So a window whose
-    first projection misses only a small factor is decided by that one
-    projection of the whole window.
+    So the residual always ends in a decision.  A missing factor of
+    small degree turns up in a short prefix; a residual that is noise
+    takes all 2 room terms to prove None.
 
     Each projection a solve reads keeps its bits <u, y(t)> and its
     Berlekamp-Massey state, so after `extend` a solve pays only the
@@ -407,18 +404,25 @@ class GrowingWindow:
         self.terms += new
 
     def solve(self) -> Gf2Poly | None:
-        if len(self.terms) < 2:
+        M = len(self.terms)
+        if M < 2:
             raise ValueError("need at least 2 terms")
-        return self._decide(_projections(self.width), True)
+        if not self.packed:
+            return Gf2Poly(0b11)
+        schedule = _projections(self.width)
+        for i, u in enumerate(schedule):  # one is not zero: they span
+            mp = self._project(i, u)
+            if mp != ONE:
+                break
+        if 2 * mp.degree > M:
+            return None
+        return self._complete(mp, schedule[i + 1:], self._annihilated(mp.bits))
 
-    def _decide(self, schedule: tuple[int, ...],
-                complete: bool) -> Gf2Poly | None:
-        """The least annihilator of degree <= M/2 of the window, or None,
-        from its projections onto `schedule`, read in order; every vector
-        of the full schedule before `schedule` vanishes on the window.
-        An lcm that fails the window leads to the next projection, joined
-        by lcm; with `complete`, only when its residual leaves it
-        undecided."""
+    def _decide(self, schedule: tuple[int, ...]) -> Gf2Poly | None:
+        """The least annihilator of degree <= M/2 of a residual window,
+        or None, from its projections onto `schedule`, read in order and
+        joined by lcm until the lcm annihilates the window; every vector
+        of the full schedule before `schedule` vanishes on the window."""
         M = len(self.terms)
         if not self.packed:
             return Gf2Poly(0b11)
@@ -431,44 +435,38 @@ class GrowingWindow:
                 mp = _lcm_within(found, mp, M)
                 if mp is None:
                     return None
-            if mp != found:
-                held = self._annihilated(mp.bits)
-                if held == M - mp.degree:
-                    return mp
-                if complete:
-                    decided, p = self._complete(mp, schedule[i + 1:], held)
-                    if decided:
-                        return p
+            if mp != found and self._annihilated(mp.bits) == M - mp.degree:
+                return mp
             found = mp
         return None
 
     def _complete(self, mp: Gf2Poly, schedule: tuple[int, ...],
-                  held: int) -> tuple[bool, Gf2Poly | None]:
-        """(True, mp Q), Q the least annihilator of the residual of mp,
-        (True, None) when there is none, or (False, None) when residual
-        windows as long as deg mp leave it undecided (see GrowingWindow).
-        mp fails the window after annihilating its first `held` windows,
-        and `schedule` is what follows the projections read for mp."""
+                  held: int) -> Gf2Poly | None:
+        """mp Q, for Q the least annihilator of the residual of mp (mp
+        itself when it annihilates the window), or None when there is
+        none (see GrowingWindow).  mp annihilates the first `held`
+        windows, and `schedule` is what follows the projections read for
+        mp."""
         terms = self.terms
         M = len(terms)
+        if held == M - mp.degree:
+            return mp
         room = M // 2 - mp.degree
         if held >= room:
-            return True, None
+            return None
         selectors = _selectors(mp.bits)
         residual = GrowingWindow(_residual(terms, selectors, 0, 2), self.width)
         last = None
         while True:
             K = len(residual.terms)
-            q = residual._decide(schedule, False)
+            q = residual._decide(schedule)
             if q is not None and q != last:
                 last, p = q, mp * q
                 held = self._annihilated(p.bits, K - q.degree)
                 if held == M - p.degree:
-                    return True, p
+                    return p
             if held >= room or K == 2 * room:
-                return True, None
-            if K >= mp.degree:
-                return False, None
+                return None
             residual.extend(_residual(terms, selectors, K, min(2 * K, 2 * room)))
 
     def _project(self, i: int, u: int) -> Gf2Poly:

@@ -15,7 +15,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from bbi.engine import (RANK_DEFICIENT, SATURATED, UNIQUE, BlackBoxMap,
-                        GrowingWindow)
+                        GrowingWindow, _projections)
 from bbi.gf2 import ONE, BitVec, Gf2Poly, gcd, lcm
 from bbi.oracle import orbit_profile
 from bbi.targets.ec import INFINITY, CurveParams, ECPoint
@@ -348,8 +348,13 @@ def minimal_polynomial_lowbit(seq: GrowingWindow) -> tuple:
 def structured_terms(kind: str, n: int, M: int, p: int, rng) -> list[int]:
     """M terms of width n drawn from rng: "random" ones, a "cycle" of p
     random values, the orbit of a random "recurrence" of order p on
-    random vectors, or a "late-jump": the cycle with one bit flipped in
-    its last 100 terms, so that L jumps late, to about the flip."""
+    random vectors, a "late-jump": the cycle with one bit flipped in its
+    last 100 terms, so that L jumps late, to about the flip, or "noise":
+    the cycle plus random bits along one vector v != 0 orthogonal to the
+    engine's first projection u_0, so that u_0 sees only the cycle and
+    the noise is left to its residual.  u_0 has its lowest set bit at 0,
+    which v's bit 0 sets orthogonal; at width 1 no such v exists, and v
+    is 0."""
     if kind == "random":
         return [rng.getrandbits(n) for _ in range(M)]
     terms = [rng.getrandbits(n) for _ in range(p)]
@@ -363,6 +368,10 @@ def structured_terms(kind: str, n: int, M: int, p: int, rng) -> list[int]:
     terms = terms[:M]
     if kind == "late-jump":
         terms[rng.randint(max(0, M - 100), M - 1)] ^= 1 << rng.randrange(n)
+    if kind == "noise":
+        high = rng.randrange(1, 1 << (n - 1)) << 1 if n > 1 else 0
+        v = high | ((_projections(n)[0] & high).bit_count() & 1)
+        terms = [t ^ v if rng.getrandbits(1) else t for t in terms]
     return terms
 
 

@@ -931,14 +931,14 @@ def test_growing_window_leaves_a_projection_it_no_longer_needs():
 
 @pytest.fixture
 def decisions(monkeypatch):
-    """Route GrowingWindow._decide, the whole window's decision and each
-    residual window's, through a call counter."""
+    """Route GrowingWindow._decide, each residual window's decision,
+    through a counter of the residual lengths K it decides."""
     calls = []
     decide = GrowingWindow._decide
 
-    def counting(self, schedule, complete):
-        calls.append(complete)
-        return decide(self, schedule, complete)
+    def counting(self, schedule):
+        calls.append(len(self.terms))
+        return decide(self, schedule)
 
     monkeypatch.setattr(GrowingWindow, "_decide", counting)
     return calls
@@ -959,7 +959,7 @@ def test_a_solve_builds_no_sequence(monkeypatch, decisions):
     monkeypatch.setattr(GrowingWindow, "__init__", counted_init)
     res = minimal_polynomial(s)
     assert res.minpoly == massey_minpoly(s.terms, 16) and res.window is s
-    assert False in decisions  # a residual window was decided
+    assert decisions  # a residual window was decided
     assert built and set(built) == {"_complete"}
 
 
@@ -990,7 +990,7 @@ def test_a_first_projection_at_half_the_window_that_fails_proves_none(
     assert window_of(s)._annihilated(first.bits) < 6 - 3
     grown = window_of(s)
     assert grown.solve() is None
-    assert len(grown._read) == 1 and decisions == [True]
+    assert len(grown._read) == 1 and decisions == []
     assert 2 * massey_minpoly(s.terms, 4).degree > 6
     assert measured(minimal_polynomial(s)) == reference(s)
 
@@ -1003,38 +1003,53 @@ def test_a_first_projection_at_half_the_window_that_fails_proves_none(
     # the residual at K = 2 room: a Q whose product fails, and none
     (3, [3, 4, 3, 5, 1, 6, 2, 5], 58, 22, 0, 1, True),
     (3, [7, 0, 1, 1, 3, 4, 5], 65, 35, 0, 1, True),
-    # residual windows as long as deg mp leave it undecided: projection 1
-    # of the window, then its lcm's residual, whose first windows hold
-    # past room
-    (8, [92, 1, 248, 193, 125, 19], 240, 141, 7, 2, True),
+    # a residual that grows past K = deg mp = 2: at K = 8 a Q's product
+    # holds past room
+    (8, [92, 1, 248, 193, 125, 19], 240, 141, 7, 1, True),
 ], ids=["held-at-start", "held-by-a-product", "product-at-2room",
-        "none-at-2room", "undecided-then-projection-1"])
+        "none-at-2room", "held-by-a-product-past-deg-mp"])
 def test_late_jump_windows_are_proved_unsolvable(
         decisions, n, cycle, M, flip, bit, reads, residuals):
     """A cycle with one bit flipped at `flip`, which projection 0 does not
     see: its polynomial fails the window, and each way the residual can
-    end proves that no annihilator of degree <= M/2 exists, or hands the
-    window to the next projection."""
+    end proves that no annihilator of degree <= M/2 exists."""
     terms = [cycle[t % len(cycle)] for t in range(M)]
     terms[flip] ^= 1 << bit
     s = seq_of(terms, n)
     grown = window_of(s)
     assert grown.solve() is None
     assert len(grown._read) == reads
-    assert (len(decisions) > 1) == residuals
+    assert bool(decisions) == residuals
     assert 2 * massey_minpoly(terms, n).degree > M
     assert measured(minimal_polynomial(s)) == reference(s)
+
+
+@pytest.mark.parametrize("kind", ["late-jump", "noise"])
+def test_a_solve_reads_the_window_only_up_to_its_first_projection_not_zero(
+        kind):
+    """The whole window's projections are read only up to the first one
+    that is not zero on it (L > 0); its residual decides the rest, a None
+    included.  So every projection read before the last has L = 0."""
+    rng = random.Random(30)
+    for _ in range(150):
+        n, M, p = rng.randint(2, 16), rng.randint(2, 300), rng.randint(1, 12)
+        s = seq_of(structured_terms(kind, n, M, p, rng), n)
+        grown = window_of(s)
+        assert grown.solve() == reference(s)[0]
+        assert [read[4] > 0 for read in grown._read] == (
+            [False] * (len(grown._read) - 1) + [True])
 
 
 @st.composite
 def structured_windows(draw):
     """A window of width 1..64 and 2..600 terms: a cycle of up to 40
     random values, the orbit of a random recurrence of order up to 40 on
-    random vectors, or a late jump (see structured_terms).  M and the
-    order come from the seeded rng, evenly spread, as hypothesis would
-    draw mostly short windows."""
+    random vectors, a late jump, or a cycle with noise that projection 0
+    does not see (see structured_terms).  M and the order come from the
+    seeded rng, evenly spread, as hypothesis would draw mostly short
+    windows."""
     n = draw(st.integers(1, 64))
-    kind = draw(st.sampled_from(["cycle", "recurrence", "late-jump"]))
+    kind = draw(st.sampled_from(["cycle", "recurrence", "late-jump", "noise"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     M, p = rng.randint(2, 600), rng.randint(1, 40)
     return seq_of(structured_terms(kind, n, M, p, rng), n)

@@ -15,18 +15,23 @@ engine.py the engine's tests and the oracle, target and embedding tests,
 which drive `BlackBoxMap`; for oracle.py the oracle's tests.  A mutant
 that passes every test survives; one that fails a test, or runs past its
 time limit, is killed.  Each unmutated module goes through the same
-unparse first and must pass, or the sweep stops.  Its tests' run time
-and its differential's set the limits of its mutants: twice the
-unmutated run, and at least FLOOR seconds.
+unparse first and must pass, or the sweep stops.  Its tests run three
+times, as one run can be slow on a busy machine; the slowest run and
+the unmutated differential's set the limits of its mutants: twice
+those times, and at least FLOOR seconds.
 
 Each survivor is then run on its module's differential.  An engine
-mutant decides a fixed set of windows (random, cycle, recurrence and
-late-jump, from the tests' `structured_terms`, widths 1..64, up to 300
-terms) with `minimal_polynomial`, reads each result's `status` and
-inverts each solved window with `invert_from_minpoly`.  An oracle
-mutant walks a fixed set of random table maps (widths 1..10, half of
-them with a drawn tail and cycle through the seed) with `orbit_profile`
-and `cycle_walk`, and reports each walk's answer and evaluation count.
+mutant decides a fixed set of windows (random, cycle, recurrence,
+late-jump and noise, from the tests' `structured_terms`, widths 1..64,
+up to 300 terms) with `minimal_polynomial`, reads each result's
+`status` and inverts each solved window with `invert_from_minpoly`.
+The windows are drawn once, by the unmutated module, and every run
+reads them on stdin: a noise window's vector is drawn orthogonal to the
+engine's first projection, which a mutant of the schedule would move.
+An oracle mutant walks a fixed set of random table maps (widths 1..10,
+half of them with a drawn tail and cycle through the seed) with
+`orbit_profile` and `cycle_walk`, and reports each walk's answer and
+evaluation count.
 `same` means that every line equals the unmutated module's, so the
 mutant changes no output there; `DIFFERS` marks a test gap.
 
@@ -72,18 +77,27 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
           ast.Eq: "==", ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not",
           ast.In: "in", ast.NotIn: "not in", ast.And: "and", ast.Or: "or"}
 
-# Decides every window with minimal_polynomial, reads its status and
-# inverts each solved one; prints the answers, so two modules can be
-# compared by their output.
-ENGINE_DIFFERENTIAL = r"""
+# Draws the engine differential's windows, one per line: the width,
+# then the terms.
+ENGINE_WINDOWS = r"""
 import random
-from bbi.engine import GrowingWindow, invert_from_minpoly, minimal_polynomial
 from helpers import structured_terms
 rng = random.Random(2024)
 for k in range(3000):
     n, M, p = rng.randint(1, 64), rng.randint(2, 300), rng.randint(1, 40)
-    kind = ("random", "cycle", "recurrence", "late-jump")[k % 4]
-    window = GrowingWindow(tuple(structured_terms(kind, n, M, p, rng)), n)
+    kind = ("random", "cycle", "recurrence", "late-jump", "noise")[k % 5]
+    print(n, *structured_terms(kind, n, M, p, rng))
+"""
+
+# Decides every window on stdin with minimal_polynomial, reads its status
+# and inverts each solved one; prints the answers, so two modules can be
+# compared by their output.
+ENGINE_DIFFERENTIAL = r"""
+import sys
+from bbi.engine import GrowingWindow, invert_from_minpoly, minimal_polynomial
+for line in sys.stdin:
+    n, *terms = map(int, line.split())
+    window = GrowingWindow(tuple(terms), n)
     res = minimal_polynomial(window)
     mp, x = res.minpoly, None
     if mp is not None and mp.constant_term:
@@ -119,13 +133,15 @@ for k in range(3000):
           *cycle_walk(G, BitVec(start, width)), G.evals)
 """
 
-# (module, the tests its mutants run, its differential), in numbering order
+# (module, the tests its mutants run, its differential, the script that
+# draws the differential's stdin or None), in numbering order
 MODULES = (
     (Path("src/bbi/engine.py"),
      ("tests/test_engine.py", "tests/test_oracle.py", "tests/test_targets.py",
       "tests/test_embedding.py"),
-     ENGINE_DIFFERENTIAL),
-    (Path("src/bbi/oracle.py"), ("tests/test_oracle.py",), ORACLE_DIFFERENTIAL),
+     ENGINE_DIFFERENTIAL, ENGINE_WINDOWS),
+    (Path("src/bbi/oracle.py"), ("tests/test_oracle.py",), ORACLE_DIFFERENTIAL,
+     None),
 )
 
 
@@ -192,17 +208,18 @@ def copy_tree(dest: Path, module: Path, module_text: str) -> None:
 
 
 def run(module: Path, module_text: str, command: list[str],
-        timeout: float | None = None) -> tuple[str, str]:
+        timeout: float | None = None,
+        stdin: str | None = None) -> tuple[str, str]:
     """('pass' | 'fail' | 'timeout', stdout) of command in a copy of the
     repository whose module is module_text, with src and tests on the
-    path, stopped after `timeout` seconds."""
+    path, fed `stdin` and stopped after `timeout` seconds."""
     with tempfile.TemporaryDirectory(prefix="bbi-mutant-") as tmp:
         copy_tree(Path(tmp), module, module_text)
         path = os.pathsep.join(str(Path(tmp) / part) for part in ("src", "tests"))
         env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
         try:
             done = subprocess.run(command, cwd=tmp, env=env, timeout=timeout,
-                                  capture_output=True, text=True)
+                                  input=stdin, capture_output=True, text=True)
         except subprocess.TimeoutExpired:
             return "timeout", ""
         return ("pass" if done.returncode == 0 else "fail"), done.stdout
@@ -216,38 +233,45 @@ def pytest_command(tests: tuple[str, ...]) -> list[str]:
 def main(argv: list[str]) -> int:
     mutants = []  # (module index, node index, operator index, new, description)
     sources = []
-    for m, (module, _, _) in enumerate(MODULES):
+    for m, (module, *_) in enumerate(MODULES):
         sources.append((ROOT / module).read_text())
         mutants += [(m, *site) for site in sites(ast.parse(sources[m]))]
     chosen = [int(a) for a in argv] or range(len(mutants))
     listed = listed_keys()
 
-    references, limits = {}, {}  # per module: differential output; time limits
+    # per module: the differential's stdin and output; time limits
+    inputs, references, limits = {}, {}, {}
     for m in sorted({mutants[number][0] for number in chosen}):
-        module, tests, differential = MODULES[m]
+        module, tests, differential, draw = MODULES[m]
         control = ast.unparse(ast.parse(sources[m]))
+        slowest = 0.0
+        for _ in range(3):
+            start = time.perf_counter()
+            if run(module, control, pytest_command(tests))[0] != "pass":
+                print(f"the unmutated {module} fails its tests after "
+                      "unparsing; no mutant was run", file=sys.stderr)
+                return 0
+            slowest = max(slowest, time.perf_counter() - start)
+        if draw:
+            inputs[m] = run(module, control, [sys.executable, "-c", draw])[1]
         start = time.perf_counter()
-        if run(module, control, pytest_command(tests))[0] != "pass":
-            print(f"the unmutated {module} fails its tests after unparsing; "
-                  "no mutant was run", file=sys.stderr)
-            return 0
-        middle = time.perf_counter()
-        references[m] = run(module, control, [sys.executable, "-c", differential])[1]
-        limits[m] = (max(FLOOR, 2 * (middle - start)),
-                     max(FLOOR, 2 * (time.perf_counter() - middle)))
+        references[m] = run(module, control, [sys.executable, "-c", differential],
+                            stdin=inputs.get(m))[1]
+        limits[m] = (max(FLOOR, 2 * slowest),
+                     max(FLOOR, 2 * (time.perf_counter() - start)))
         print(f"{module}: time limits {limits[m][0]:.0f} s (tests), "
               f"{limits[m][1]:.0f} s (differential)", file=sys.stderr)
 
     def one(number: int) -> str | None:
         m, *site, description = mutants[number]
-        module, tests, differential = MODULES[m]
+        module, tests, differential, _ = MODULES[m]
         text, node = mutate(sources[m], *site)
         verdict = run(module, text, pytest_command(tests), limits[m][0])[0]
         print(f"mutant {number}: {verdict}", file=sys.stderr, flush=True)
         if verdict != "pass":
             return None
         status, out = run(module, text, [sys.executable, "-c", differential],
-                          limits[m][1])
+                          limits[m][1], inputs.get(m))
         same = "same" if status == "pass" and out == references[m] else "DIFFERS"
         name = key(module, sources[m], node, description)
         new = "" if name in listed else "  NEW"
