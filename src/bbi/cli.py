@@ -2,9 +2,11 @@
 seeds for linear complexity, run the end-to-end demos, and query the
 brute-force oracle.  The demos invert from forward evaluations alone:
 no oracle tells them a period, so each square map (an embedding's every
-output window) grows one window, by max(n, ceil(M/16)) terms at a time,
-until a solve verifies.  --max-evals bounds each map, and a demo uses
-one, so it bounds the whole demo.
+output window) is inverted by local_inversion(..., grow=True), which
+grows its window until a solve verifies or proves that no window length
+would.  `invert` and `survey` solve the one window of --M terms.
+--max-evals bounds each map, and a demo uses one, so it bounds the
+whole demo.
 
 Exit codes: 0 verified success, 1 usage or config error, 2 insufficient
 data (no verified solution, or an evaluation budget ran dry).  The
@@ -27,7 +29,7 @@ from functools import cache
 
 from .embedding import invert_embedding
 from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
-                     generate, invert_window, local_inversion)
+                     local_inversion)
 from .gf2 import BitVec
 from .oracle import brute_force_invert, cycle_walk, orbit_profile
 from .targets import TargetInstance, _as_int, load_target
@@ -88,24 +90,16 @@ def _report_doc(report: InversionReport) -> dict:
     }
 
 
-def _invert(F: BlackBoxMap, y: BitVec, M: int | None,
-            invert) -> tuple[InversionReport, int | None]:
-    """(report, window) of F at y: an embedding scans its output windows,
-    each inverted by invert(window map, y's window, M); a square map is
-    inverted whole, with window None."""
-    if F.out_width > F.in_width:
-        return invert_embedding(F, y, M, invert)
-    return invert(F, y, M), None
-
-
 def cmd_invert(args) -> int:
     target = load_target(args.target)
     F = _budget_map(target, args.max_evals)
     y = _parse_bits(args.y, F.out_width)
-    report, window = _invert(F, y, args.M, local_inversion)
-    doc = {"target": F.label, **_report_doc(report)}
     if F.out_width > F.in_width:  # an embedding names its window, null if none won
-        doc["window"] = window
+        report, window, _ = invert_embedding(F, y, args.M)
+        doc = {"target": F.label, **_report_doc(report), "window": window}
+    else:
+        report = local_inversion(F, y, args.M)
+        doc = {"target": F.label, **_report_doc(report)}
     print(json.dumps(doc, indent=2))
     return 0 if report.solved else 2
 
@@ -171,31 +165,6 @@ def cmd_survey(args) -> int:
 
 def _key_note(x: int, key: int) -> str:
     return "the secret key itself" if x == key else "a key-equivalent preimage"
-
-
-def _grow_window(F: BlackBoxMap, y: BitVec, M: int | None) -> InversionReport:
-    """Invert y on the square map F from forward evaluations alone, in
-    one window that grows: solve at M terms (None: the library default
-    4n, n the input width), then extend the window by max(n, ceil(M/16))
-    further terms and solve again, until a solve verifies or the window
-    has passed 2^(n+1) + 2 terms, which no orbit needs, as
-    LC <= period <= 2^n.  Each window term is evaluated once, and each
-    solve resumes the last one's Berlekamp-Massey state.  Returns the
-    last solve's report.  A minimal polynomial with a zero constant term
-    ends the growth unsolved: the orbit of y is not purely periodic, so
-    it has no inverse there."""
-    n, before = F.in_width, F.evals
-    grown = generate(F, y, M)
-    while True:
-        report = invert_window(F, y, grown, grown.solve(), before)
-        M, mp = len(grown.terms), report.minpoly
-        if mp is not None and mp.constant_term == 0:  # never on a solved report
-            print(f"  {F.label} at {y.hex()}: the M = {M} minimal polynomial has "
-                  f"zero constant term; not purely periodic, no inverse on its orbit")
-            return report
-        if report.solved or M > (1 << (n + 1)) + 2:
-            return report
-        grown.extend(F.iterate(BitVec(grown.terms[-1], n), max(n, -(-M // 16)))[1:])
 
 
 # Each demo prints its header and returns (y, verify).  verify(report,
@@ -328,13 +297,27 @@ DEMOS = {  # demo name -> (shipped target, demo)
 
 
 def cmd_demo(args) -> int:
-    """One inversion on one budgeted map, each window grown; the demo's
-    check judges a verified x."""
+    """One inversion on one budgeted map, each square map grown; a line
+    per square map whose minimal polynomial had a zero constant term, in
+    scan order; the demo's check judges a verified x."""
     name, demo = DEMOS[args.name]
     target = load_target(name)
     y, verify = demo(target, args)
-    report, window = _invert(_budget_map(target, args.max_evals), y, None,
-                             _grow_window)
+    F = _budget_map(target, args.max_evals)
+    n = F.in_width
+    if F.out_width > n:
+        report, window, passed = invert_embedding(F, y, grow=True)
+        # window i is bits i-1 .. i+n-2 of the output, as invert_embedding scans it
+        tried = [(f"{F.label}[window {i}]", BitVec(y.value >> (i - 1) & (1 << n) - 1, n), r)
+                 for i, r in enumerate(passed, 1)]
+    else:
+        report, window = local_inversion(F, y, grow=True), None
+        tried = [(F.label, y, report)]
+    for label, seed, r in tried:
+        if r.minpoly is not None and r.minpoly.constant_term == 0:
+            print(f"  {label} at {seed.hex()}: the M = {r.terms_consumed} minimal "
+                  f"polynomial has zero constant term; not purely periodic, no "
+                  f"inverse on its orbit")
     if report.solved:
         return 0 if verify(report, window) else 2
     print("  no window length yielded a verified x: insufficient data")

@@ -5,7 +5,8 @@ each contiguous n-bit window of its output does: window i (1-based,
 i = 1 .. m-n+1) selects output bits i-1 .. i+n-2, and the composed map
 x -> window_i(F(x)) is square.  Inverting any one window and checking
 the candidate against the full output equation F(x) == y inverts F at y.
-Windows are scanned in ascending order and the first fully verified
+Windows are scanned in ascending order, each by engine.local_inversion
+(its window grown with grow=True), and the first fully verified
 candidate wins.
 """
 
@@ -36,15 +37,17 @@ def composed_map(F: BlackBoxMap, i: int) -> BlackBoxMap:
                        label=f"{F.label}[window {i}]")
 
 
-def invert_embedding(F: BlackBoxMap, y: BitVec, M: int | None = None,
-                     invert=local_inversion) -> tuple[InversionReport, int | None]:
-    """Scan the windows of F and return (report, winning window index).
+def invert_embedding(F: BlackBoxMap, y: BitVec, M: int | None = None, *,
+                     grow: bool = False
+                     ) -> tuple[InversionReport, int | None, list[InversionReport]]:
+    """Scan the windows of F: (report, winning window index, passed).
 
-    Each window runs invert(window map, projected seed, M), local_inversion
-    unless a caller brings its own square-map inversion; a window's
-    candidate is accepted only if the full equation F(x) == y holds on a
-    fresh evaluation.  map_evals in the report counts every evaluation
-    of F across all windows.
+    Each window runs local_inversion(window map, projected seed, M,
+    grow=grow); a window's candidate is accepted only if the full
+    equation F(x) == y holds on a fresh evaluation.  map_evals in the
+    report counts every evaluation of F across all windows.  passed
+    holds the report of each window scanned before the winner, window 1
+    first, or of every window when none wins (index None).
     """
     if F.out_width <= F.in_width:
         raise ValueError("embedding inversion needs out_width > in_width")
@@ -52,9 +55,11 @@ def invert_embedding(F: BlackBoxMap, y: BitVec, M: int | None = None,
         raise ValueError("y width does not match the map output")
     n = F.in_width
     before = F.evals
+    passed = []
     for i in range(1, F.out_width - n + 2):
-        report = invert(composed_map(F, i), project(y, n, i), M)
+        report = local_inversion(composed_map(F, i), project(y, n, i), M, grow=grow)
         if report.solved and F(report.x) == y:
-            return replace(report, map_evals=F.evals - before), i
+            return replace(report, map_evals=F.evals - before), i, passed
+        passed.append(report)
     return (InversionReport(INSUFFICIENT_DATA, None, None,
-                            report.terms_consumed, F.evals - before), None)
+                            report.terms_consumed, F.evals - before), None, passed)

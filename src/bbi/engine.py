@@ -10,6 +10,9 @@ the element before y on the orbit is
 (sums are XOR), and F(x) == y whenever y lies on a purely periodic orbit
 and the window was long enough.  A candidate is only ever reported after
 that equation has been re-checked against a fresh evaluation of F.
+local_inversion is the one entry point: it decides one window of M terms,
+or, with grow, extends that window until a solve verifies or proves
+that no longer window would.
 
 The minimal polynomial comes from projected Berlekamp-Massey alone.  The
 window is projected onto a fixed schedule of vectors u that spans
@@ -350,14 +353,14 @@ class GrowingWindow:
     terms, and the projections read for mp vanish on r, so the rest of
     the schedule spans what r holds.  The lcm loop decides the first
     K = 2, 4, 8, .. terms of r, up to 2 room, and each new answer Q, the
-    least annihilator of the prefix or X+1 for a zero one, is tried as
-    mp Q on the whole window.  Let `held` count the leading windows of y
-    that mp, and then the last product tried, annihilates; Q then
-    annihilates the first held + deg Q terms of r (with Q = 1 for mp).
+    least annihilator of the prefix, is tried as mp Q on the whole
+    window.  Let `held` count the leading windows of y that mp, and then
+    the last product tried, annihilates; Q then annihilates the first
+    held + deg Q terms of r (with Q = 1 for mp).  A prefix of r is zero
+    only while K <= held < room; it decides None and tries no product.
     - A product that annihilates the window is A*: its degree is at most
       M/2, so A* divides it, and A*/mp divides Q.  A*/mp annihilates the
-      prefix, whose least annihilator is Q, so A*/mp = Q.  For a zero
-      prefix, Q = X+1 and A*/mp, which is not 1, is X+1 as well.
+      prefix, whose least annihilator is Q, so A*/mp = Q.
     - Once held >= room there is no A*: Q and Q* both annihilate the
       first held + deg Q >= deg Q + deg Q* terms of r, so they agree on
       all of r, and the product would annihilate the window.  With
@@ -422,10 +425,11 @@ class GrowingWindow:
         """The least annihilator of degree <= M/2 of a residual window,
         or None, from its projections onto `schedule`, read in order and
         joined by lcm until the lcm annihilates the window; every vector
-        of the full schedule before `schedule` vanishes on the window."""
+        of the full schedule before `schedule` vanishes on the window.
+        A zero window, which no product can complete, gets None too."""
         M = len(self.terms)
         if not self.packed:
-            return Gf2Poly(0b11)
+            return None
         found = ONE
         for i, u in enumerate(schedule):
             mp = self._project(i, u)
@@ -541,17 +545,17 @@ def _residual(terms: tuple[int, ...], selectors: bytes, start: int,
 
 def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:
     """lcm(a, b) if its degree is at most M/2, else None; a and b have
-    degree <= M/2.
+    degree <= M/2, and M, a residual window's length, is even.
 
-    When one more degree than the larger, a, would pass M/2, the lcm
-    stays within only by being a, that is, when b divides a: one
-    remainder decides, where the gcd of two polynomials of degree about
-    M/2 would take a division per step of Euclid's algorithm.  It is 0
-    when b is a, and not 0 for any other b of a's degree.
+    When the larger, a, has degree M/2, the lcm stays within only by
+    being a, that is, when b divides a: one remainder decides, where the
+    gcd of two polynomials of degree about M/2 would take a division per
+    step of Euclid's algorithm.  It is 0 when b is a, and not 0 for any
+    other b of a's degree.
     """
     if a.degree < b.degree:
         a, b = b, a
-    if 2 * a.degree + 2 > M:
+    if 2 * a.degree >= M:
         return a if not (a % b).bits else None
     mp = lcm(a, b)
     return mp if 2 * mp.degree <= M else None
@@ -590,32 +594,37 @@ def invert_from_minpoly(window: GrowingWindow, mp: Gf2Poly) -> BitVec:
     return BitVec(_combine(window.terms, mp.bits >> 1), window.width)
 
 
-def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None) -> InversionReport:
+def local_inversion(F: BlackBoxMap, y: BitVec, M: int | None = None, *,
+                    grow: bool = False) -> InversionReport:
     """Window, minimal polynomial, inversion formula, verification.
 
     Uses M-1 evaluations for the window (M = 4n when None, as in
-    generate) plus one fresh evaluation to check F(x) == y.  Never
-    returns an unverified candidate: every failure mode (no annihilator
-    of degree <= M/2, zero constant term, verification mismatch) comes
-    back as insufficient data.
+    generate) plus one fresh evaluation to check F(x) == y when the
+    minimal polynomial has constant term 1.  Never returns an unverified
+    candidate: every failure (no annihilator of degree <= M/2, zero
+    constant term, verification mismatch) is insufficient data.
+
+    With grow, an unsolved window gains max(n, ceil(M/16)) terms, from F
+    iterated at its last term, and is solved again until a solve
+    verifies, the minimal polynomial has a zero constant term (y is not
+    on a purely periodic orbit), or the window has passed 2^(n+1) + 2
+    terms, which no orbit needs, as LC <= period <= 2^n.  Each term is
+    evaluated once and each solve resumes the last one's Berlekamp-
+    Massey state; the report is the last solve's, map_evals counts all.
     """
-    before = F.evals
+    before, n = F.evals, F.in_width
     window = generate(F, y, M)
-    return invert_window(F, y, window, minimal_polynomial(window).minpoly, before)
-
-
-def invert_window(F: BlackBoxMap, y: BitVec, window: GrowingWindow,
-                  mp: Gf2Poly | None, before: int) -> InversionReport:
-    """The report on the window of F from y, decided as mp: the
-    inversion formula on the window's terms and width, when mp has
-    constant term 1, and the check F(x) == y on one fresh evaluation.
-    map_evals counts F's evaluations since it had made `before`."""
-    M = len(window.terms)
-    if mp is not None and mp.constant_term == 1:
-        x = invert_from_minpoly(window, mp)
-        if F(x) == y:
-            return InversionReport(SOLUTION, x, mp, M, F.evals - before)
-    return InversionReport(INSUFFICIENT_DATA, None, mp, M, F.evals - before)
+    while True:
+        M = len(window.terms)
+        mp = minimal_polynomial(window).minpoly
+        if mp is not None and mp.constant_term == 1:
+            x = invert_from_minpoly(window, mp)
+            if F(x) == y:
+                return InversionReport(SOLUTION, x, mp, M, F.evals - before)
+        if (not grow or M > (1 << (n + 1)) + 2
+                or mp is not None and mp.constant_term == 0):
+            return InversionReport(INSUFFICIENT_DATA, None, mp, M, F.evals - before)
+        window.extend(F.iterate(BitVec(window.terms[-1], n), max(n, -(-M // 16)))[1:])
 
 
 def _bm_steps(s: int, t: int, M: int, C: int, B: int, L: int,

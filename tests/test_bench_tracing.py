@@ -6,16 +6,21 @@ benchmark reads off those functions' results are checked on small
 windows, through src alone."""
 
 import ast
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from bbi import cli, engine
 from bbi.embedding import invert_embedding
 from bbi.engine import (RANK_DEFICIENT, SATURATED, UNIQUE, BlackBoxMap,
-                        bm_crosscheck, generate, local_inversion,
-                        minimal_polynomial)
+                        GrowingWindow, bm_crosscheck, generate,
+                        local_inversion, minimal_polynomial)
 from bbi.gf2 import BitVec
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -80,3 +85,34 @@ def test_bench_reads_of_the_winning_window():
     assert invert_embedding(dup, BitVec(0b101101, 6))[1] == 1
     const = BlackBoxMap(lambda x: BitVec(0, 6), 3, 6)
     assert invert_embedding(const, BitVec(0b101101, 6))[1] is None
+
+
+@pytest.mark.parametrize("name", sorted(cli.DEMOS))
+def test_every_demo_solve_runs_inside_local_inversion(name, monkeypatch):
+    """The tracer's span engine.local_inversion sees every solve of a
+    demo: with local_inversion swapped for a wrapper in every loaded bbi
+    module that holds it, as the tracer's install swaps it, each
+    GrowingWindow solve of the demo runs inside that wrapper."""
+    assert ("bbi.engine", "local_inversion") in [
+        (mod, attr) for mod, attr, *_ in traced_table()]
+    depth, solves = [0], []
+    inner = engine.local_inversion
+
+    def wrapped(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for mod in [m for k, m in list(sys.modules.items())
+                if m is not None and (k == "bbi" or k.startswith("bbi."))]:
+        for key, val in list(vars(mod).items()):
+            if val is inner:
+                monkeypatch.setattr(mod, key, wrapped)
+    solve = GrowingWindow.solve
+    monkeypatch.setattr(GrowingWindow, "solve", lambda window: solves.append(
+        depth[0]) or solve(window))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["demo", name]) == 0
+    assert solves and 0 not in solves

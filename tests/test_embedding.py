@@ -82,10 +82,10 @@ def test_invert_embedding_consistent_point():
     v = BitVec(0b101, 3)
     y = concat(v, v)
     F = dup_map()
-    report, window = invert_embedding(F, y)
+    report, window, passed = invert_embedding(F, y)
     assert report.solved and report.x == v
     # windows 1 and 4 both verify; the scan must return the first
-    assert window == 1
+    assert window == 1 and passed == []
     assert report.map_evals == F.evals
     # window 4 alone would also have solved it
     alt = local_inversion(composed_map(dup_map(), 4), project(y, 3, 4))
@@ -94,9 +94,12 @@ def test_invert_embedding_consistent_point():
 
 def test_invert_embedding_point_off_image():
     y = concat(BitVec(0b101, 3), BitVec(0b011, 3))  # halves disagree
-    report, window = invert_embedding(dup_map(), y)
+    report, window, passed = invert_embedding(dup_map(), y)
     assert not report.solved
     assert report.x is None and window is None
+    # every window was scanned and passed, window 1 first
+    assert passed == [local_inversion(composed_map(dup_map(), i), project(y, 3, i))
+                      for i in range(1, 5)]
     assert report.outcome == "insufficient-data"
 
 
@@ -107,8 +110,49 @@ def test_invert_embedding_ecdlp_known_multiplier():
     Q = ec_scalar_mul(curve, 7, curve.base)
     y = encode_point(curve, Q)
     F = ecdlp_map(curve)
-    report, window = invert_embedding(F, y, 2 * n_p + 2)
+    report, window, _ = invert_embedding(F, y, 2 * n_p + 2)
     assert report.solved and window == 1
     k = reduce_exponent(report.x.value, n_p)
     assert k == 7
     assert ec_scalar_mul(curve, k, curve.base) == Q
+
+
+def test_a_grown_scan_reports_no_x_that_only_its_window_checks():
+    """A 2 -> 3 bit embedding whose window 1 inverts y's window to an x
+    with window_1(F(x)) == window_1(y) but F(x) != y: the grown scan
+    passes window 1's report back and moves on to window 2, whose x
+    passes F(x) == y."""
+    table = [0b001, 0b000, 0b101, 0b011]  # window 1: 0 <-> 1 a cycle, 2 -> 1
+
+    def embedding_map():
+        return BlackBoxMap(lambda x: BitVec(table[x.value], 3), 2, 3)
+
+    y = BitVec(table[2], 3)
+    wrong = local_inversion(composed_map(embedding_map(), 1), project(y, 2, 1),
+                            grow=True)
+    assert wrong.solved and wrong.x == BitVec(0, 2) and table[0] != y.value
+    F = embedding_map()
+    report, window, passed = invert_embedding(F, y, grow=True)
+    assert report.solved and window == 2 and report.x == BitVec(2, 2)
+    assert passed == [wrong]
+    # each window: 7 terms and its own check at M = 8, then one full check
+    assert report.map_evals == F.evals == 2 * (7 + 1 + 1)
+
+
+def test_the_scan_inverts_through_the_module_global(monkeypatch):
+    """invert_embedding calls local_inversion through its module global,
+    so a wrapper set there, as the benchmark's tracer sets one, sees
+    every window, with grow passed on."""
+    calls = []
+    inner = embedding.local_inversion
+
+    def spy(G, y, M, grow):
+        calls.append((G.label, y, M, grow))
+        return inner(G, y, M, grow=grow)
+
+    monkeypatch.setattr(embedding, "local_inversion", spy)
+    y = concat(BitVec(0b101, 3), BitVec(0b011, 3))
+    _, window, passed = invert_embedding(dup_map(), y, 8, grow=True)
+    assert window is None and len(passed) == 4
+    assert calls == [(f"{dup_map().label}[window {i}]", project(y, 3, i), 8, True)
+                     for i in range(1, 5)]

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import math
 import pickle
 import random
 import sys
@@ -23,8 +24,9 @@ from bbi.gf2 import BitVec, Gf2Poly, order
 
 from helpers import (concat, full_period_minpoly, massey_minpoly,
                      minimal_polynomial_lowbit, per_call_generate,
-                     per_coefficient_invert, rotl, structured_terms,
-                     table_map, times_x_mod, verify_sequence)
+                     per_coefficient_invert, rotl, stored_orbit,
+                     structured_terms, table_map, times_x_mod,
+                     verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -648,6 +650,83 @@ def test_local_inversion_random_maps_is_sound():
             assert report.x is None
 
 
+def test_a_fixed_window_spends_exactly_M_evaluations():
+    """Without grow, local_inversion decides the one window of M terms:
+    M - 1 evaluations for it and one for the check of its candidate,
+    which fails here, as y has a tail, and no more.  With grow the same
+    miss extends the window."""
+    table = [0, 5, 1, 4, 6, 3, 5, 2]  # 7 -> 2 -> 1 -> 5 -> 3 -> 4 -> 6 -> 5
+    F = table_map(table, 3)
+    report = local_inversion(F, BitVec(7, 3), 6)
+    assert report.minpoly == Gf2Poly(0b1011) and not report.solved
+    assert F.evals == report.map_evals == report.terms_consumed == 6
+    grown = local_inversion(table_map(table, 3), BitVec(7, 3), 6, grow=True)
+    assert grown.terms_consumed > 6 and not grown.solved
+
+
+def test_growth_stops_at_a_zero_constant_term(monkeypatch):
+    """A seed with a tail of 10 into a 6-cycle has LC 16: the window grows
+    from 4n = 16 by 4 terms a solve, and the first minimal polynomial,
+    X^10 (X^6 + 1) at 32 terms, ends the growth unsolved, with no check
+    and no further evaluation."""
+    table = list(range(1, 11)) + [11, 12, 13, 14, 15, 10]
+    solved_at = []
+    solve = GrowingWindow.solve
+    monkeypatch.setattr(GrowingWindow, "solve", lambda w: solved_at.append(
+        len(w.terms)) or solve(w))
+    F = table_map(table, 4)
+    report = local_inversion(F, BitVec(0, 4), grow=True)
+    assert report.minpoly == Gf2Poly((1 << 16) | (1 << 10)) and not report.solved
+    assert solved_at == [16, 20, 24, 28, 32]
+    assert F.evals == report.map_evals == report.terms_consumed - 1 == 31
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_unsolved_growth_runs_just_past_twice_the_domain(n, monkeypatch):
+    """With every solve undecided, the window grows from 4n by max(n,
+    ceil(M/16)) terms a solve, evaluating each term once, and stops at
+    the first length past 2^(n+1) + 2: no orbit needs more, as LC <=
+    period <= 2^n.  At n = 1 the schedule 4, 5, 6, 7 meets that bound,
+    6, and stops one term past it; at n = 8 the M/16 steps set in past
+    M = 128."""
+    solved_at = []
+    monkeypatch.setattr(GrowingWindow, "solve", lambda w: solved_at.append(
+        len(w.terms)))
+    F = identity(n)
+    report = local_inversion(F, BitVec(1, n), grow=True)
+    schedule = [4 * n]
+    while schedule[-1] <= (1 << (n + 1)) + 2:
+        schedule.append(schedule[-1] + max(n, math.ceil(schedule[-1] / 16)))
+    assert solved_at == schedule
+    assert report.minpoly is None and not report.solved
+    assert F.evals == report.map_evals == report.terms_consumed - 1 == schedule[-1] - 1
+
+
+@given(width=st.integers(1, 10), permutation=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_growing_window_finds_the_x_of_the_oracle_window(width, permutation,
+                                                         seed):
+    """On a purely periodic seed of a random table map, local_inversion
+    with grow returns the x that it gives at M = 2N+2, with the period N
+    from the orbit oracle: it needs no N to find it, and it evaluates no
+    term twice."""
+    rng = random.Random(seed)
+    size = 1 << width
+    if permutation:  # long cycles
+        table = rng.sample(range(size), size)
+    else:
+        table = [rng.randrange(size) for _ in range(size)]
+    r, N, terms = stored_orbit(table_map(table, width),
+                               BitVec(rng.randrange(size), width))
+    y = terms[r]
+    expected = local_inversion(table_map(table, width), y, 2 * N + 2)
+    assert expected.solved
+    F = table_map(table, width)
+    report = local_inversion(F, y, grow=True)
+    assert report.solved and report.x == expected.x
+    assert F.evals == report.map_evals == report.terms_consumed
+
+
 @pytest.fixture
 def order_calls(monkeypatch):
     """Route the engine's gf2.order through a call counter."""
@@ -684,7 +763,7 @@ def test_period_estimate_is_computed_once_on_first_read(order_calls, F, y, M,
 
 def test_invert_embedding_does_not_compute_the_period(order_calls):
     F = BlackBoxMap(lambda x: concat(x, x), 3, 6)
-    report, window = invert_embedding(F, concat(BitVec(5, 3), BitVec(5, 3)))
+    report, window, _ = invert_embedding(F, concat(BitVec(5, 3), BitVec(5, 3)))
     assert report.solved and window == 1 and order_calls == []
     assert report.period_estimate == 1 and len(order_calls) == 1
 
@@ -696,8 +775,8 @@ def test_unsolved_report_has_no_period_and_no_order_call(order_calls):
     F = BlackBoxMap(lambda x: BitVec(x.value | 1, 2), 2)
     report = local_inversion(F, BitVec(0b10, 2), 6)
     assert report.minpoly == Gf2Poly(0b110) and report.period_estimate is None
-    report, _ = invert_embedding(BlackBoxMap(lambda x: BitVec(0, 6), 3, 6),
-                                 BitVec(1, 6))
+    report, _, _ = invert_embedding(BlackBoxMap(lambda x: BitVec(0, 6), 3, 6),
+                                    BitVec(1, 6))
     assert not report.solved and report.period_estimate is None
     assert order_calls == []
 
@@ -904,7 +983,8 @@ def test_lcm_within_is_the_lcm_when_it_fits_half_the_window():
     """_lcm_within(a, b, M) against gf2.lcm for every pair of polynomials
     of degree 1..4 and every M that leaves both within M/2: the lcm when
     its degree is at most M/2, None otherwise, on both of its routes (a
-    remainder when one more degree than the larger would pass M/2)."""
+    remainder when the larger has degree at least M/2).  The solve joins
+    only on even M; odd M is exact as well."""
     polys = [Gf2Poly(bits) for bits in range(2, 32)]
     for a in polys:
         for b in polys:
@@ -1040,6 +1120,33 @@ def test_a_solve_reads_the_window_only_up_to_its_first_projection_not_zero(
             [False] * (len(grown._read) - 1) + [True])
 
 
+@pytest.mark.parametrize("kind", ["late-jump", "noise"])
+def test_a_zero_residual_prefix_decides_none(kind, monkeypatch):
+    """_decide reads a zero residual window as None: no product of mp
+    with any Q can complete a window that mp holds that far.  A zero
+    prefix comes up while mp holds at least K windows; on late-jump and
+    noise windows that reach one, the solve keeps the lowbit scan's
+    answers."""
+    for n in (1, 5, 64):
+        assert GrowingWindow((0,) * 4, n)._decide(engine._projections(n)) is None
+    zero = []
+    decide = GrowingWindow._decide
+
+    def spy(window, schedule):
+        answer = decide(window, schedule)
+        if not window.packed:
+            zero.append(answer)
+        return answer
+
+    monkeypatch.setattr(GrowingWindow, "_decide", spy)
+    rng = random.Random(31)
+    for _ in range(200):
+        n, M, p = rng.randint(1, 64), rng.randint(2, 300), rng.randint(1, 40)
+        s = seq_of(structured_terms(kind, n, M, p, rng), n)
+        assert window_of(s).solve() == reference(s)[0]
+    assert zero and set(zero) == {None}
+
+
 @st.composite
 def structured_windows(draw):
     """A window of width 1..64 and 2..600 terms: a cycle of up to 40
@@ -1068,13 +1175,13 @@ def test_minpoly_matches_massey_and_lowbit_on_structured_windows(seq):
 
 
 def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
-    """Only residual windows join projections.  On the residuals of
-    random windows two projections of degree about half the residual
-    window are common, and late-jump windows (a short cycle with one bit
-    flipped in the last 100 terms) take both kinds of join.  When one
-    degree more than the larger would pass half the window joined, a
-    remainder decides their join, so every gcd the solve takes has room
-    to grow."""
+    """Only residual windows join projections, and their lengths are
+    even.  On the residuals of random windows two projections of degree
+    about half the residual window are common, and late-jump windows (a
+    short cycle with one bit flipped in the last 100 terms) take both
+    kinds of join.  When the larger has degree half the window joined,
+    so that one degree more would pass it, a remainder decides their
+    join, so every gcd the solve takes has room to grow."""
     joins, lcms = [], []
     join = engine._lcm_within
     monkeypatch.setattr(engine, "_lcm_within", lambda a, b, M: joins.append(
@@ -1089,8 +1196,9 @@ def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
             p = rng.randint(1, 12)
             s = seq_of(structured_terms("late-jump", n, M, p, rng), n)
             assert minimal_polynomial(s).minpoly == reference(s)[0]
-    assert lcms and all(2 * d + 2 <= M for d, M in lcms)
-    assert any(2 * d + 2 > M for d, M in joins)
+    assert all(M % 2 == 0 for _, M in joins)
+    assert lcms and all(2 * d < M for d, M in lcms)
+    assert any(2 * d == M for d, M in joins)
 
 
 def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():
