@@ -74,6 +74,16 @@ class BlackBoxMap:
     output's width and adds every call that reached `fn` to `evals` (one
     that raised included).  It stops at the same evaluation, with the
     same exception and count, as calling the map once per input would.
+
+    The exhaustive scan reuses one input: it sets the next value on the
+    input `fn` was last called with, and builds a fresh one only when
+    something besides the scan holds that input (`fn` kept it, returned
+    it, or it is a preimage).  sys.getrefcount tells the two apart,
+    against the count of a fresh input read in the same frame, so the
+    scan relies on CPython's reference counts; bbi is developed, tested
+    and benchmarked on CPython only.  A BitVec takes no weak reference
+    and has no __dict__, so the change of value is seen only through a
+    strong reference, which makes the scan build afresh.
     """
 
     def __init__(self, fn: Callable[[BitVec], BitVec], in_width: int,
@@ -138,16 +148,20 @@ class BlackBoxMap:
         limit = self._allowance(size)
         target = y.value  # widths are checked, so values suffice
         found = []
-        new, bitvec = object.__new__, BitVec
+        new, bitvec, refcount = object.__new__, BitVec, sys.getrefcount
         set_value, set_width = _set_value, _set_width
+        # BitVec(v, n) without its checks: n >= 1 was checked above and
+        # 0 <= v < limit <= 2^n, so every input fits its width
+        x = new(bitvec)
+        set_width(x, n)
+        alone = refcount(x)  # this frame's references, read as the loop does
         v = -1
         try:
             for v in range(limit):
-                # BitVec(v, n) without its checks: n >= 1 was checked above
-                # and 0 <= v < limit <= 2^n, so every input fits its width
-                x = new(bitvec)
+                if refcount(x) != alone:  # fn, its output or found holds x
+                    x = new(bitvec)
+                    set_width(x, n)
                 set_value(x, v)
-                set_width(x, n)
                 out = fn(x)
                 if out.width != out_width:
                     raise self._width_error(out.width)

@@ -20,7 +20,9 @@ class BitVec:
     Immutable, with the equality, hash and repr of a frozen dataclass.
     Every map evaluation builds one, so it is a slotted class whose
     __init__ stores through the slot descriptors instead of going round
-    the assignment guard with object.__setattr__.
+    the assignment guard with object.__setattr__.  Its slots give it no
+    __dict__ and no __weakref__, and BlackBoxMap.preimages relies on
+    that when it reuses an input that only it references.
     """
 
     __slots__ = ("value", "width")

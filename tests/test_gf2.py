@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +46,15 @@ def test_bitvec_is_immutable():
         with pytest.raises(AttributeError):
             delattr(v, name)
     assert (v.value, v.width) == (5, 4)
+
+
+def test_bitvec_is_seen_only_through_a_strong_reference():
+    """No weak reference and no __dict__: the exhaustive scan reuses an
+    input that only it references, which nothing else can then see."""
+    v = BitVec(1, 1)
+    with pytest.raises(TypeError):
+        weakref.ref(v)
+    assert not hasattr(v, "__dict__")
 
 
 def test_bitvec_equality_and_hash_use_value_and_width_only():

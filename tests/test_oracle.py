@@ -2,6 +2,7 @@
 minimal polynomials."""
 
 import copy
+import functools
 import pickle
 import random
 from dataclasses import FrozenInstanceError, astuple, fields
@@ -419,22 +420,33 @@ def test_brute_force_invert_is_exact_scan(case, data):
 
 @given(rho_tables(), st.data())
 def test_scan_inputs_are_real_bitvecs(case, data):
-    """The scan builds its inputs without BitVec's checks; each one, and
-    each preimage returned, is still a BitVec like BitVec(v, n)."""
+    """The scan builds its inputs without BitVec's checks, and reuses one
+    that nothing but the scan holds.  Whatever fn keeps of its inputs
+    (every one, every third, a cache's keys, a set), the preimages are
+    the per-call scan's, and each input kept, and each preimage, is
+    still a BitVec like BitVec(v, n) for the v fn was called with.  An
+    fn that keeps only ids receives at most one object more than there
+    are preimages."""
     width, table, _ = case
     size = 1 << width
-    y = data.draw(st.sampled_from(table))
-    received = []
+    y = BitVec(data.draw(st.sampled_from(table)), width)
 
-    def fn(x):
-        received.append(x)
+    def image(x):
         return BitVec(table[x.value], width)
 
-    F = BlackBoxMap(fn, width)
-    found = F.preimages(BitVec(y, width))
+    expected = per_call_brute_force_invert(BlackBoxMap(image, width), y)
+
+    def scan(fn):
+        F = BlackBoxMap(fn, width)
+        found = F.preimages(y)
+        assert found == expected and F.evals == size
+        return found
+
+    received = []
+    found = scan(lambda x: received.append(x) or image(x))
     assert [x.value for x in received] == list(range(size))
     # the preimages are the very inputs fn received
-    assert list(map(id, found)) == [id(x) for x in received if table[x.value] == y]
+    assert list(map(id, found)) == [id(x) for x in received if image(x) == y]
     for v, x in enumerate(received):
         ref = BitVec(v, width)
         assert type(x) is BitVec
@@ -444,6 +456,33 @@ def test_scan_inputs_are_real_bitvecs(case, data):
         for name in ("value", "width"):
             with pytest.raises(FrozenInstanceError):
                 setattr(x, name, 0)
+
+    kept = []
+
+    def keep_every_third(x):
+        if x.value % 3 == 0:
+            kept.append((x.value, x))
+        return image(x)
+
+    scan(keep_every_third)
+    assert [v for v, _ in kept] == list(range(0, size, 3))
+    for v, x in kept:
+        assert x == BitVec(v, width) and hash(x) == hash(BitVec(v, width))
+
+    cached = functools.cache(image)
+    scan(cached)
+    for v in range(size):  # each key still finds its entry by hash and value
+        cached(BitVec(v, width))
+    assert cached.cache_info()[:2] == (size, size)  # (hits, misses)
+
+    seen = set()
+    scan(lambda x: seen.add(x) or image(x))
+    assert seen == {BitVec(v, width) for v in range(size)}
+
+    ids = set()
+    found = scan(lambda x: ids.add(id(x)) or image(x))
+    assert {id(x) for x in found} <= ids
+    assert len(ids) <= 1 + len(found)
 
 
 @pytest.mark.parametrize("budget", [None, 0, 10])
