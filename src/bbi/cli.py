@@ -33,8 +33,6 @@ from .engine import (BlackBoxMap, EvalBudgetExceeded, InversionReport,
 from .gf2 import BitVec
 from .oracle import brute_force_invert, cycle_walk, orbit_profile
 from .targets import TargetInstance, _as_int, load_target
-from .targets.arith import reduce_exponent
-from .targets.ec import ec_scalar_mul, encode_point
 
 DEFAULT_MAX_EVALS = 10_000_000
 SURVEY_COLUMNS = ["seed", "periodic", "LC", "period", "inverted", "evals"]
@@ -251,6 +249,7 @@ def _demo_rsa_cca(target: TargetInstance, args):
 
 
 def _demo_dlp(target: TargetInstance, args):
+    from .targets.arith import reduce_exponent
     p, a = target.params.p, target.params.base
     y = _parse_bits(target.config["demo_b"], target.params.width)
     print(f"DLP demo: p = {p}, base a = {a}, target b = {y.value}")
@@ -266,6 +265,8 @@ def _demo_dlp(target: TargetInstance, args):
 
 
 def _demo_ecdlp(target: TargetInstance, args):
+    from .targets.arith import reduce_exponent
+    from .targets.ec import ec_scalar_mul, encode_point
     curve = target.params
     n_p = curve.subgroup_order
     k = _as_int(target.config["demo_k"])
@@ -304,12 +305,8 @@ def cmd_demo(args) -> int:
     target = load_target(name)
     y, verify = demo(target, args)
     F = _budget_map(target, args.max_evals)
-    n = F.in_width
-    if F.out_width > n:
-        report, window, passed = invert_embedding(F, y, grow=True)
-        # window i is bits i-1 .. i+n-2 of the output, as invert_embedding scans it
-        tried = [(f"{F.label}[window {i}]", BitVec(y.value >> (i - 1) & (1 << n) - 1, n), r)
-                 for i, r in enumerate(passed, 1)]
+    if F.out_width > F.in_width:
+        report, window, tried = invert_embedding(F, y, grow=True)
     else:
         report, window = local_inversion(F, y, grow=True), None
         tried = [(F.label, y, report)]

@@ -39,15 +39,17 @@ def composed_map(F: BlackBoxMap, i: int) -> BlackBoxMap:
 
 def invert_embedding(F: BlackBoxMap, y: BitVec, M: int | None = None, *,
                      grow: bool = False
-                     ) -> tuple[InversionReport, int | None, list[InversionReport]]:
+                     ) -> tuple[InversionReport, int | None,
+                                list[tuple[str, BitVec, InversionReport]]]:
     """Scan the windows of F: (report, winning window index, passed).
 
     Each window runs local_inversion(window map, projected seed, M,
     grow=grow); a window's candidate is accepted only if the full
     equation F(x) == y holds on a fresh evaluation.  map_evals in the
     report counts every evaluation of F across all windows.  passed
-    holds the report of each window scanned before the winner, window 1
-    first, or of every window when none wins (index None).
+    holds (window map label, projected seed, report) for each window
+    scanned before the winner, window 1 first, or for every window when
+    none wins (index None).
     """
     if F.out_width <= F.in_width:
         raise ValueError("embedding inversion needs out_width > in_width")
@@ -57,9 +59,10 @@ def invert_embedding(F: BlackBoxMap, y: BitVec, M: int | None = None, *,
     before = F.evals
     passed = []
     for i in range(1, F.out_width - n + 2):
-        report = local_inversion(composed_map(F, i), project(y, n, i), M, grow=grow)
+        G, seed = composed_map(F, i), project(y, n, i)
+        report = local_inversion(G, seed, M, grow=grow)
         if report.solved and F(report.x) == y:
             return replace(report, map_evals=F.evals - before), i, passed
-        passed.append(report)
+        passed.append((G.label, seed, report))
     return (InversionReport(INSUFFICIENT_DATA, None, None,
                             report.terms_consumed, F.evals - before), None, passed)

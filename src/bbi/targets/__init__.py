@@ -29,12 +29,6 @@ from typing import Any, Callable
 
 from ..engine import BlackBoxMap
 from ..gf2 import Gf2Poly
-from .basic import identity_map
-from .dlp import DlpParams, dlp_map
-from .ec import CurveParams, ECPoint, ecdlp_map
-from .rsa import RsaParams, cca_map, enc_map
-from .spn import ToySpn
-from .stream import FilteredLfsr
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -59,18 +53,24 @@ def _as_int(v) -> int:
     return v if isinstance(v, int) else int(v, 0)
 
 
+# Each builder imports its own family module, so a process loads only the
+# families its configs name.
+
 def _build_identity(cfg: dict) -> TargetInstance:
+    from .basic import identity_map
     width = _as_int(cfg["width"])
     return TargetInstance("identity", cfg, None, lambda: identity_map(width))
 
 
 def _build_spn(cfg: dict) -> TargetInstance:
+    from .spn import ToySpn
     cipher = ToySpn(rounds=_as_int(cfg["rounds"]))
     plaintext = _as_int(cfg["plaintext"])
     return TargetInstance("spn", cfg, cipher, lambda: cipher.kpa_map(plaintext))
 
 
 def _build_stream(cfg: dict) -> TargetInstance:
+    from .stream import FilteredLfsr
     taps = cfg["filter_taps"]
     if not isinstance(taps, list):
         raise ValueError(f"filter_taps must be a list of state positions, got {taps!r}")
@@ -85,22 +85,26 @@ def _build_stream(cfg: dict) -> TargetInstance:
 
 
 def _build_rsa(cfg: dict) -> TargetInstance:
+    from .rsa import RsaParams, enc_map
     params = RsaParams(_as_int(cfg["p"]), _as_int(cfg["q"]), _as_int(cfg["e"]))
     return TargetInstance("rsa", cfg, params, lambda: enc_map(params))
 
 
 def _build_rsa_cca(cfg: dict) -> TargetInstance:
+    from .rsa import RsaParams, cca_map
     params = RsaParams(_as_int(cfg["p"]), _as_int(cfg["q"]), _as_int(cfg["e"]))
     c = _as_int(cfg["c"])
     return TargetInstance("rsa-cca", cfg, params, lambda: cca_map(params, c))
 
 
 def _build_dlp(cfg: dict) -> TargetInstance:
+    from .dlp import DlpParams, dlp_map
     params = DlpParams(_as_int(cfg["p"]), _as_int(cfg["base"]))
     return TargetInstance("dlp", cfg, params, lambda: dlp_map(params))
 
 
 def _build_ecdlp(cfg: dict) -> TargetInstance:
+    from .ec import CurveParams, ECPoint, ecdlp_map
     curve = CurveParams(q=_as_int(cfg["q"]), a=_as_int(cfg["a"]),
                         b=_as_int(cfg["b"]),
                         base=ECPoint(_as_int(cfg["base_x"]),

@@ -97,9 +97,12 @@ def test_invert_embedding_point_off_image():
     report, window, passed = invert_embedding(dup_map(), y)
     assert not report.solved
     assert report.x is None and window is None
-    # every window was scanned and passed, window 1 first
-    assert passed == [local_inversion(composed_map(dup_map(), i), project(y, 3, i))
-                      for i in range(1, 5)]
+    # every window was scanned and passed, window 1 first, each with the
+    # label of its window map and its projected seed
+    windows = [(composed_map(dup_map(), i), project(y, 3, i)) for i in range(1, 5)]
+    assert passed == [(G.label, seed, local_inversion(G, seed)) for G, seed in windows]
+    assert [label for label, _, _ in passed] == [
+        f"{dup_map().label}[window {i}]" for i in range(1, 5)]
     assert report.outcome == "insufficient-data"
 
 
@@ -128,13 +131,13 @@ def test_a_grown_scan_reports_no_x_that_only_its_window_checks():
         return BlackBoxMap(lambda x: BitVec(table[x.value], 3), 2, 3)
 
     y = BitVec(table[2], 3)
-    wrong = local_inversion(composed_map(embedding_map(), 1), project(y, 2, 1),
-                            grow=True)
+    G, seed = composed_map(embedding_map(), 1), project(y, 2, 1)
+    wrong = local_inversion(G, seed, grow=True)
     assert wrong.solved and wrong.x == BitVec(0, 2) and table[0] != y.value
     F = embedding_map()
     report, window, passed = invert_embedding(F, y, grow=True)
     assert report.solved and window == 2 and report.x == BitVec(2, 2)
-    assert passed == [wrong]
+    assert passed == [(G.label, seed, wrong)] and seed == BitVec(0b01, 2)
     # each window: 7 terms and its own check at M = 8, then one full check
     assert report.map_evals == F.evals == 2 * (7 + 1 + 1)
 
@@ -153,6 +156,7 @@ def test_the_scan_inverts_through_the_module_global(monkeypatch):
     monkeypatch.setattr(embedding, "local_inversion", spy)
     y = concat(BitVec(0b101, 3), BitVec(0b011, 3))
     _, window, passed = invert_embedding(dup_map(), y, 8, grow=True)
-    assert window is None and len(passed) == 4
+    assert window is None
     assert calls == [(f"{dup_map().label}[window {i}]", project(y, 3, i), 8, True)
                      for i in range(1, 5)]
+    assert [(label, seed) for label, seed, _ in passed] == [c[:2] for c in calls]

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,8 @@ from bbi import cli
 from bbi.embedding import invert_embedding
 from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import brute_force_invert
-from bbi.targets import arith, build_target, ec, list_targets, load_target
+from bbi.targets import (CONFIG_DIR, arith, build_target, ec, list_targets,
+                         load_target)
 from bbi.targets.arith import (is_prime, is_primitive_poly, is_primitive_root,
                                prime_factors, reduce_exponent)
 from bbi.targets.basic import identity_map
@@ -668,6 +671,47 @@ def test_load_shipped_targets():
     assert (stream.fresh_map().in_width, stream.fresh_map().out_width) == (16, 20)
     ec = load_target("ecdlp-f17")
     assert (ec.fresh_map().in_width, ec.fresh_map().out_width) == (5, 10)
+
+
+# family -> the family modules that building one of its targets imports
+FAMILY_MODULES = {
+    "identity": ["basic"],
+    "spn": ["spn"],
+    "stream": ["arith", "stream"],
+    "rsa": ["arith", "rsa"],
+    "rsa-cca": ["arith", "rsa"],
+    "dlp": ["arith", "dlp"],
+    "ecdlp": ["arith", "ec"],
+}
+
+# Prints the bbi.targets.<family> modules loaded after `import bbi`, after
+# `import bbi.cli` and after loading the shipped config named in argv[1].
+LOADED_FAMILIES = """
+import json, sys
+def families():
+    return sorted(k.rsplit(".", 1)[1] for k in sys.modules
+                  if k.startswith("bbi.targets."))
+import bbi
+steps = [families()]
+import bbi.cli
+steps.append(families())
+bbi.targets.load_target(sys.argv[1])
+steps.append(families())
+print(json.dumps(steps))
+"""
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_process_imports_only_the_family_it_loads(name):
+    """A fresh process (PYTHONPATH=src, as conftest sets it) loads no
+    target family on `import bbi` or `import bbi.cli`; loading a shipped
+    target then imports that family's module, with arith where the
+    family uses it, and no other family."""
+    family = json.loads((CONFIG_DIR / f"{name}.json").read_text())["family"]
+    res = subprocess.run([sys.executable, "-c", LOADED_FAMILIES, name],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[], [], FAMILY_MODULES[family]]
 
 
 def test_fresh_maps_have_independent_counters():
