@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 from ..engine import BlackBoxMap
 from ..gf2 import Gf2Poly
@@ -35,10 +36,11 @@ CONFIG_DIR = Path(__file__).parent / "configs"
 
 @dataclass(frozen=True)
 class TargetInstance:
-    """A built target: family name, raw config, typed params, map factory."""
+    """A built target: family name, config (a read-only copy, since every
+    load of a shipped name shares one instance), typed params, map factory."""
 
     family: str
-    config: dict
+    config: Mapping[str, Any]
     params: Any
     factory: Callable[[], BlackBoxMap] = field(repr=False)
 
@@ -56,20 +58,20 @@ def _as_int(v) -> int:
 # Each builder imports its own family module, so a process loads only the
 # families its configs name.
 
-def _build_identity(cfg: dict) -> TargetInstance:
+def _build_identity(cfg: Mapping) -> TargetInstance:
     from .basic import identity_map
     width = _as_int(cfg["width"])
     return TargetInstance("identity", cfg, None, lambda: identity_map(width))
 
 
-def _build_spn(cfg: dict) -> TargetInstance:
+def _build_spn(cfg: Mapping) -> TargetInstance:
     from .spn import ToySpn
     cipher = ToySpn(rounds=_as_int(cfg["rounds"]))
     plaintext = _as_int(cfg["plaintext"])
     return TargetInstance("spn", cfg, cipher, lambda: cipher.kpa_map(plaintext))
 
 
-def _build_stream(cfg: dict) -> TargetInstance:
+def _build_stream(cfg: Mapping) -> TargetInstance:
     from .stream import FilteredLfsr
     taps = cfg["filter_taps"]
     if not isinstance(taps, list):
@@ -84,26 +86,26 @@ def _build_stream(cfg: dict) -> TargetInstance:
     return TargetInstance("stream", cfg, lfsr, lambda: lfsr.kpa_map(count))
 
 
-def _build_rsa(cfg: dict) -> TargetInstance:
+def _build_rsa(cfg: Mapping) -> TargetInstance:
     from .rsa import RsaParams, enc_map
     params = RsaParams(_as_int(cfg["p"]), _as_int(cfg["q"]), _as_int(cfg["e"]))
     return TargetInstance("rsa", cfg, params, lambda: enc_map(params))
 
 
-def _build_rsa_cca(cfg: dict) -> TargetInstance:
+def _build_rsa_cca(cfg: Mapping) -> TargetInstance:
     from .rsa import RsaParams, cca_map
     params = RsaParams(_as_int(cfg["p"]), _as_int(cfg["q"]), _as_int(cfg["e"]))
     c = _as_int(cfg["c"])
     return TargetInstance("rsa-cca", cfg, params, lambda: cca_map(params, c))
 
 
-def _build_dlp(cfg: dict) -> TargetInstance:
+def _build_dlp(cfg: Mapping) -> TargetInstance:
     from .dlp import DlpParams, dlp_map
     params = DlpParams(_as_int(cfg["p"]), _as_int(cfg["base"]))
     return TargetInstance("dlp", cfg, params, lambda: dlp_map(params))
 
 
-def _build_ecdlp(cfg: dict) -> TargetInstance:
+def _build_ecdlp(cfg: Mapping) -> TargetInstance:
     from .ec import CurveParams, ECPoint, ecdlp_map
     curve = CurveParams(q=_as_int(cfg["q"]), a=_as_int(cfg["a"]),
                         b=_as_int(cfg["b"]),
@@ -112,7 +114,7 @@ def _build_ecdlp(cfg: dict) -> TargetInstance:
     return TargetInstance("ecdlp", cfg, curve, lambda: ecdlp_map(curve))
 
 
-FAMILIES: dict[str, Callable[[dict], TargetInstance]] = {
+FAMILIES: dict[str, Callable[[Mapping], TargetInstance]] = {
     "identity": _build_identity,
     "spn": _build_spn,
     "stream": _build_stream,
@@ -129,7 +131,7 @@ def build_target(config: dict) -> TargetInstance:
         raise ValueError(f"unknown family {family!r}; "
                          f"known families: {', '.join(sorted(FAMILIES))}")
     try:
-        return FAMILIES[family](config)
+        return FAMILIES[family](MappingProxyType(dict(config)))
     except KeyError as missing:
         raise ValueError(f"family {family!r} config lacks key {missing}") from None
 
@@ -138,11 +140,22 @@ def list_targets() -> list[str]:
     return sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
 
 
+# Shipped name -> its built instance, filled by load_target on first use.
+_SHIPPED: dict[str, TargetInstance] = {}
+
+
 def load_target(name_or_path: str) -> TargetInstance:
     """A bare name that names a shipped config loads that config, whatever
-    the working directory holds; anything else is a path ("./dlp-p11")."""
+    the working directory holds; anything else is a path ("./dlp-p11").
+    A shipped config is built on its first load and every later load of
+    its name returns that instance; a path is read and built on every
+    call, and a failed load is never remembered."""
+    target = _SHIPPED.get(name_or_path)
+    if target is not None:
+        return target
     path = CONFIG_DIR / f"{name_or_path}.json"
-    if Path(name_or_path).name != name_or_path or not path.is_file():
+    shipped = Path(name_or_path).name == name_or_path and path.is_file()
+    if not shipped:
         path = Path(name_or_path)
         if not path.is_file():
             raise ValueError(f"no target named {name_or_path!r}; "
@@ -154,4 +167,5 @@ def load_target(name_or_path: str) -> TargetInstance:
             raise ValueError("target config is nested too deeply") from None
     if not isinstance(config, dict):
         raise ValueError("a target config must be a JSON object")
-    return build_target(config)
+    target = build_target(config)
+    return _SHIPPED.setdefault(name_or_path, target) if shipped else target

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from bbi import cli, embedding, engine, oracle
+from bbi import cli, embedding, engine, oracle, targets
 from bbi.embedding import composed_map
 from bbi.gf2 import BitVec
 from bbi.targets import (CONFIG_DIR, TargetInstance, build_target,
@@ -448,7 +448,8 @@ def test_demos_call_no_oracle(name, monkeypatch):
 def test_stream_maps_share_one_table_build(monkeypatch):
     """The demo's keystream, its one map (evaluated through two window
     maps) and its re-synthesis check all evaluate through one table
-    build, and so do the five window maps of one loaded target."""
+    build, and the five window maps of a second load of the shipped
+    target reuse it: one build for the whole process."""
     builds = []
     build = FilteredLfsr._build_evaluator
 
@@ -457,6 +458,7 @@ def test_stream_maps_share_one_table_build(monkeypatch):
         return build(lfsr, count)
 
     monkeypatch.setattr(FilteredLfsr, "_build_evaluator", spy)
+    monkeypatch.setattr(targets, "_SHIPPED", {})
     rc, _, _, made = run_main("demo", "stream")
     assert rc == 0 and len(made) == 1 and builds == [20]
 
@@ -466,7 +468,23 @@ def test_stream_maps_share_one_table_build(monkeypatch):
                for i in range(1, F.out_width - F.in_width + 2)]
     for G in windows:
         G(BitVec(0x36, 16))
-    assert len(windows) == 5 and builds == [20, 20]
+    assert len(windows) == 5 and builds == [20]
+
+
+def test_shipped_configs_survive_every_demo_and_invert(monkeypatch):
+    """All six demos and one invert per shipped target, in one process,
+    share one instance per target, and each instance's config still
+    equals its JSON file afterwards."""
+    monkeypatch.setattr(targets, "_SHIPPED", {})
+    for name in sorted(cli.DEMOS):
+        assert run_main("demo", name)[0] == 0
+    for name in list_targets():
+        F = load_target(name).fresh_map()
+        y = F(BitVec(1, F.in_width)).hex()
+        assert run_main("invert", "--target", name, "--y", y)[0] in (0, 2)
+    assert sorted(targets._SHIPPED) == list_targets()
+    for name, target in targets._SHIPPED.items():
+        assert target.config == json.loads((CONFIG_DIR / f"{name}.json").read_text())
 
 
 def test_demo_rsa_cca_rejects_bad_seed_before_the_attack():

@@ -10,8 +10,9 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from bbi import cli
+from bbi import cli, targets
 from bbi.embedding import invert_embedding
+from bbi.engine import EvalBudgetExceeded
 from bbi.gf2 import BitVec, Gf2Poly, order
 from bbi.oracle import brute_force_invert
 from bbi.targets import (CONFIG_DIR, arith, build_target, ec, list_targets,
@@ -76,9 +77,11 @@ def test_is_primitive_poly_agrees_with_order_up_to_degree_10():
             assert is_primitive_poly(p) == (order(p, n) == n), p
 
 
-def test_stream_reload_runs_no_powmod(monkeypatch):
-    """Primitivity is remembered per polynomial, so reloading the stream
-    config skips the powmod checks of its feedback polynomial."""
+def test_stream_reload_runs_no_powmod(monkeypatch, tmp_path):
+    """The stream config's feedback polynomial is checked once per
+    process: the demo builds the shipped instance, a second load returns
+    that instance, and a path load of the same config, built afresh,
+    finds the polynomial's verdict remembered."""
     calls, powmod = [], arith.powmod
 
     def counted(*args):
@@ -86,12 +89,18 @@ def test_stream_reload_runs_no_powmod(monkeypatch):
         return powmod(*args)
 
     monkeypatch.setattr(arith, "powmod", counted)
+    monkeypatch.setattr(targets, "_SHIPPED", {})
     is_primitive_poly.cache_clear()
-    load_target("stream")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["demo", "stream"]) == 0
     assert calls  # the first load checks the polynomial
-    calls.clear()
-    load_target("stream")
-    assert calls == []
+    checked, shipped = len(calls), targets._SHIPPED["stream"]
+    assert load_target("stream") is shipped
+    path = tmp_path / "stream.json"
+    path.write_text((CONFIG_DIR / "stream.json").read_text())
+    assert load_target(str(path)) is not shipped
+    assert len(calls) == checked
+    assert is_primitive_poly.cache_info().misses == 1
 
 
 # ----------------------------------------------------------------- basic maps
@@ -661,8 +670,12 @@ def test_list_targets():
 
 
 def test_load_shipped_targets():
+    """Each shipped name is built once per process: every load of it
+    returns the same instance."""
     for name in SHIPPED:
-        F = load_target(name).fresh_map()
+        target = load_target(name)
+        assert load_target(name) is target
+        F = target.fresh_map()
         assert F.in_width >= 1 and F.out_width >= F.in_width
     rsa = load_target("rsa-demo")
     assert rsa.family == "rsa" and rsa.params.n == 15
@@ -685,7 +698,8 @@ FAMILY_MODULES = {
 }
 
 # Prints the bbi.targets.<family> modules loaded after `import bbi`, after
-# `import bbi.cli` and after loading the shipped config named in argv[1].
+# `import bbi.cli` and after loading the shipped config named in argv[1],
+# with the shipped names load_target remembers after the last two steps.
 LOADED_FAMILIES = """
 import json, sys
 def families():
@@ -694,9 +708,9 @@ def families():
 import bbi
 steps = [families()]
 import bbi.cli
-steps.append(families())
+steps.append([families(), sorted(bbi.targets._SHIPPED)])
 bbi.targets.load_target(sys.argv[1])
-steps.append(families())
+steps.append([families(), sorted(bbi.targets._SHIPPED)])
 print(json.dumps(steps))
 """
 
@@ -704,21 +718,84 @@ print(json.dumps(steps))
 @pytest.mark.parametrize("name", SHIPPED)
 def test_a_process_imports_only_the_family_it_loads(name):
     """A fresh process (PYTHONPATH=src, as conftest sets it) loads no
-    target family on `import bbi` or `import bbi.cli`; loading a shipped
-    target then imports that family's module, with arith where the
-    family uses it, and no other family."""
+    target family and builds no target on `import bbi` or `import
+    bbi.cli`; loading a shipped target then imports that family's module,
+    with arith where the family uses it, and no other family, and
+    remembers that one target."""
     family = json.loads((CONFIG_DIR / f"{name}.json").read_text())["family"]
     res = subprocess.run([sys.executable, "-c", LOADED_FAMILIES, name],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [[], [], FAMILY_MODULES[family]]
+    assert json.loads(res.stdout) == [[], [[], []],
+                                      [FAMILY_MODULES[family], [name]]]
+
+
+def test_a_path_is_read_on_every_load(tmp_path, monkeypatch):
+    """A path, or a bare name that names no shipped config, is read and
+    built on every call, so an edit between two loads is seen, and
+    load_target keeps neither."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "mine"
+    for ref in (str(cfg), "mine"):
+        widths = []
+        for width in (5, 7):
+            cfg.write_text(json.dumps({"family": "identity", "width": width}))
+            widths.append(load_target(ref).fresh_map().in_width)
+        assert widths == [5, 7]
+    assert not {str(cfg), "mine"} & targets._SHIPPED.keys()
+
+
+def test_a_failed_load_is_never_remembered(tmp_path, monkeypatch):
+    """A missing name raises on every call, and a shipped config that
+    fails to build is read again on the next load; once it builds, that
+    instance is the one every later load returns."""
+    missing = f"^no target named 'nope'; shipped targets: {', '.join(SHIPPED)}$"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=missing):
+            load_target("nope")
+    monkeypatch.setattr(targets, "CONFIG_DIR", tmp_path)
+    monkeypatch.setattr(targets, "_SHIPPED", {})
+    cfg = tmp_path / "mine.json"
+    cfg.write_text(json.dumps({"family": "identity"}))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^family 'identity' config lacks key 'width'$"):
+            load_target("mine")
+    cfg.write_text(json.dumps({"family": "identity", "width": 5}))
+    first = load_target("mine")
+    cfg.write_text(json.dumps({"family": "identity", "width": 7}))
+    assert load_target("mine") is first and first.config["width"] == 5
+    assert list(targets._SHIPPED) == ["mine"]
+
+
+def test_a_target_config_is_read_only():
+    """A shared instance cannot be changed through its config, and
+    build_target copies the config it is given, so a later edit of the
+    caller's dict does not reach the instance."""
+    shipped = load_target("rsa-demo")
+    with pytest.raises(TypeError):
+        shipped.config["p"] = 7
+    with pytest.raises(TypeError):
+        del shipped.config["p"]
+    doc = {"family": "identity", "width": 5}
+    built = build_target(doc)
+    doc["width"] = 7
+    assert built.config == {"family": "identity", "width": 5}
+    with pytest.raises(TypeError):
+        built.config["width"] = 7
 
 
 def test_fresh_maps_have_independent_counters():
-    target = load_target("identity16")
-    a, b = target.fresh_map(), target.fresh_map()
+    """Two loads of a shipped name share one instance, yet each map it
+    hands out counts and budgets its own evaluations."""
+    a, b = (load_target("identity16").fresh_map() for _ in range(2))
+    a.max_evals = 1
     a(BitVec(1, 16))
-    assert a.evals == 1 and b.evals == 0
+    with pytest.raises(EvalBudgetExceeded):
+        a(BitVec(1, 16))
+    assert (a.evals, b.evals, b.max_evals) == (1, 0, None)
+    b(BitVec(1, 16))
+    b(BitVec(2, 16))
+    assert (a.evals, b.evals) == (1, 2)
 
 
 def test_load_target_by_path(tmp_path):
