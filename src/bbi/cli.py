@@ -9,9 +9,7 @@ would.  `invert` and `survey` solve the one window of --M terms.
 whole demo.
 
 Exit codes: 0 verified success, 1 usage or config error, 2 insufficient
-data (no verified solution, or an evaluation budget ran dry).  The
-BBI_SEED environment variable overrides --seed wherever sampling
-happens, so golden outputs stay reproducible.
+data (no verified solution, or an evaluation budget ran dry).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import contextlib
 import csv
 import json
 import math
-import os
 import random
 import sys
 from collections import Counter
@@ -66,16 +63,6 @@ def _budget_map(target: TargetInstance, max_evals: int) -> BlackBoxMap:
     return F
 
 
-def _rng_seed(args) -> int:
-    env = os.environ.get("BBI_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise ValueError(f"BBI_SEED must be an integer, got {env!r}") from None
-    return getattr(args, "seed", 0)
-
-
 def _report_doc(report: InversionReport) -> dict:
     return {
         "outcome": report.outcome,
@@ -117,7 +104,7 @@ def cmd_survey(args) -> int:
             raise ValueError("--samples must be >= 1")
         if n > 62:  # random.sample cannot index a range of 2^63 or more
             raise ValueError("sampled survey is limited to widths <= 62")
-        rng = random.Random(_rng_seed(args))
+        rng = random.Random(args.seed)
         count = min(args.samples, 1 << n)
         values = sorted(rng.sample(range(1 << n), count))
     if args.M is not None and args.M < 2:
@@ -223,7 +210,7 @@ def _demo_rsa_decrypt(target: TargetInstance, args):
 
 
 def _demo_rsa_cca(target: TargetInstance, args):
-    rng = random.Random(_rng_seed(args))
+    rng = random.Random(args.seed)
     n, e = target.params.n, target.params.e
     c = _as_int(target.config["c"])
     m = pow(c, target.params.private_exponent(), n)
@@ -330,8 +317,6 @@ def cmd_oracle(args) -> int:
         print(json.dumps({"target": F.label, "y": y.hex(),
                           "preimages": [x.hex() for x in preimages]}, indent=2))
         return 0
-    if F.in_width != F.out_width:
-        raise ValueError("orbit profiling needs a regular map")
     prof = orbit_profile(F, y)
     print(json.dumps({"target": F.label, "y": y.hex(),
                       "preperiod": prof.preperiod, "period": prof.period},
@@ -379,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="visit every point of the domain instead of sampling")
     sur.add_argument("--M", type=int, default=None)
     sur.add_argument("--seed", type=int, default=0,
-                     help="RNG seed for sampling (BBI_SEED overrides)")
+                     help="RNG seed for sampling")
     sur.add_argument("--lc-threshold", type=int, default=None,
                      help="LC cutoff for the summary fraction (default width)")
     sur.add_argument("--csv-out", default=None,
@@ -390,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dem = sub.add_parser("demo", help="run an end-to-end scenario")
     dem.add_argument("name", choices=sorted(DEMOS))
     dem.add_argument("--seed", type=int, default=0,
-                     help="RNG seed for in-demo sampling (BBI_SEED overrides)")
+                     help="RNG seed for in-demo sampling")
     _add_max_evals(dem)
     dem.set_defaults(func=cmd_demo)
 

@@ -447,12 +447,10 @@ class GrowingWindow:
         found = ONE
         for i, u in enumerate(schedule):
             mp = self._project(i, u)
+            if found != ONE:
+                mp = lcm(found, mp)
             if 2 * mp.degree > M:
                 return None
-            if found != ONE:
-                mp = _lcm_within(found, mp, M)
-                if mp is None:
-                    return None
             if mp != found and self._annihilated(mp.bits) == M - mp.degree:
                 return mp
             found = mp
@@ -555,24 +553,6 @@ def _residual(terms: tuple[int, ...], selectors: bytes, start: int,
     width = len(selectors)
     return tuple(reduce(xor, compress(terms[t:t + width], selectors), 0)
                  for t in range(start, stop))
-
-
-def _lcm_within(a: Gf2Poly, b: Gf2Poly, M: int) -> Gf2Poly | None:
-    """lcm(a, b) if its degree is at most M/2, else None; a and b have
-    degree <= M/2, and M, a residual window's length, is even.
-
-    When the larger, a, has degree M/2, the lcm stays within only by
-    being a, that is, when b divides a: one remainder decides, where the
-    gcd of two polynomials of degree about M/2 would take a division per
-    step of Euclid's algorithm.  It is 0 when b is a, and not 0 for any
-    other b of a's degree.
-    """
-    if a.degree < b.degree:
-        a, b = b, a
-    if 2 * a.degree >= M:
-        return a if not (a % b).bits else None
-    mp = lcm(a, b)
-    return mp if 2 * mp.degree <= M else None
 
 
 def _hankel_rank(window: GrowingWindow, M: int) -> int:

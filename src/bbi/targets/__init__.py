@@ -36,8 +36,9 @@ CONFIG_DIR = Path(__file__).parent / "configs"
 
 @dataclass(frozen=True)
 class TargetInstance:
-    """A built target: family name, config (a read-only copy, since every
-    load of a shipped name shares one instance), typed params, map factory."""
+    """A built target: family name, config (a read-only copy, arrays as
+    tuples, since every load of a shipped name shares one instance), typed
+    params, map factory."""
 
     family: str
     config: Mapping[str, Any]
@@ -74,7 +75,7 @@ def _build_spn(cfg: Mapping) -> TargetInstance:
 def _build_stream(cfg: Mapping) -> TargetInstance:
     from .stream import FilteredLfsr
     taps = cfg["filter_taps"]
-    if not isinstance(taps, list):
+    if not isinstance(taps, tuple):
         raise ValueError(f"filter_taps must be a list of state positions, got {taps!r}")
     lfsr = FilteredLfsr(feedback=Gf2Poly(_as_int(cfg["feedback"])),
                         key_width=_as_int(cfg["key_width"]),
@@ -125,15 +126,26 @@ FAMILIES: dict[str, Callable[[Mapping], TargetInstance]] = {
 }
 
 
+def _frozen(value):
+    """A JSON value made read-only, nested ones included: arrays as tuples."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
+    return value
+
+
 def build_target(config: dict) -> TargetInstance:
     family = config.get("family")
     if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
                          f"known families: {', '.join(sorted(FAMILIES))}")
     try:
-        return FAMILIES[family](MappingProxyType(dict(config)))
+        return FAMILIES[family](_frozen(dict(config)))
     except KeyError as missing:
         raise ValueError(f"family {family!r} config lacks key {missing}") from None
+    except RecursionError:
+        raise ValueError("target config is nested too deeply") from None
 
 
 def list_targets() -> list[str]:

@@ -112,6 +112,7 @@ class FilteredLfsr:
             lookups.append((shift, sums))
         # Table entries at or past 2^v are zero, so the filter is 0 when any
         # tap from v on reads 1, and its normal form needs only taps below v.
+        # So v bounds the set-up work by the table's size, not by the tap count.
         v = (table.bit_length() - 1).bit_length() if table else 0
         anf = _moebius(table, v)
         monomials = [tuple(t for j, t in enumerate(taps[:v]) if u >> j & 1)

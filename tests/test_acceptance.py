@@ -5,7 +5,6 @@ doubles as the acceptance report.  Randomness is seeded; every check is
 exact (no tolerances) except the criterion-1 wall-clock budget.
 """
 
-import os
 import random
 import subprocess
 import sys
@@ -399,32 +398,29 @@ def test_c8_eval_count_contract():
 
 # --------------------------------------------------------------- criterion 9
 
-def run_cli(args, **env_extra):
-    env = os.environ.copy()
-    env.pop("BBI_SEED", None)
-    env.update(env_extra)
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "bbi.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def test_c9_survey_golden_csv(tmp_path):
     out = tmp_path / "identity16.csv"
     res = run_cli(["survey", "--target", "identity16", "--samples", "64",
-                   "--csv-out", str(out)], BBI_SEED="0")
+                   "--csv-out", str(out)])
     assert res.returncode == 0
     assert out.read_bytes() == (GOLDEN / "identity16_survey.csv").read_bytes()
 
     out2 = tmp_path / "dlp.csv"
     res2 = run_cli(["survey", "--target", "dlp-p11", "--exhaustive",
-                    "--csv-out", str(out2)], BBI_SEED="0")
+                    "--csv-out", str(out2)])
     assert res2.returncode == 0
     assert out2.read_bytes() == (GOLDEN / "dlp_p11_survey.csv").read_bytes()
 
     # 31 seeds with a tail and one periodic seed (period 234)
     out3 = tmp_path / "spn.csv"
     res3 = run_cli(["survey", "--target", "spn-kpa", "--samples", "32",
-                    "--csv-out", str(out3)], BBI_SEED="0")
+                    "--csv-out", str(out3)])
     assert res3.returncode == 0
     assert out3.read_bytes() == (GOLDEN / "spn_kpa_survey.csv").read_bytes()
     print("C9 PASS: identity16, dlp-p11 and spn-kpa surveys reproduce the "
-          "golden CSVs byte-exactly under BBI_SEED=0")
+          "golden CSVs byte-exactly at the default --seed 0")

@@ -24,13 +24,11 @@ from bbi.targets.ec import (CurveParams, ECPoint, ec_scalar_mul, encode_point)
 from bbi.targets.stream import FilteredLfsr
 
 
-def run_cli(*args, seed_env=None, module="bbi.cli"):
-    env = os.environ.copy()
-    env.pop("BBI_SEED", None)
-    if seed_env is not None:
-        env["BBI_SEED"] = seed_env
+def run_cli(*args, module="bbi.cli", **env):
+    """`bbi args` in a subprocess, with `env` added to the environment."""
     return subprocess.run([sys.executable, "-m", module, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env={**os.environ, **env})
 
 
 def test_invert_rsa_demo():
@@ -98,20 +96,15 @@ def counted_maps():
 
 
 def run_main(*argv: str) -> tuple[int, str, str, list]:
-    """`bbi argv` in-process, with BBI_SEED unset.
+    """`bbi argv` in-process.
 
     Returns the exit code, stdout, stderr and every map the targets
     handed out during the run.
     """
     out, err = io.StringIO(), io.StringIO()
-    seed_env = os.environ.pop("BBI_SEED", None)
-    try:
-        with counted_maps() as made, contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            rc = cli.main(list(argv))
-    finally:
-        if seed_env is not None:
-            os.environ["BBI_SEED"] = seed_env
+    with counted_maps() as made, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
     return rc, out.getvalue(), err.getvalue(), made
 
 
@@ -483,13 +476,14 @@ def test_shipped_configs_survive_every_demo_and_invert(monkeypatch):
         y = F(BitVec(1, F.in_width)).hex()
         assert run_main("invert", "--target", name, "--y", y)[0] in (0, 2)
     assert sorted(targets._SHIPPED) == list_targets()
-    for name, target in targets._SHIPPED.items():
-        assert target.config == json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    for name, target in targets._SHIPPED.items():  # arrays come back as lists
+        assert (json.loads(json.dumps(target.config, default=dict))
+                == json.loads((CONFIG_DIR / f"{name}.json").read_text()))
 
 
 def test_demo_rsa_cca_rejects_bad_seed_before_the_attack():
-    res = run_cli("demo", "rsa-cca", seed_env="abc")
-    _one_line_error(res, "BBI_SEED must be an integer, got 'abc'")
+    res = run_cli("demo", "rsa-cca", "--seed", "abc")
+    _one_line_error(res, "--seed: invalid int value: 'abc'")
     assert res.stdout == ""
 
 
@@ -552,8 +546,6 @@ def test_usage_errors_exit_1():
     assert res.returncode == 1
     res = run_cli("invert", "--target", "rsa-demo", "--y", "0x10")
     assert res.returncode == 1  # 16 does not fit 4 bits
-    res = run_cli("survey", "--target", "identity16", seed_env="zzz")
-    assert res.returncode == 1
 
 
 def test_survey_rejects_embeddings():
@@ -609,6 +601,21 @@ def test_deeply_nested_config_is_a_one_line_error(tmp_path):
     res = run_cli("invert", "--target", str(cfg), "--y", "0x1")
     _one_line_error(res, "error: target config is nested too deeply")
     assert res.stdout == "" and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("depth", [300, 700, 990])
+def test_a_config_nested_as_deep_as_json_reads_loads_or_is_refused(depth, tmp_path):
+    """Arrays and objects nested in a config are frozen when it loads;
+    nesting json reads but freezing cannot is a one-line error too."""
+    cfg = tmp_path / "nested.json"
+    cfg.write_text('{"family": "identity", "width": 4, "x": ' + "[" * depth
+                   + "]" * depth + ', "y": ' + '{"a": ' * depth + "1"
+                   + "}" * depth + "}")
+    rc, out, err, _ = run_main("invert", "--target", str(cfg), "--y", "0x1")
+    if rc == 1:
+        assert (out, err) == ("", "error: target config is nested too deeply\n")
+    else:
+        assert rc == 0 and json.loads(out)["x"] == "0x1"
 
 
 def test_config_rejects_non_string_family(tmp_path):
@@ -757,7 +764,7 @@ def test_survey_summary_and_determinism(tmp_path):
     out = tmp_path / "rows.csv"
     args = ("survey", "--target", "identity16", "--samples", "8",
             "--csv-out", str(out))
-    first = run_cli(*args, seed_env="0")
+    first = run_cli(*args)
     assert first.returncode == 0
     summary = json.loads(first.stdout)
     assert summary["samples"] == 8
@@ -768,9 +775,16 @@ def test_survey_summary_and_determinism(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == "seed,periodic,LC,period,inverted,evals"
     assert len(rows) == 9
-    again = run_cli(*args, seed_env="0")
+    again = run_cli(*args)
     assert again.stdout == first.stdout
     assert out.read_text() == "\n".join(rows) + "\n"
+
+
+def test_survey_seed_comes_from_the_flag_alone():
+    args = ("survey", "--target", "identity16", "--samples", "8", "--seed", "3")
+    res = run_cli(*args, BBI_SEED="zzz")
+    assert res.returncode == 0
+    assert res.stdout == run_cli(*args).stdout
 
 
 def test_survey_exhaustive_small_domain():
@@ -824,7 +838,8 @@ def test_oracle_orbit():
 
 def test_oracle_orbit_rejects_embeddings():
     res = run_cli("oracle", "orbit", "--target", "stream", "--y", "0x0")
-    assert res.returncode == 1
+    _one_line_error(res, "orbit iteration needs matching in/out widths")
+    assert res.stdout == ""
 
 
 def test_demo_dlp():

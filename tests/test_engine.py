@@ -979,21 +979,6 @@ def test_growing_window_refuses_one_term_and_solves_again_unchanged():
     assert [read[0] for read in grown._read] == [len(s.terms)]
 
 
-def test_lcm_within_is_the_lcm_when_it_fits_half_the_window():
-    """_lcm_within(a, b, M) against gf2.lcm for every pair of polynomials
-    of degree 1..4 and every M that leaves both within M/2: the lcm when
-    its degree is at most M/2, None otherwise, on both of its routes (a
-    remainder when the larger has degree at least M/2).  The solve joins
-    only on even M; odd M is exact as well."""
-    polys = [Gf2Poly(bits) for bits in range(2, 32)]
-    for a in polys:
-        for b in polys:
-            joined = gf2.lcm(a, b)
-            for M in range(2 * max(a.degree, b.degree), 13):
-                expected = joined if 2 * joined.degree <= M else None
-                assert engine._lcm_within(a, b, M) == expected, (a, b, M)
-
-
 def test_growing_window_leaves_a_projection_it_no_longer_needs():
     """At 2 terms the first projection of 3, 3 is all zero, so the solve
     reads the second; at 14 terms of the cycle 3, 3, 2 the first alone
@@ -1174,20 +1159,19 @@ def test_minpoly_matches_massey_and_lowbit_on_structured_windows(seq):
     assert measured(res) == reference(seq)
 
 
-def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
-    """Only residual windows join projections, and their lengths are
+def test_joins_at_half_the_residual_window_answer_as_the_reference(monkeypatch):
+    """Only residual windows join projections, and their lengths K are
     even.  On the residuals of random windows two projections of degree
-    about half the residual window are common, and late-jump windows (a
-    short cycle with one bit flipped in the last 100 terms) take both
-    kinds of join.  When the larger has degree half the window joined,
-    so that one degree more would pass it, a remainder decides their
-    join, so every gcd the solve takes has room to grow."""
-    joins, lcms = [], []
-    join = engine._lcm_within
-    monkeypatch.setattr(engine, "_lcm_within", lambda a, b, M: joins.append(
-        (max(a.degree, b.degree), M)) or join(a, b, M))
-    monkeypatch.setattr(engine, "lcm", lambda a, b: lcms.append(
-        (max(a.degree, b.degree), joins[-1][1])) or gf2.lcm(a, b))
+    about K/2 are common, and late-jump windows (a short cycle with one
+    bit flipped in the last 100 terms) take joins of every size.  Some
+    join has a larger degree of K/2, so that one degree more would pass
+    half the window, and every answer is the reference's."""
+    lengths, joins = [], []
+    decide = GrowingWindow._decide
+    monkeypatch.setattr(GrowingWindow, "_decide", lambda self, schedule: (
+        lengths.append(len(self.terms)) or decide(self, schedule)))
+    monkeypatch.setattr(engine, "lcm", lambda a, b: joins.append(
+        (max(a.degree, b.degree), lengths[-1])) or gf2.lcm(a, b))
     rng = random.Random(7)
     for M in range(4, 200, 3):
         for n in (4, 16):
@@ -1196,9 +1180,8 @@ def test_no_lcm_when_one_more_degree_would_pass_half_the_window(monkeypatch):
             p = rng.randint(1, 12)
             s = seq_of(structured_terms("late-jump", n, M, p, rng), n)
             assert minimal_polynomial(s).minpoly == reference(s)[0]
-    assert all(M % 2 == 0 for _, M in joins)
-    assert lcms and all(2 * d < M for d, M in lcms)
-    assert any(2 * d == M for d, M in joins)
+    assert all(K % 2 == 0 for _, K in joins)
+    assert any(2 * d == K for d, K in joins)
 
 
 def test_minpoly_long_cycle_matches_lowbit_scan_and_bm():

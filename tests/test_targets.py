@@ -103,6 +103,16 @@ def test_stream_reload_runs_no_powmod(monkeypatch, tmp_path):
     assert is_primitive_poly.cache_info().misses == 1
 
 
+def test_shared_stream_config_cannot_be_edited(monkeypatch):
+    """Every load of a shipped name shares one config, so its arrays are
+    tuples: an append raises, and a later load reads the JSON's taps."""
+    monkeypatch.setattr(targets, "_SHIPPED", {})
+    taps = json.loads((CONFIG_DIR / "stream.json").read_text())["filter_taps"]
+    with pytest.raises(AttributeError):
+        load_target("stream").config["filter_taps"].append(99)
+    assert list(load_target("stream").config["filter_taps"]) == taps
+
+
 # ----------------------------------------------------------------- basic maps
 
 def test_identity_and_not_maps():
@@ -280,11 +290,13 @@ def test_stream_validation():
 
 def test_stream_degree_limit_and_wide_filter():
     # degree 32 is the largest accepted; 32 taps take a table without the
-    # 2^32-bit bound ever being built
+    # 2^32-bit bound ever being built, and evaluate as the clocked filter
     lfsr = FilteredLfsr(feedback=Gf2Poly(0x100400007), key_width=16, iv=0,
                         filter_taps=list(range(32)), filter_table=0x956A6A6A,
                         warmup=0)
     assert lfsr.degree == 32
+    for key in (0, 1, 0x8000, 0xBEEF, 0xFFFF):
+        assert lfsr.keystream(key, 48) == reference_keystream(lfsr, key, 48), key
     with pytest.raises(ValueError, match="at most 32"):
         FilteredLfsr(feedback=Gf2Poly((1 << 33) | (1 << 13) | 1), key_width=3,
                      iv=0, filter_taps=[0], filter_table=0b10, warmup=0)
@@ -295,7 +307,7 @@ def test_stream_degree_limit_and_wide_filter():
         FilteredLfsr(**{**good, "filter_table": -1})
 
 
-@pytest.mark.parametrize("extra_taps", [[], [23]], ids=["shipped", "high-tap"])
+@pytest.mark.parametrize("extra_taps", [(), (23,)], ids=["shipped", "high-tap"])
 def test_keystream_matches_clocked_reference_on_every_shipped_key(extra_taps):
     # the shipped table spans all five taps; a sixth tap above them must
     # force the output to 0 whenever it reads 1
