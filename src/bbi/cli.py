@@ -110,39 +110,39 @@ def cmd_survey(args) -> int:
     if args.M is not None and args.M < 2:
         raise ValueError("window length M must be >= 2")
 
-    rows = []
+    lcs, periodic_seeds, inverted_seeds = Counter(), 0, 0  # LC None: saturated
     with (open(args.csv_out, "w", newline="") if args.csv_out
           else contextlib.nullcontext(sys.stdout)) as out:
-        writer = csv.DictWriter(out, fieldnames=SURVEY_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(SURVEY_COLUMNS)
         for v in values:
             y = BitVec(v, n)
             periodic, period = cycle_walk(_budget_map(target, args.max_evals), y)
             report = local_inversion(_budget_map(target, args.max_evals), y, args.M)
             lc = report.linear_complexity
-            rows.append({
-                "seed": y.hex(),
-                "periodic": str(periodic).lower(),
-                "LC": lc if lc is not None else "saturated",
-                "period": period if periodic else "unknown",
-                "inverted": str(report.solved).lower(),
-                "evals": report.map_evals,
-            })
-            writer.writerow(rows[-1])
+            lcs[lc] += 1
+            periodic_seeds += periodic
+            inverted_seeds += report.solved
+            writer.writerow((y.hex(), str(periodic).lower(),
+                             "saturated" if lc is None else lc,
+                             period if periodic else "unknown",
+                             str(report.solved).lower(), report.map_evals))
 
     threshold = args.lc_threshold if args.lc_threshold is not None else n
-    int_lcs = [r["LC"] for r in rows if isinstance(r["LC"], int)]
+    found = [(lc, k) for lc, k in lcs.items() if lc is not None]
     summary = {
         "target": probe.label,
-        "samples": len(rows),
+        "samples": lcs.total(),
         "M": report.terms_consumed,
         "lc_threshold": threshold,
-        "lc_histogram": Counter(str(r["LC"]) for r in rows),
-        "mean_lc": round(sum(int_lcs) / len(int_lcs), 4) if int_lcs else None,
+        "lc_histogram": {"saturated" if lc is None else str(lc): k
+                         for lc, k in lcs.items()},
+        "mean_lc": round(sum(lc * k for lc, k in found)
+                         / sum(k for _, k in found), 4) if found else None,
         "fraction_lc_le_threshold": round(
-            sum(1 for lc in int_lcs if lc <= threshold) / len(rows), 4),
-        "periodic": sum(1 for r in rows if r["periodic"] == "true"),
-        "inverted": sum(1 for r in rows if r["inverted"] == "true"),
+            sum(k for lc, k in found if lc <= threshold) / lcs.total(), 4),
+        "periodic": periodic_seeds,
+        "inverted": inverted_seeds,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

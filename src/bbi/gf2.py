@@ -113,11 +113,6 @@ class Gf2Poly:
         q, r = _divmod_bits(self.bits, other.bits)
         return Gf2Poly(q), Gf2Poly(r)
 
-    def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
-        if not isinstance(other, Gf2Poly):
-            return NotImplemented
-        return divmod(self, other)[1]
-
     def __floordiv__(self, other: "Gf2Poly") -> "Gf2Poly":
         if not isinstance(other, Gf2Poly):
             return NotImplemented

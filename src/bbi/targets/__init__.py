@@ -36,11 +36,10 @@ CONFIG_DIR = Path(__file__).parent / "configs"
 
 @dataclass(frozen=True)
 class TargetInstance:
-    """A built target: family name, config (a read-only copy, arrays as
-    tuples, since every load of a shipped name shares one instance), typed
-    params, map factory."""
+    """A built target: its config as a read-only copy (arrays as tuples,
+    since every load of a shipped name shares one instance), typed params
+    and a map factory."""
 
-    family: str
     config: Mapping[str, Any]
     params: Any
     factory: Callable[[], BlackBoxMap] = field(repr=False)
@@ -56,26 +55,27 @@ def _as_int(v) -> int:
     return v if isinstance(v, int) else int(v, 0)
 
 
-# Each builder imports its own family module, so a process loads only the
+# Each builder reads the config as parsed from JSON and returns (params,
+# factory); it imports its own family module, so a process loads only the
 # families its configs name.
 
-def _build_identity(cfg: Mapping) -> TargetInstance:
+def _build_identity(cfg: dict):
     from .basic import identity_map
     width = _as_int(cfg["width"])
-    return TargetInstance("identity", cfg, None, lambda: identity_map(width))
+    return None, lambda: identity_map(width)
 
 
-def _build_spn(cfg: Mapping) -> TargetInstance:
+def _build_spn(cfg: dict):
     from .spn import ToySpn
     cipher = ToySpn(rounds=_as_int(cfg["rounds"]))
     plaintext = _as_int(cfg["plaintext"])
-    return TargetInstance("spn", cfg, cipher, lambda: cipher.kpa_map(plaintext))
+    return cipher, lambda: cipher.kpa_map(plaintext)
 
 
-def _build_stream(cfg: Mapping) -> TargetInstance:
+def _build_stream(cfg: dict):
     from .stream import FilteredLfsr
     taps = cfg["filter_taps"]
-    if not isinstance(taps, tuple):
+    if not isinstance(taps, (list, tuple)):
         raise ValueError(f"filter_taps must be a list of state positions, got {taps!r}")
     lfsr = FilteredLfsr(feedback=Gf2Poly(_as_int(cfg["feedback"])),
                         key_width=_as_int(cfg["key_width"]),
@@ -84,38 +84,38 @@ def _build_stream(cfg: Mapping) -> TargetInstance:
                         filter_table=_as_int(cfg["filter_table"]),
                         warmup=_as_int(cfg["warmup"]))
     count = _as_int(cfg["count"])
-    return TargetInstance("stream", cfg, lfsr, lambda: lfsr.kpa_map(count))
+    return lfsr, lambda: lfsr.kpa_map(count)
 
 
-def _build_rsa(cfg: Mapping) -> TargetInstance:
+def _build_rsa(cfg: dict):
     from .rsa import RsaParams, enc_map
     params = RsaParams(_as_int(cfg["p"]), _as_int(cfg["q"]), _as_int(cfg["e"]))
-    return TargetInstance("rsa", cfg, params, lambda: enc_map(params))
+    return params, lambda: enc_map(params)
 
 
-def _build_rsa_cca(cfg: Mapping) -> TargetInstance:
+def _build_rsa_cca(cfg: dict):
     from .rsa import RsaParams, cca_map
     params = RsaParams(_as_int(cfg["p"]), _as_int(cfg["q"]), _as_int(cfg["e"]))
     c = _as_int(cfg["c"])
-    return TargetInstance("rsa-cca", cfg, params, lambda: cca_map(params, c))
+    return params, lambda: cca_map(params, c)
 
 
-def _build_dlp(cfg: Mapping) -> TargetInstance:
+def _build_dlp(cfg: dict):
     from .dlp import DlpParams, dlp_map
     params = DlpParams(_as_int(cfg["p"]), _as_int(cfg["base"]))
-    return TargetInstance("dlp", cfg, params, lambda: dlp_map(params))
+    return params, lambda: dlp_map(params)
 
 
-def _build_ecdlp(cfg: Mapping) -> TargetInstance:
+def _build_ecdlp(cfg: dict):
     from .ec import CurveParams, ECPoint, ecdlp_map
     curve = CurveParams(q=_as_int(cfg["q"]), a=_as_int(cfg["a"]),
                         b=_as_int(cfg["b"]),
                         base=ECPoint(_as_int(cfg["base_x"]),
                                      _as_int(cfg["base_y"])))
-    return TargetInstance("ecdlp", cfg, curve, lambda: ecdlp_map(curve))
+    return curve, lambda: ecdlp_map(curve)
 
 
-FAMILIES: dict[str, Callable[[Mapping], TargetInstance]] = {
+FAMILIES: dict[str, Callable[[dict], tuple]] = {
     "identity": _build_identity,
     "spn": _build_spn,
     "stream": _build_stream,
@@ -141,7 +141,7 @@ def build_target(config: dict) -> TargetInstance:
         raise ValueError(f"unknown family {family!r}; "
                          f"known families: {', '.join(sorted(FAMILIES))}")
     try:
-        return FAMILIES[family](_frozen(dict(config)))
+        return TargetInstance(_frozen(dict(config)), *FAMILIES[family](config))
     except KeyError as missing:
         raise ValueError(f"family {family!r} config lacks key {missing}") from None
     except RecursionError:

@@ -68,7 +68,7 @@ def reciprocal(p: Gf2Poly) -> Gf2Poly:
 def mulmod(a: Gf2Poly, b: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
     if mod.is_zero:
         raise ZeroDivisionError("zero modulus")
-    return (a * b) % mod
+    return divmod(a * b, mod)[1]
 
 
 @dataclass(frozen=True)

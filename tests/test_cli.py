@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -619,11 +620,18 @@ def test_a_config_nested_as_deep_as_json_reads_loads_or_is_refused(depth, tmp_pa
 
 
 def test_config_rejects_non_string_family(tmp_path):
+    """An array or object where a config wants a string or a number is a
+    one-line error, and the builders quote it as the JSON wrote it."""
+    cfg = tmp_path / "family.json"
     for shape in (["x"], {}):
-        cfg = tmp_path / "family.json"
         cfg.write_text(json.dumps({"family": shape}))
         res = run_cli("invert", "--target", str(cfg), "--y", "0x1")
         _one_line_error(res, f"unknown family {shape!r}; known families: ")
+    for shape in ([], {}):
+        cfg.write_text(json.dumps({"family": "rsa", "p": shape, "q": 5, "e": 3}))
+        res = run_cli("invert", "--target", str(cfg), "--y", "0x1")
+        _one_line_error(res, f"got {json.dumps(shape)}")
+        assert res.stderr.endswith(f"got {json.dumps(shape)}\n")
 
 
 def test_spn_config_rejects_plaintext_outside_16_bits(tmp_path):
@@ -778,6 +786,21 @@ def test_survey_summary_and_determinism(tmp_path):
     again = run_cli(*args)
     assert again.stdout == first.stdout
     assert out.read_text() == "\n".join(rows) + "\n"
+
+
+def test_survey_keeps_no_rows(capsys):
+    """Each row is written as it is computed and only counts are kept, so
+    the survey's peak allocation does not grow with --samples."""
+    load_target("identity16")  # the family's import is not the survey's
+    tracemalloc.start()
+    try:
+        rc = cli.main(["survey", "--target", "identity16", "--samples", "4096",
+                       "--csv-out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and json.loads(capsys.readouterr().out)["samples"] == 4096
+    assert peak < 1 << 20
 
 
 def test_survey_seed_comes_from_the_flag_alone():

@@ -389,16 +389,21 @@ UNREFERENCED_IN_SRC = {
 
 
 def test_src_defines_nothing_that_only_tests_call():
-    """Every function, class and method defined in src is named by other
-    src code (a call, a reference or an attribute read; a re-export does
-    not count), or is on UNREFERENCED_IN_SRC with its caller.  A method
-    counts as named only by an attribute read, x.name: a bare name of the
-    same spelling, such as a loop variable, does not name it.  Names are
-    matched by spelling alone, so a method that shares its name with
-    another class's attribute counts as read wherever that attribute is:
-    a property `bits` on BitVec would pass through every read of
-    Gf2Poly's field `bits`.  Dunder methods are called by the language
-    and are exempt."""
+    """Every function, class, method and class-body field (an annotated
+    name such as a dataclass field) defined in src is named by other src
+    code (a call, a reference or an attribute read; a re-export does not
+    count), or is on UNREFERENCED_IN_SRC with its caller.  A method or
+    field counts as named only by an attribute read, x.name: a bare name
+    of the same spelling, such as a loop variable, does not name it.
+    Names are matched by spelling alone, so a method that shares its name
+    with another class's attribute counts as read wherever that attribute
+    is: a property `bits` on BitVec would pass through every read of
+    Gf2Poly's field `bits`.  Receivers are not resolved: only a `self.`
+    read could be tied to its class, and without types a read like
+    `target.params.width` cannot be.  Dunder methods are called by the
+    language and are exempt; an operator dunder cannot be checked by its
+    spelling, since `%` and `//` on ints are written the same way and
+    the AST has no types."""
     src = Path(engine.__file__).parent
     defined, names, attrs = {}, set(), set()
 
@@ -413,6 +418,9 @@ def test_src_defines_nothing_that_only_tests_call():
                     names.add(child.id)
                 elif isinstance(child, ast.Attribute):
                     attrs.add(child.attr)
+                elif (isinstance(node, ast.ClassDef) and isinstance(child, ast.AnnAssign)
+                        and isinstance(child.target, ast.Name)):
+                    defined[f"{scope}{child.target.id}"] = child.target.id, True
                 walk(child, scope)
 
     for path in sorted(src.rglob("*.py")):

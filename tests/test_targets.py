@@ -690,7 +690,7 @@ def test_load_shipped_targets():
         F = target.fresh_map()
         assert F.in_width >= 1 and F.out_width >= F.in_width
     rsa = load_target("rsa-demo")
-    assert rsa.family == "rsa" and rsa.params.n == 15
+    assert rsa.config["family"] == "rsa" and rsa.params.n == 15
     assert rsa.fresh_map().label == "rsa-enc(n=15,e=3)"
     stream = load_target("stream")
     assert (stream.fresh_map().in_width, stream.fresh_map().out_width) == (16, 20)
