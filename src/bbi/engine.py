@@ -46,7 +46,8 @@ from itertools import compress
 from operator import xor
 from typing import Callable
 
-from .gf2 import BitVec, Gf2Poly, ONE, _set_value, _set_width, lcm, order
+from .gf2 import (BitVec, Gf2Poly, _lcm_bits, _mul_bits, _set_value,
+                  _set_width, order)
 
 UNIQUE = "unique"
 SATURATED = "saturated"
@@ -393,7 +394,9 @@ class GrowingWindow:
     once, into `packed`, when it is built, and `extend` packs only the
     terms it adds.  A projection the solve no longer reaches stays where
     it was until a later solve needs it again.  Residual windows are
-    built afresh by each solve, as mp may change.
+    built afresh by each solve, as mp may change.  The solve holds each
+    polynomial as its coefficient mask (bit i for X^i) and builds a
+    Gf2Poly only for the answer it returns.
 
     The all-zero window gets X+1: every polynomial annihilates it, and
     X+1 is the least-degree one with an invertible constant term, which
@@ -429,13 +432,14 @@ class GrowingWindow:
         schedule = _projections(self.width)
         for i, u in enumerate(schedule):  # one is not zero: they span
             mp = self._project(i, u)
-            if mp != ONE:
+            if mp != 1:
                 break
-        if 2 * mp.degree > M:
+        if 2 * (mp.bit_length() - 1) > M:
             return None
-        return self._complete(mp, schedule[i + 1:], self._annihilated(mp.bits))
+        mp = self._complete(mp, schedule[i + 1:], self._annihilated(mp))
+        return None if mp is None else Gf2Poly(mp)
 
-    def _decide(self, schedule: tuple[int, ...]) -> Gf2Poly | None:
+    def _decide(self, schedule: tuple[int, ...]) -> int | None:
         """The least annihilator of degree <= M/2 of a residual window,
         or None, from its projections onto `schedule`, read in order and
         joined by lcm until the lcm annihilates the window; every vector
@@ -444,48 +448,49 @@ class GrowingWindow:
         M = len(self.terms)
         if not self.packed:
             return None
-        found = ONE
+        found = 1
         for i, u in enumerate(schedule):
             mp = self._project(i, u)
-            if found != ONE:
-                mp = lcm(found, mp)
-            if 2 * mp.degree > M:
+            if found != 1:
+                mp = _lcm_bits(found, mp)
+            degree = mp.bit_length() - 1
+            if 2 * degree > M:
                 return None
-            if mp != found and self._annihilated(mp.bits) == M - mp.degree:
+            if mp != found and self._annihilated(mp) == M - degree:
                 return mp
             found = mp
         return None
 
-    def _complete(self, mp: Gf2Poly, schedule: tuple[int, ...],
-                  held: int) -> Gf2Poly | None:
+    def _complete(self, mp: int, schedule: tuple[int, ...],
+                  held: int) -> int | None:
         """mp Q, for Q the least annihilator of the residual of mp (mp
         itself when it annihilates the window), or None when there is
         none (see GrowingWindow).  mp annihilates the first `held`
         windows, and `schedule` is what follows the projections read for
         mp."""
         terms = self.terms
-        M = len(terms)
-        if held == M - mp.degree:
+        M, degree = len(terms), mp.bit_length() - 1
+        if held == M - degree:
             return mp
-        room = M // 2 - mp.degree
+        room = M // 2 - degree
         if held >= room:
             return None
-        selectors = _selectors(mp.bits)
+        selectors = _selectors(mp)
         residual = GrowingWindow(_residual(terms, selectors, 0, 2), self.width)
         last = None
         while True:
             K = len(residual.terms)
             q = residual._decide(schedule)
             if q is not None and q != last:
-                last, p = q, mp * q
-                held = self._annihilated(p.bits, K - q.degree)
-                if held == M - p.degree:
+                last, p = q, _mul_bits(mp, q)
+                held = self._annihilated(p, K - q.bit_length() + 1)
+                if held == M - p.bit_length() + 1:
                     return p
             if held >= room or K == 2 * room:
                 return None
             residual.extend(_residual(terms, selectors, K, min(2 * K, 2 * room)))
 
-    def _project(self, i: int, u: int) -> Gf2Poly:
+    def _project(self, i: int, u: int) -> int:
         """m_u of the window for projection i of the schedule, u; the
         solve reads projections in order, so i is at most one past the
         last one read."""
@@ -645,9 +650,10 @@ def _bm_steps(s: int, t: int, M: int, C: int, B: int, L: int,
     return C, B, L, gap
 
 
-def _bm_poly(C: int, L: int) -> Gf2Poly:
-    """The minimal polynomial X^L C(1/X) of a Berlekamp-Massey state."""
-    return Gf2Poly(int(format(C, f"0{L + 1}b")[::-1], 2))
+def _bm_poly(C: int, L: int) -> int:
+    """The coefficient mask of the minimal polynomial X^L C(1/X) of a
+    Berlekamp-Massey state."""
+    return int(format(C, f"0{L + 1}b")[::-1], 2)
 
 
 def bm_crosscheck(window: GrowingWindow) -> Gf2Poly:
@@ -662,12 +668,10 @@ def bm_crosscheck(window: GrowingWindow) -> Gf2Poly:
     # Character t*n + b is bit b of term t, so component b is bits[b::n]
     # and its int has s_t at bit M-1-t, the order _bm_steps reads.
     bits = "".join(format(t, f"0{n}b")[::-1] for t in window.terms)
-    result = ONE
+    result = 1
     for b in range(n):
         comp = int(bits[b::n], 2)
         if comp:  # all M steps of Berlekamp-Massey from the initial state
             C, _, L, _ = _bm_steps(comp, 0, M, 1, 1, 0, 1)
-            result = lcm(result, _bm_poly(C, L))
-    if result.degree < 1:
-        return Gf2Poly(0b11)
-    return result
+            result = _lcm_bits(result, _bm_poly(C, L))
+    return Gf2Poly(result if result != 1 else 0b11)

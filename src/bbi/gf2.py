@@ -79,10 +79,6 @@ class Gf2Poly:
             raise ValueError("negative coefficient mask")
 
     @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    @property
     def degree(self) -> int:
         """Degree, or -1 for the zero polynomial."""
         return self.bits.bit_length() - 1
@@ -92,18 +88,9 @@ class Gf2Poly:
         return self.bits & 1
 
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        """Shift-and-XOR, one step per bit of the shorter operand."""
         if not isinstance(other, Gf2Poly):
             return NotImplemented
-        a, b, acc = self.bits, other.bits, 0
-        if a.bit_length() > b.bit_length():
-            a, b = b, a
-        while a:
-            if a & 1:
-                acc ^= b
-            a >>= 1
-            b <<= 1
-        return Gf2Poly(acc)
+        return Gf2Poly(_mul_bits(self.bits, other.bits))
 
     def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
         if not isinstance(other, Gf2Poly):
@@ -128,6 +115,20 @@ class Gf2Poly:
         return " + ".join(parts)
 
 
+def _mul_bits(a: int, b: int) -> int:
+    """Product of coefficient masks: shift-and-XOR, one step per bit of
+    the shorter operand."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    acc = 0
+    while a:
+        if a & 1:
+            acc ^= b
+        a >>= 1
+        b <<= 1
+    return acc
+
+
 def _divmod_bits(r: int, d: int) -> tuple[int, int]:
     """Quotient and remainder of coefficient masks, d nonzero."""
     q = 0
@@ -139,30 +140,18 @@ def _divmod_bits(r: int, d: int) -> tuple[int, int]:
     return q, r
 
 
-ZERO = Gf2Poly(0)
-ONE = Gf2Poly(1)
+def _lcm_bits(a: int, b: int) -> int:
+    """Monic lcm of nonzero coefficient masks: the gcd g by Euclid on
+    _divmod_bits, then a times the cofactor b / g, so a * b is never
+    built.  The solver joins only minimal polynomials, each monic and so
+    nonzero, so no divisor here is zero."""
+    g, r = a, b
+    while r:
+        g, r = r, _divmod_bits(g, r)[1]
+    return _mul_bits(a, _divmod_bits(b, g)[0])
+
+
 X = Gf2Poly(2)
-
-
-def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """Monic gcd; gcd(0, 0) is rejected."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    # on the masks: a Gf2Poly per remainder would cost more than the step
-    a, b = a.bits, b.bits
-    while b:
-        a, b = b, _divmod_bits(a, b)[1]
-    return Gf2Poly(a)
-
-
-def lcm(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """Monic lcm; lcm(0, 0) is rejected, lcm with one zero argument is 0.
-    a times the cofactor b / gcd: a * b is never built."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("lcm(0, 0) is undefined")
-    if a.is_zero or b.is_zero:
-        return ZERO
-    return a * (b // gcd(a, b))
 
 
 def powmod(a: Gf2Poly, e: int, mod: Gf2Poly) -> Gf2Poly:

@@ -1,13 +1,14 @@
 """Code that only the tests need: BitVec and polynomial builders, a
-modular-integer type, small maps and checks over the engine's types, the
-orbit walk that keeps its terms and the closed-form full-period oracle,
-Massey's Berlekamp-Massey written out with its discrepancy, a Hankel
-scan that decides windows and measures their rank profile, the
-inversion formula one coefficient at a time, the per-call
-exhaustive scan and window walk and the rotate-per-round SPN that the
-fast oracle, window and cipher must reproduce, inverse operations of the
-targets, and the clocked per-bit keystream that the stream cipher's
-tables must reproduce."""
+gcd and lcm of their own, a modular-integer type, small maps and checks
+over the engine's types, the orbit walk that keeps its terms and the
+closed-form full-period oracle, Massey's Berlekamp-Massey written out
+with its discrepancy, a Hankel scan that decides windows and measures
+their rank profile, the inversion formula one coefficient at a time,
+the per-call exhaustive scan and window walk and the rotate-per-round
+SPN that the fast oracle, window and cipher must reproduce, inverse
+operations of the targets, and the clocked per-bit keystream that the
+stream cipher's tables must reproduce.  It imports no private kernel of
+bbi.gf2 or bbi.engine, so no reference shares the solver's code."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from bbi.engine import (RANK_DEFICIENT, SATURATED, UNIQUE, BlackBoxMap,
-                        GrowingWindow, _projections)
-from bbi.gf2 import ONE, BitVec, Gf2Poly, gcd, lcm
+                        GrowingWindow)
+from bbi.gf2 import BitVec, Gf2Poly
 from bbi.oracle import orbit_profile
 from bbi.targets.ec import INFINITY, CurveParams, ECPoint
 from bbi.targets.spn import _HI, _LO, PBOX, SBOX, ToySpn
@@ -66,9 +67,22 @@ def reciprocal(p: Gf2Poly) -> Gf2Poly:
 
 
 def mulmod(a: Gf2Poly, b: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
-    if mod.is_zero:
+    if mod.bits == 0:
         raise ZeroDivisionError("zero modulus")
     return divmod(a * b, mod)[1]
+
+
+def poly_gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+    """Euclid on Gf2Poly's divmod: the references' own gcd, apart from
+    the solver's lcm kernel.  gcd(0, 0) is 0."""
+    while b.bits:
+        a, b = b, divmod(a, b)[1]
+    return a
+
+
+def poly_lcm(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+    """a times b / gcd(a, b), for a and b not both zero."""
+    return a * (b // poly_gcd(a, b))
 
 
 @dataclass(frozen=True)
@@ -205,7 +219,7 @@ def _periodic_component_minpoly(comp: int, N: int) -> Gf2Poly:
     """Minimal polynomial of the N-periodic scalar sequence with period
     block bits comp (bit t = s_t): reciprocal of (X^N+1)/gcd(s(X), X^N+1)."""
     xn1 = Gf2Poly((1 << N) | 1)
-    g = gcd(Gf2Poly(comp), xn1)
+    g = poly_gcd(Gf2Poly(comp), xn1)
     return reciprocal(xn1 // g)
 
 
@@ -223,14 +237,14 @@ def full_period_minpoly(F: BlackBoxMap, y: BitVec) -> tuple[Gf2Poly, int]:
     if N > FULL_PERIOD_LIMIT:
         raise ValueError(f"period {N} exceeds limit {FULL_PERIOD_LIMIT}")
     n = y.width
-    result = ONE
+    result = Gf2Poly(1)
     for b in range(n):
         comp = 0
         for t in range(N):
             comp |= ((cycle[t].value >> b) & 1) << t
         if comp == 0:
             continue
-        result = lcm(result, _periodic_component_minpoly(comp, N))
+        result = poly_lcm(result, _periodic_component_minpoly(comp, N))
     if result.degree < 1:
         return Gf2Poly(0b11), N
     return result, N
@@ -266,12 +280,13 @@ def massey_minpoly(terms, width: int) -> Gf2Poly:
     massey_scalar per bit component, then their lcm.  Zero components
     contribute nothing; the all-zero window gets X+1, the engine's
     convention."""
-    result = ONE
+    result = Gf2Poly(1)
     for b in range(width):
         comp = [(v >> b) & 1 for v in terms]
         if any(comp):
             C, L = massey_scalar(comp)
-            result = lcm(result, Gf2Poly(sum(c << (L - i) for i, c in enumerate(C))))
+            result = poly_lcm(result,
+                              Gf2Poly(sum(c << (L - i) for i, c in enumerate(C))))
     return Gf2Poly(0b11) if result.degree < 1 else result
 
 
@@ -343,36 +358,6 @@ def minimal_polynomial_lowbit(seq: GrowingWindow) -> tuple:
 
     status = SATURATED if len(pivots) == m_max else RANK_DEFICIENT
     return None, status, tuple(profile)
-
-
-def structured_terms(kind: str, n: int, M: int, p: int, rng) -> list[int]:
-    """M terms of width n drawn from rng: "random" ones, a "cycle" of p
-    random values, the orbit of a random "recurrence" of order p on
-    random vectors, a "late-jump": the cycle with one bit flipped in its
-    last 100 terms, so that L jumps late, to about the flip, or "noise":
-    the cycle plus random bits along one vector v != 0 orthogonal to the
-    engine's first projection u_0, so that u_0 sees only the cycle and
-    the noise is left to its residual.  u_0 has its lowest set bit at 0,
-    which v's bit 0 sets orthogonal; at width 1 no such v exists, and v
-    is 0."""
-    if kind == "random":
-        return [rng.getrandbits(n) for _ in range(M)]
-    terms = [rng.getrandbits(n) for _ in range(p)]
-    taps = rng.getrandbits(p) | 1 if kind == "recurrence" else 1
-    while len(terms) < M:
-        v = 0
-        for i in range(p):
-            if taps >> i & 1:
-                v ^= terms[-p + i]
-        terms.append(v)
-    terms = terms[:M]
-    if kind == "late-jump":
-        terms[rng.randint(max(0, M - 100), M - 1)] ^= 1 << rng.randrange(n)
-    if kind == "noise":
-        high = rng.randrange(1, 1 << (n - 1)) << 1 if n > 1 else 0
-        v = high | ((_projections(n)[0] & high).bit_count() & 1)
-        terms = [t ^ v if rng.getrandbits(1) else t for t in terms]
-    return terms
 
 
 def rotl16(v: int, k: int) -> int:

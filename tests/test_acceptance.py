@@ -101,8 +101,9 @@ def test_c2_hankel_bm_agreement(periodic_suite):
     # The minimality certificate is the tests' own Hankel scan, which
     # shares no code with the engine's solver or its rank: rank H(d) = d
     # means no nonzero polynomial of degree < d annihilates the window,
-    # so nothing below mp does.  bm_crosscheck shares the kernel
-    # _bm_steps with the solver, so its equality is no independent check.
+    # so nothing below mp does.  bm_crosscheck shares the kernels
+    # _bm_steps and _lcm_bits with the solver, so its equality is no
+    # independent check: the lowbit scan is the independent side.
     cases = periodic_suite["cases"]
     for seq, res in cases:
         mp = res.minpoly

@@ -24,9 +24,8 @@ from bbi.gf2 import BitVec, Gf2Poly, order
 
 from helpers import (concat, full_period_minpoly, massey_minpoly,
                      minimal_polynomial_lowbit, per_call_generate,
-                     per_coefficient_invert, rotl, stored_orbit,
-                     structured_terms, table_map, times_x_mod,
-                     verify_sequence)
+                     per_coefficient_invert, rotl, stored_orbit, table_map,
+                     times_x_mod, verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -65,6 +64,37 @@ def annihilates(p: Gf2Poly, seq: GrowingWindow) -> bool:
         if acc:
             return False
     return True
+
+
+def structured_terms(kind: str, n: int, M: int, p: int, rng) -> list[int]:
+    """M terms of width n drawn from rng: "random" ones, a "cycle" of p
+    random values, the orbit of a random "recurrence" of order p on
+    random vectors, a "late-jump": the cycle with one bit flipped in its
+    last 100 terms, so that L jumps late, to about the flip, or "noise":
+    the cycle plus random bits along one vector v != 0 orthogonal to the
+    engine's first projection u_0, so that u_0 sees only the cycle and
+    the noise is left to its residual.  u_0 has its lowest set bit at 0,
+    which v's bit 0 sets orthogonal; at width 1 no such v exists, and v
+    is 0.  It reads the engine's private schedule, so it lives with the
+    engine's tests and not among the references in helpers.py."""
+    if kind == "random":
+        return [rng.getrandbits(n) for _ in range(M)]
+    terms = [rng.getrandbits(n) for _ in range(p)]
+    taps = rng.getrandbits(p) | 1 if kind == "recurrence" else 1
+    while len(terms) < M:
+        v = 0
+        for i in range(p):
+            if taps >> i & 1:
+                v ^= terms[-p + i]
+        terms.append(v)
+    terms = terms[:M]
+    if kind == "late-jump":
+        terms[rng.randint(max(0, M - 100), M - 1)] ^= 1 << rng.randrange(n)
+    if kind == "noise":
+        high = rng.randrange(1, 1 << (n - 1)) << 1 if n > 1 else 0
+        v = high | ((engine._projections(n)[0] & high).bit_count() & 1)
+        terms = [t ^ v if rng.getrandbits(1) else t for t in terms]
+    return terms
 
 
 def test_blackboxmap_counts_and_checks_widths():
@@ -376,6 +406,23 @@ def test_only_gf2_and_the_scan_build_bitvecs_unchecked():
                 or isinstance(node, ast.Attribute) and node.attr in setters
                 or isinstance(node, ast.alias) and node.name in setters)]
     assert uses == []
+
+
+def test_references_import_no_private_kernel():
+    """The references in tests/helpers.py keep their own arithmetic: they
+    import no private name (a kernel such as _lcm_bits or _bm_steps)
+    from bbi.gf2 or bbi.engine, so none shares that code with the solver
+    it checks."""
+    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text(encoding="utf-8"))
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    assert ("bbi.gf2", "Gf2Poly") in imports  # the check reads real imports
+    assert [(module, name) for module, name in imports
+            if module in ("bbi.gf2", "bbi.engine") and name.startswith("_")] == []
+    # a module import would reach the private names by attribute
+    assert [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.startswith("bbi")] == []
 
 
 # Definitions in src that no other src code references, each with what
@@ -1036,6 +1083,43 @@ def test_a_solve_builds_no_sequence(monkeypatch, decisions):
     assert built and set(built) == {"_complete"}
 
 
+def test_a_solve_builds_one_gf2poly_at_most(monkeypatch, decisions):
+    """The solve holds its polynomials as coefficient masks and builds a
+    Gf2Poly only for the answer it returns: a solved window, a window
+    with no answer, the all-zero window, windows completed from their
+    residuals (solved or not) and a window solved again after extend."""
+    F = lfsr5()
+    grown = generate(F, BitVec(1, 5), 6)  # L = 5 > M/2: no answer yet
+    rng = random.Random(0)
+    windows = [generate(F, BitVec(1, 5), 20),
+               seq_of([rng.getrandbits(16) for _ in range(40)], 16),
+               seq_of((0,) * 6, 4),
+               hidden_cycle_window(16, 100, seed=0),
+               *(seq_of(structured_terms(kind, 8, 120, 5, random.Random(0)), 8)
+                 for kind in ("late-jump", "noise")),
+               grown, grown]
+    built, post_init = [], Gf2Poly.__post_init__
+
+    def counted(poly):
+        built.append(poly.bits)
+        post_init(poly)
+
+    monkeypatch.setattr(Gf2Poly, "__post_init__", counted)
+    answers, residuals = [], []
+    for k, w in enumerate(windows):
+        if k == len(windows) - 1:  # the second solve of grown
+            w.extend(F.iterate(BitVec(w.terms[-1], 5), 14)[1:])
+        built.clear()
+        decisions.clear()
+        answers.append(w.solve())
+        residuals.append(bool(decisions))
+        assert built == ([] if answers[-1] is None else [answers[-1].bits])
+    assert [a is not None for a in answers] == [True, False, True, True,
+                                               True, False, False, True]
+    assert answers[2] == Gf2Poly(0b11) and answers[-1] == answers[0]
+    assert residuals[3:6] == [True, True, True]
+
+
 @pytest.mark.parametrize("n, N, seed", [(16, 100, 0), (64, 129, 1)])
 def test_a_factor_the_first_projection_misses_comes_from_the_residual(
         n, N, seed):
@@ -1045,7 +1129,7 @@ def test_a_factor_the_first_projection_misses_comes_from_the_residual(
     s = hidden_cycle_window(n, N, seed)
     expected = massey_minpoly(s.terms, n)
     first = window_of(s)._project(0, engine._projections(n)[0])
-    assert first * Gf2Poly(0b11) == expected
+    assert Gf2Poly(first) * Gf2Poly(0b11) == expected
     grown = window_of(s)
     assert grown.solve() == expected
     assert len(grown._read) == 1
@@ -1059,8 +1143,8 @@ def test_a_first_projection_at_half_the_window_that_fails_proves_none(
     fits: None after one projection, with no residual to decide."""
     s = seq_of([3, 9, 8, 2, 5, 14], 4)
     first = window_of(s)._project(0, engine._projections(4)[0])
-    assert first.degree == 3
-    assert window_of(s)._annihilated(first.bits) < 6 - 3
+    assert first.bit_length() - 1 == 3
+    assert window_of(s)._annihilated(first) < 6 - 3
     grown = window_of(s)
     assert grown.solve() is None
     assert len(grown._read) == 1 and decisions == []
@@ -1178,8 +1262,8 @@ def test_joins_at_half_the_residual_window_answer_as_the_reference(monkeypatch):
     decide = GrowingWindow._decide
     monkeypatch.setattr(GrowingWindow, "_decide", lambda self, schedule: (
         lengths.append(len(self.terms)) or decide(self, schedule)))
-    monkeypatch.setattr(engine, "lcm", lambda a, b: joins.append(
-        (max(a.degree, b.degree), lengths[-1])) or gf2.lcm(a, b))
+    monkeypatch.setattr(engine, "_lcm_bits", lambda a, b: joins.append(
+        (max(a, b).bit_length() - 1, lengths[-1])) or gf2._lcm_bits(a, b))
     rng = random.Random(7)
     for M in range(4, 200, 3):
         for n in (4, 16):

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bbi.engine import local_inversion
-from bbi.gf2 import ONE, X, ZERO, BitVec, Gf2Poly, gcd, lcm, order, powmod
+from bbi.gf2 import X, BitVec, Gf2Poly, _lcm_bits, order, powmod
 from bbi.targets.arith import is_primitive_poly
 
 from helpers import (IntMod, concat, mulmod, poly_from_coeffs,
-                     poly_from_terms, reciprocal, rotl, times_x_mod)
+                     poly_from_terms, poly_gcd, poly_lcm, reciprocal, rotl,
+                     times_x_mod)
+
+ZERO, ONE = Gf2Poly(0), Gf2Poly(1)
 
 
 def test_bitvec_construction_bounds():
@@ -128,7 +131,7 @@ def test_poly_builders_and_accessors():
     assert p.degree == 3 and p.constant_term == 1
     assert poly_from_coeffs([1, 1, 0, 1]) == p
     assert poly_from_terms([3, 1, 0]) == p
-    assert ZERO.is_zero and ZERO.degree == -1
+    assert ZERO.degree == -1
     assert str(p) == "X^3 + X + 1"
     assert str(ZERO) == "0"
     with pytest.raises(ValueError):
@@ -167,14 +170,12 @@ def test_poly_reciprocal():
 def test_gcd_lcm_basics():
     a = Gf2Poly(0b11) * Gf2Poly(0b111)   # (X+1)(X^2+X+1) = X^3+1
     b = Gf2Poly(0b11) * Gf2Poly(0b1011)
-    assert gcd(a, b) == Gf2Poly(0b11)
-    assert lcm(a, b) == Gf2Poly(0b11) * Gf2Poly(0b111) * Gf2Poly(0b1011)
-    assert gcd(a, ZERO) == a
-    assert lcm(a, ZERO) == ZERO
-    with pytest.raises(ValueError):
-        gcd(ZERO, ZERO)
-    with pytest.raises(ValueError):
-        lcm(ZERO, ZERO)
+    assert poly_gcd(a, b) == Gf2Poly(0b11)
+    assert poly_lcm(a, b) == Gf2Poly(0b11) * Gf2Poly(0b111) * Gf2Poly(0b1011)
+    assert _lcm_bits(a.bits, b.bits) == poly_lcm(a, b).bits
+    assert poly_gcd(a, ZERO) == a
+    assert _lcm_bits(1, a.bits) == _lcm_bits(a.bits, 1) == a.bits
+    assert _lcm_bits(a.bits, a.bits) == a.bits
 
 
 def test_gcd_lcm_product_property():
@@ -182,10 +183,11 @@ def test_gcd_lcm_product_property():
     for _ in range(200):
         a = Gf2Poly(rng.randrange(1, 1 << 10))
         b = Gf2Poly(rng.randrange(1, 1 << 10))
-        g, l = gcd(a, b), lcm(a, b)
+        g, l = poly_gcd(a, b), poly_lcm(a, b)
         assert g * l == a * b
         assert divmod(a, g)[1] == ZERO and divmod(b, g)[1] == ZERO
         assert divmod(l, a)[1] == ZERO and divmod(l, b)[1] == ZERO
+        assert _lcm_bits(a.bits, b.bits) == l.bits
 
 
 def schoolbook(a: int, b: int) -> int:
@@ -209,14 +211,15 @@ def test_lcm_at_solver_degrees(seed):
     g = dense_poly(rng, 1, 400)
     a = Gf2Poly(schoolbook(g, dense_poly(rng, 300, 700)))
     b = Gf2Poly(schoolbook(g, dense_poly(rng, 300, 700)))
-    l = lcm(a, b)
-    assert l == lcm(b, a)
-    assert l == Gf2Poly(schoolbook(a.bits, b.bits)) // gcd(a, b)
+    l = Gf2Poly(_lcm_bits(a.bits, b.bits))
+    assert l.bits == _lcm_bits(b.bits, a.bits)
+    assert l == Gf2Poly(schoolbook(a.bits, b.bits)) // poly_gcd(a, b)
+    assert l == poly_lcm(a, b)
     assert divmod(l, a)[1] == ZERO and divmod(l, b)[1] == ZERO
     f = Gf2Poly(dense_poly(rng, 300, 400))
-    af = Gf2Poly(schoolbook(a.bits, f.bits))
-    assert lcm(a, af) == af
-    assert lcm(af, a) == af
+    af = schoolbook(a.bits, f.bits)
+    assert _lcm_bits(a.bits, af) == af
+    assert _lcm_bits(af, a.bits) == af
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -81,7 +81,7 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
 # then the terms.
 ENGINE_WINDOWS = r"""
 import random
-from helpers import structured_terms
+from test_engine import structured_terms
 rng = random.Random(2024)
 for k in range(3000):
     n, M, p = rng.randint(1, 64), rng.randint(2, 300), rng.randint(1, 40)
