@@ -3,8 +3,9 @@
 Everything is packed into Python ints.  A BitVec of width n stores its
 coordinates in the low n bits of an int, index 0 being the least
 significant bit.  A Gf2Poly stores coefficient i of X^i in bit i, so the
-int 0b1011 is X^3 + X + 1.  Addition in both cases is XOR of those
-ints.  All values are immutable; operations return new objects.
+int 0b1011 is X^3 + X + 1.  Both are immutable values that define no
+arithmetic operator: the product, division and lcm kernels work on the
+coefficient ints, and powmod and order take Gf2Poly.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ _set_width = BitVec.width.__set__
 @dataclass(frozen=True)
 class Gf2Poly:
     """Polynomial over GF(2); bit i of `bits` is the coefficient of X^i.
-    Arithmetic with a non-Gf2Poly operand raises TypeError."""
+    It has no arithmetic operators, so `p * q` raises TypeError."""
 
     bits: int
 
@@ -86,24 +87,6 @@ class Gf2Poly:
     @property
     def constant_term(self) -> int:
         return self.bits & 1
-
-    def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        if not isinstance(other, Gf2Poly):
-            return NotImplemented
-        return Gf2Poly(_mul_bits(self.bits, other.bits))
-
-    def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
-        if not isinstance(other, Gf2Poly):
-            return NotImplemented
-        if other.bits == 0:
-            raise ZeroDivisionError("division by zero polynomial")
-        q, r = _divmod_bits(self.bits, other.bits)
-        return Gf2Poly(q), Gf2Poly(r)
-
-    def __floordiv__(self, other: "Gf2Poly") -> "Gf2Poly":
-        if not isinstance(other, Gf2Poly):
-            return NotImplemented
-        return divmod(self, other)[0]
 
     def __str__(self) -> str:
         if self.bits == 0:
@@ -130,7 +113,9 @@ def _mul_bits(a: int, b: int) -> int:
 
 
 def _divmod_bits(r: int, d: int) -> tuple[int, int]:
-    """Quotient and remainder of coefficient masks, d nonzero."""
+    """Quotient and remainder of coefficient masks; a zero d raises."""
+    if not d:
+        raise ZeroDivisionError("division by the zero polynomial")
     q = 0
     dn = d.bit_length()
     while r.bit_length() >= dn:
@@ -143,9 +128,9 @@ def _divmod_bits(r: int, d: int) -> tuple[int, int]:
 def _lcm_bits(a: int, b: int) -> int:
     """Monic lcm of nonzero coefficient masks: the gcd g by Euclid on
     _divmod_bits, then a times the cofactor b / g, so a * b is never
-    built.  The solver joins only minimal polynomials, each monic and so
-    nonzero, so no divisor here is zero."""
-    g, r = a, b
+    built.  Euclid's first step divides by b, so a zero b raises
+    ZeroDivisionError; the solver joins only minimal polynomials."""
+    g, r = b, _divmod_bits(a, b)[1]
     while r:
         g, r = r, _divmod_bits(g, r)[1]
     return _mul_bits(a, _divmod_bits(b, g)[0])
@@ -158,37 +143,21 @@ def powmod(a: Gf2Poly, e: int, mod: Gf2Poly) -> Gf2Poly:
     """a^e reduced by mod, by square-and-multiply on the coefficient ints.
 
     The exponent is read from its top bit down, so every multiply is by
-    the reduced base itself, and costs one step per bit of the base:
-    two for X, the base that primitivity checks raise.
+    the reduced base itself: two _mul_bits steps for X, the base that
+    primitivity checks raise.  _divmod_bits reduces each product.
     """
     if e < 0:
         raise ValueError("negative exponent")
     if mod.degree < 1:
         raise ValueError("modulus must have degree >= 1")
     m = mod.bits
-    top = 1 << mod.degree
     base = _divmod_bits(a.bits, m)[1]
     acc = 1
     for bit in format(e, "b"):
-        acc = _mulmod_bits(acc, acc, m, top)
+        acc = _divmod_bits(_mul_bits(acc, acc), m)[1]
         if bit == "1":
-            acc = _mulmod_bits(acc, base, m, top)
+            acc = _divmod_bits(_mul_bits(acc, base), m)[1]
     return Gf2Poly(acc)
-
-
-def _mulmod_bits(a: int, b: int, m: int, top: int) -> int:
-    """a * b mod m for a, b already reduced; top is the leading bit of m.
-    Each bit of b adds the running a * X^i, kept reduced by one
-    conditional XOR per shift, so the cost is the bit length of b."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= m
-    return acc
 
 
 def order(p: Gf2Poly, bound: int = 1 << 20) -> int | None:

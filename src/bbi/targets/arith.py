@@ -19,18 +19,7 @@ def reduce_exponent(x: int, m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:

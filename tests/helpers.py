@@ -1,14 +1,17 @@
 """Code that only the tests need: BitVec and polynomial builders, a
-gcd and lcm of their own, a modular-integer type, small maps and checks
-over the engine's types, the orbit walk that keeps its terms and the
-closed-form full-period oracle, Massey's Berlekamp-Massey written out
-with its discrepancy, a Hankel scan that decides windows and measures
-their rank profile, the inversion formula one coefficient at a time,
-the per-call exhaustive scan and window walk and the rotate-per-round
-SPN that the fast oracle, window and cipher must reproduce, inverse
-operations of the targets, and the clocked per-bit keystream that the
-stream cipher's tables must reproduce.  It imports no private kernel of
-bbi.gf2 or bbi.engine, so no reference shares the solver's code."""
+product, division, gcd and lcm of their own, a modular-integer type,
+small maps and checks over the engine's types, the orbit walk that
+keeps its terms and the closed-form full-period oracle, Massey's
+Berlekamp-Massey written out with its discrepancy, a Hankel scan that
+decides windows and measures their rank profile, the inversion formula
+one coefficient at a time, the per-call exhaustive scan and window walk
+and the rotate-per-round SPN that the fast oracle, window and cipher
+must reproduce, inverse operations of the targets, and the clocked
+per-bit keystream that the stream cipher's tables must reproduce.  It
+imports no private kernel of bbi.gf2 or bbi.engine, and Gf2Poly and
+BitVec define no arithmetic operator (test_engine checks both), so the
+polynomial arithmetic here works on Gf2Poly.bits alone and no reference
+shares the solver's code."""
 
 from __future__ import annotations
 
@@ -66,23 +69,43 @@ def reciprocal(p: Gf2Poly) -> Gf2Poly:
     return Gf2Poly(v)
 
 
+def poly_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+    """Schoolbook product: b shifted up by i for each set bit i of a."""
+    acc, rest = 0, a.bits
+    while rest:
+        low = rest & -rest
+        acc ^= b.bits << (low.bit_length() - 1)
+        rest ^= low
+    return Gf2Poly(acc)
+
+
+def poly_divmod(a: Gf2Poly, b: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
+    """Long division: cancel the remainder's leading term with b times a
+    power of X until its degree is below b's."""
+    if b.bits == 0:
+        raise ZeroDivisionError("zero divisor")
+    q, r = 0, a.bits
+    while r.bit_length() > b.degree:
+        shift = r.bit_length() - 1 - b.degree
+        q |= 1 << shift
+        r ^= b.bits << shift
+    return Gf2Poly(q), Gf2Poly(r)
+
+
 def mulmod(a: Gf2Poly, b: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
-    if mod.bits == 0:
-        raise ZeroDivisionError("zero modulus")
-    return divmod(a * b, mod)[1]
+    return poly_divmod(poly_mul(a, b), mod)[1]
 
 
 def poly_gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """Euclid on Gf2Poly's divmod: the references' own gcd, apart from
-    the solver's lcm kernel.  gcd(0, 0) is 0."""
+    """Euclid on poly_divmod.  gcd(0, 0) is 0."""
     while b.bits:
-        a, b = b, divmod(a, b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     return a
 
 
 def poly_lcm(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """a times b / gcd(a, b), for a and b not both zero."""
-    return a * (b // poly_gcd(a, b))
+    """The cofactor b / gcd(a, b) times a, for a and b not both zero."""
+    return poly_mul(poly_divmod(b, poly_gcd(a, b))[0], a)
 
 
 @dataclass(frozen=True)
@@ -220,7 +243,7 @@ def _periodic_component_minpoly(comp: int, N: int) -> Gf2Poly:
     block bits comp (bit t = s_t): reciprocal of (X^N+1)/gcd(s(X), X^N+1)."""
     xn1 = Gf2Poly((1 << N) | 1)
     g = poly_gcd(Gf2Poly(comp), xn1)
-    return reciprocal(xn1 // g)
+    return reciprocal(poly_divmod(xn1, g)[0])
 
 
 def full_period_minpoly(F: BlackBoxMap, y: BitVec) -> tuple[Gf2Poly, int]:

@@ -24,8 +24,8 @@ from bbi.gf2 import BitVec, Gf2Poly, order
 
 from helpers import (concat, full_period_minpoly, massey_minpoly,
                      minimal_polynomial_lowbit, per_call_generate,
-                     per_coefficient_invert, rotl, stored_orbit, table_map,
-                     times_x_mod, verify_sequence)
+                     per_coefficient_invert, poly_mul, rotl, stored_orbit,
+                     table_map, times_x_mod, verify_sequence)
 
 
 def identity(width: int) -> BlackBoxMap:
@@ -425,6 +425,18 @@ def test_references_import_no_private_kernel():
             for alias in node.names if alias.name.startswith("bbi")] == []
 
 
+@pytest.mark.parametrize("cls", [BitVec, Gf2Poly])
+def test_gf2_values_define_no_arithmetic_operator(cls):
+    """Besides importing no private kernel (above), a reference must not
+    reach one through an operator: BitVec and Gf2Poly define none, so
+    `p * q` raises TypeError instead of running the solver's product."""
+    operators = {f"__{side}{op}__" for side in ("", "r", "i")
+                 for op in ("add", "sub", "mul", "truediv", "floordiv", "mod",
+                            "divmod", "pow", "lshift", "rshift", "and", "xor",
+                            "or")}
+    assert sorted(operators & set(vars(cls))) == []
+
+
 # Definitions in src that no other src code references, each with what
 # calls it: the README's library API and what reaches it from outside.
 UNREFERENCED_IN_SRC = {
@@ -802,7 +814,8 @@ Q16 = Gf2Poly(0x1002D)  # X^16 + X^5 + X^3 + X^2 + 1, primitive
     (identity(4), BitVec(5, 4), 4, 1),
     (rsa15(), BitVec(8, 4), 6, 2),
     (lfsr5(), BitVec(1, 5), None, 31),
-    (times_x_mod(Q16 * Q16 * Q16 * Q16), BitVec(1, 64), None, 262140),
+    (times_x_mod(poly_mul(poly_mul(Q16, Q16), poly_mul(Q16, Q16))),
+     BitVec(1, 64), None, 262140),
 ], ids=["fixed-point", "two-cycle", "lfsr5", "degree-64"])
 def test_period_estimate_is_computed_once_on_first_read(order_calls, F, y, M,
                                                         period):
@@ -1129,7 +1142,7 @@ def test_a_factor_the_first_projection_misses_comes_from_the_residual(
     s = hidden_cycle_window(n, N, seed)
     expected = massey_minpoly(s.terms, n)
     first = window_of(s)._project(0, engine._projections(n)[0])
-    assert Gf2Poly(first) * Gf2Poly(0b11) == expected
+    assert poly_mul(Gf2Poly(first), Gf2Poly(0b11)) == expected
     grown = window_of(s)
     assert grown.solve() == expected
     assert len(grown._read) == 1

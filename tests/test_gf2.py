@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bbi.engine import local_inversion
-from bbi.gf2 import X, BitVec, Gf2Poly, _lcm_bits, order, powmod
+from bbi.gf2 import (X, BitVec, Gf2Poly, _divmod_bits, _lcm_bits, _mul_bits,
+                     order, powmod)
 from bbi.targets.arith import is_primitive_poly
 
-from helpers import (IntMod, concat, mulmod, poly_from_coeffs,
-                     poly_from_terms, poly_gcd, poly_lcm, reciprocal, rotl,
-                     times_x_mod)
+from helpers import (IntMod, concat, mulmod, poly_divmod, poly_from_coeffs,
+                     poly_from_terms, poly_gcd, poly_lcm, poly_mul, reciprocal,
+                     rotl, times_x_mod)
 
 ZERO, ONE = Gf2Poly(0), Gf2Poly(1)
 
@@ -123,6 +124,7 @@ def test_bitvec_rendering():
     assert v.hex() == "0xbe"
     assert str(v) == "10111110"  # MSB first
     assert BitVec(1, 12).hex() == "0x001"
+    assert BitVec(1, 5).hex() == "0x01" and BitVec(1, 16).hex() == "0x0001"
     assert v.value == 0xBE
 
 
@@ -140,23 +142,25 @@ def test_poly_builders_and_accessors():
 
 def test_poly_mul():
     # (X + 1)(X + 1) = X^2 + 1 in characteristic 2
-    assert Gf2Poly(0b11) * Gf2Poly(0b11) == Gf2Poly(0b101)
-    assert Gf2Poly(0b111) * X == Gf2Poly(0b1110)
-    assert ONE * Gf2Poly(0b1011) == Gf2Poly(0b1011)
-    assert ZERO * Gf2Poly(0b1011) == ZERO
+    for a, b, want in [(0b11, 0b11, 0b101), (0b111, X.bits, 0b1110),
+                       (1, 0b1011, 0b1011), (0, 0b1011, 0)]:
+        assert _mul_bits(a, b) == _mul_bits(b, a) == want
+        assert poly_mul(Gf2Poly(a), Gf2Poly(b)) == Gf2Poly(want)
 
 
 def test_poly_divmod_identity_exhaustive():
     # a == q*b + r with deg r < deg b, over all small pairs
     for ab in range(64):
         for bb in range(1, 16):
-            a, b = Gf2Poly(ab), Gf2Poly(bb)
-            q, r = divmod(a, b)
-            assert (q * b).bits ^ r.bits == a.bits
-            assert r.degree < b.degree
-            assert a // b == q
-    with pytest.raises(ZeroDivisionError):
-        divmod(ONE, ZERO)
+            q, r = _divmod_bits(ab, bb)
+            assert poly_mul(Gf2Poly(q), Gf2Poly(bb)).bits ^ r == ab
+            assert r.bit_length() < bb.bit_length()
+            assert poly_divmod(Gf2Poly(ab), Gf2Poly(bb)) == (Gf2Poly(q), Gf2Poly(r))
+    # a zero divisor raises where the division loop would never end
+    for call in (lambda: _divmod_bits(5, 0), lambda: _divmod_bits(0, 0),
+                 lambda: poly_divmod(ONE, ZERO)):
+        with pytest.raises(ZeroDivisionError):
+            call()
 
 
 def test_poly_reciprocal():
@@ -168,40 +172,40 @@ def test_poly_reciprocal():
 
 
 def test_gcd_lcm_basics():
-    a = Gf2Poly(0b11) * Gf2Poly(0b111)   # (X+1)(X^2+X+1) = X^3+1
-    b = Gf2Poly(0b11) * Gf2Poly(0b1011)
+    a = poly_mul(Gf2Poly(0b11), Gf2Poly(0b111))   # (X+1)(X^2+X+1) = X^3+1
+    b = poly_mul(Gf2Poly(0b11), Gf2Poly(0b1011))
+    assert a == Gf2Poly(0b1001)
     assert poly_gcd(a, b) == Gf2Poly(0b11)
-    assert poly_lcm(a, b) == Gf2Poly(0b11) * Gf2Poly(0b111) * Gf2Poly(0b1011)
+    assert poly_lcm(a, b) == poly_mul(a, Gf2Poly(0b1011))
     assert _lcm_bits(a.bits, b.bits) == poly_lcm(a, b).bits
     assert poly_gcd(a, ZERO) == a
     assert _lcm_bits(1, a.bits) == _lcm_bits(a.bits, 1) == a.bits
     assert _lcm_bits(a.bits, a.bits) == a.bits
+    for zero in ((3, 0), (0, 0)):  # a zero join fails at once, not hangs
+        with pytest.raises(ZeroDivisionError):
+            _lcm_bits(*zero)
 
 
 def test_gcd_lcm_product_property():
+    # 10-bit pairs share factors often; 300 bits is a solver degree, and
+    # b's narrower draws give long quotients
     rng = random.Random(7)
-    for _ in range(200):
-        a = Gf2Poly(rng.randrange(1, 1 << 10))
-        b = Gf2Poly(rng.randrange(1, 1 << 10))
+    for width in [10] * 200 + [300] * 200:
+        a = Gf2Poly(rng.randrange(1, 1 << width))
+        b = Gf2Poly(rng.randrange(1, 1 << rng.randint(1, width)))
         g, l = poly_gcd(a, b), poly_lcm(a, b)
-        assert g * l == a * b
-        assert divmod(a, g)[1] == ZERO and divmod(b, g)[1] == ZERO
-        assert divmod(l, a)[1] == ZERO and divmod(l, b)[1] == ZERO
+        assert poly_mul(g, l) == poly_mul(a, b)
+        assert poly_divmod(a, g)[1] == ZERO and poly_divmod(b, g)[1] == ZERO
+        assert poly_divmod(l, a)[1] == ZERO and poly_divmod(l, b)[1] == ZERO
         assert _lcm_bits(a.bits, b.bits) == l.bits
+        assert _mul_bits(a.bits, b.bits) == poly_mul(a, b).bits
+        q, r = poly_divmod(a, b)
+        assert _divmod_bits(a.bits, b.bits) == (q.bits, r.bits)
 
 
-def schoolbook(a: int, b: int) -> int:
-    """Carry-less product of coefficient masks, one row per bit of a."""
-    acc = 0
-    for i in range(a.bit_length()):
-        if (a >> i) & 1:
-            acc ^= b << i
-    return acc
-
-
-def dense_poly(rng: random.Random, lo: int, hi: int) -> int:
+def dense_poly(rng: random.Random, lo: int, hi: int) -> Gf2Poly:
     d = rng.randint(lo, hi)
-    return rng.getrandbits(d) | (1 << d) | 1
+    return Gf2Poly(rng.getrandbits(d) | (1 << d) | 1)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -209,15 +213,14 @@ def test_lcm_at_solver_degrees(seed):
     # degrees 300 .. 1100 with a shared factor, as the solver's lcms have
     rng = random.Random(seed)
     g = dense_poly(rng, 1, 400)
-    a = Gf2Poly(schoolbook(g, dense_poly(rng, 300, 700)))
-    b = Gf2Poly(schoolbook(g, dense_poly(rng, 300, 700)))
+    a = poly_mul(g, dense_poly(rng, 300, 700))
+    b = poly_mul(g, dense_poly(rng, 300, 700))
     l = Gf2Poly(_lcm_bits(a.bits, b.bits))
     assert l.bits == _lcm_bits(b.bits, a.bits)
-    assert l == Gf2Poly(schoolbook(a.bits, b.bits)) // poly_gcd(a, b)
+    assert l == poly_divmod(poly_mul(a, b), poly_gcd(a, b))[0]
     assert l == poly_lcm(a, b)
-    assert divmod(l, a)[1] == ZERO and divmod(l, b)[1] == ZERO
-    f = Gf2Poly(dense_poly(rng, 300, 400))
-    af = schoolbook(a.bits, f.bits)
+    assert poly_divmod(l, a)[1] == ZERO and poly_divmod(l, b)[1] == ZERO
+    af = poly_mul(a, dense_poly(rng, 300, 400)).bits
     assert _lcm_bits(a.bits, af) == af
     assert _lcm_bits(af, a.bits) == af
 
@@ -226,18 +229,19 @@ def test_lcm_at_solver_degrees(seed):
 def test_mul_loops_over_either_operand(seed):
     rng = random.Random(seed)
     big = Gf2Poly(rng.getrandbits(999) | (1 << 999))
-    assert big.bits.bit_length() == 1000
-    assert ONE * big == big * ONE == big
-    for short in (X, Gf2Poly(dense_poly(rng, 2, 60)), Gf2Poly(dense_poly(rng, 300, 1100))):
-        want = Gf2Poly(schoolbook(short.bits, big.bits))
-        assert short * big == want
-        assert big * short == want
+    assert big.degree == 999
+    assert _mul_bits(1, big.bits) == _mul_bits(big.bits, 1) == big.bits
+    for short in (X, dense_poly(rng, 2, 60), dense_poly(rng, 300, 1100)):
+        want = poly_mul(short, big).bits
+        assert _mul_bits(short.bits, big.bits) == want
+        assert _mul_bits(big.bits, short.bits) == want
 
 
 def test_powmod():
     mod = Gf2Poly(0b10011)  # X^4 + X + 1
     assert powmod(X, 15, mod) == ONE
-    assert powmod(X, 5, mod) == divmod(X * X * X * X * X, mod)[1]
+    assert powmod(X, 5, mod) == poly_divmod(Gf2Poly(1 << 5), mod)[1]
+    assert powmod(X, 5, mod) == Gf2Poly(0b0110)  # X^5 = X^2 + X
     assert powmod(X, 0, mod) == ONE
     with pytest.raises(ValueError):
         powmod(X, -1, mod)
@@ -250,16 +254,17 @@ def test_powmod():
 def test_powmod_matches_repeated_multiplication(a, e, mod):
     # moduli of degree 1 .. 40, bases wider than the modulus
     a, mod = Gf2Poly(a), Gf2Poly(mod)
-    acc = divmod(ONE, mod)[1]
+    acc = poly_divmod(ONE, mod)[1]
     for _ in range(e):
-        acc = divmod(acc * a, mod)[1]
+        acc = mulmod(acc, a, mod)
     assert powmod(a, e, mod) == acc
 
 
 def test_mulmod():
     mod = Gf2Poly(0b10011)
     a, b = Gf2Poly(0b1101), Gf2Poly(0b1010)
-    assert mulmod(a, b, mod) == divmod(a * b, mod)[1]
+    want = _divmod_bits(_mul_bits(a.bits, b.bits), mod.bits)[1]
+    assert mulmod(a, b, mod) == Gf2Poly(want) == Gf2Poly(0b1011)
     with pytest.raises(ZeroDivisionError):
         mulmod(a, b, ZERO)
 
@@ -278,10 +283,14 @@ def test_order_preconditions_and_bound():
         order(X)  # zero constant term
     with pytest.raises(ValueError):
         order(ONE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bound must be >= 1$"):
         order(Gf2Poly(0b11), bound=0)
     assert order(Gf2Poly(0b10011), bound=14) is None
     assert order(Gf2Poly(0b10011), bound=15) == 15
+    # the default bound is 2^20: X^20 + X^3 + 1 and X^21 + X^2 + 1 are
+    # primitive, of orders 2^20 - 1 and 2^21 - 1
+    assert order(Gf2Poly(1 << 20 | 0b1001)) == (1 << 20) - 1
+    assert order(Gf2Poly(1 << 21 | 0b101)) is None
 
 
 def _order_walk(p: Gf2Poly, bound: int) -> int | None:
@@ -325,7 +334,7 @@ def test_order_capped_at_degree_24():
 
 
 def test_order_found_between_2_10_and_2_20_at_degree_24():
-    p = Q16 * Q8  # order lcm(2^16 - 1, 2^8 - 1) = 65535
+    p = poly_mul(Q16, Q8)  # order lcm(2^16 - 1, 2^8 - 1) = 65535
     assert p.degree == 24
     n = order(p)
     assert n == _order_walk(p, 1 << 20) == 65535
@@ -335,7 +344,7 @@ def test_local_inversion_period_estimate_at_degree_64():
     # F multiplies by X mod P = Q16^4 on 64-bit residues: a linear map
     # whose orbit of y = 1 has minimal polynomial P, of order
     # (2^16 - 1) * 4 = 262140.
-    P = Q16 * Q16 * Q16 * Q16
+    P = poly_mul(poly_mul(Q16, Q16), poly_mul(Q16, Q16))
     assert P.degree == 64
     y = BitVec(1, 64)
     F = times_x_mod(P)
@@ -348,7 +357,7 @@ def test_local_inversion_period_estimate_at_degree_64():
 def _is_irreducible(p: Gf2Poly) -> bool:
     # trial division by every lower-degree polynomial
     for db in range(2, 1 << p.degree):
-        if divmod(p, Gf2Poly(db))[1] == ZERO:
+        if poly_divmod(p, Gf2Poly(db))[1] == ZERO:
             return False
     return p.degree >= 1
 

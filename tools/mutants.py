@@ -1,5 +1,5 @@
-"""Report the one-token mutants of src/bbi/engine.py and src/bbi/oracle.py
-that their tests miss.
+"""Report the one-token mutants of src/bbi/engine.py, src/bbi/oracle.py
+and src/bbi/gf2.py that their tests miss.
 
 Each mutant changes one token of the module's syntax tree:
 - a comparison operator becomes its negation (`<` and `>=`, `==` and
@@ -8,11 +8,13 @@ Each mutant changes one token of the module's syntax tree:
 - an integer constant becomes one more or one less;
 - `and` becomes `or`, and `or` becomes `and`.
 
-Mutants are numbered through engine.py first, then oracle.py.  The
-mutant is written, by `ast.unparse`, into a temporary copy of `src` and
-`tests`, and `pytest -x -q` runs there on its module's tests: for
-engine.py the engine's tests and the oracle, target and embedding tests,
-which drive `BlackBoxMap`; for oracle.py the oracle's tests.  A mutant
+Mutants are numbered through engine.py first, then oracle.py, then
+gf2.py.  The mutant is written, by `ast.unparse`, into a temporary copy
+of `src` and `tests`, and `pytest -x -q` runs there on its module's
+tests: for engine.py the engine's tests and the oracle, target and
+embedding tests, which drive `BlackBoxMap`; for oracle.py the oracle's
+tests; for gf2.py the gf2, engine and target tests, which reach its
+kernels through the solver and the primitivity check.  A mutant
 that passes every test survives; one that fails a test, or runs past its
 time limit, is killed.  Each unmutated module goes through the same
 unparse first and must pass, or the sweep stops.  Its tests run three
@@ -31,7 +33,11 @@ engine's first projection, which a mutant of the schedule would move.
 An oracle mutant walks a fixed set of random table maps (widths 1..10,
 half of them with a drawn tail and cycle through the seed) with
 `orbit_profile` and `cycle_walk`, and reports each walk's answer and
-evaluation count.
+evaluation count.  A gf2 mutant runs its kernels on a fixed set of
+random masks (up to 300 bits, zero included, divisors nonzero) and
+moduli (degrees 1..24, constant term 1): it prints `_mul_bits`,
+`_divmod_bits`, `_lcm_bits`, `powmod` to a random exponent and `order`
+to a random bound.
 `same` means that every line equals the unmutated module's, so the
 mutant changes no output there; `DIFFERS` marks a test gap.
 
@@ -133,6 +139,22 @@ for k in range(3000):
           *cycle_walk(G, BitVec(start, width)), G.evals)
 """
 
+# Runs the polynomial kernels on random masks and moduli; prints each
+# product, quotient and remainder, lcm, power and order.
+GF2_DIFFERENTIAL = r"""
+import random
+from bbi.gf2 import Gf2Poly, _divmod_bits, _lcm_bits, _mul_bits, order, powmod
+rng = random.Random(2024)
+for _ in range(3000):
+    a = rng.getrandbits(rng.randint(0, 300))
+    b = rng.getrandbits(rng.randint(0, 300)) | 1 << rng.randint(0, 300)
+    d = rng.randint(1, 24)
+    p = Gf2Poly(1 << d | rng.getrandbits(d) | 1)
+    e, bound = rng.getrandbits(rng.randint(0, 64)), rng.randint(1, 1 << d)
+    print(_mul_bits(a, b), *_divmod_bits(a, b), _lcm_bits(a, b),
+          powmod(Gf2Poly(a), e, p).bits, order(p, bound))
+"""
+
 # (module, the tests its mutants run, its differential, the script that
 # draws the differential's stdin or None), in numbering order
 MODULES = (
@@ -142,6 +164,9 @@ MODULES = (
      ENGINE_DIFFERENTIAL, ENGINE_WINDOWS),
     (Path("src/bbi/oracle.py"), ("tests/test_oracle.py",), ORACLE_DIFFERENTIAL,
      None),
+    (Path("src/bbi/gf2.py"),
+     ("tests/test_gf2.py", "tests/test_engine.py", "tests/test_targets.py"),
+     GF2_DIFFERENTIAL, None),
 )
 
 
